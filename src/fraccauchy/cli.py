@@ -39,15 +39,7 @@ from .profiles import (
     Sampled,
     Sine,
 )
-from .solver import (
-    duhamel_caputo,
-    duhamel_caputo_zero,
-    duhamel_integer,
-    duhamel_rl,
-    oracle_caputo,
-    oracle_rl,
-    solve_repr,
-)
+from .solver import ROUTES
 from .symbols import (
     ExponentialSymbol,
     PolynomialSymbol,
@@ -55,8 +47,6 @@ from .symbols import (
     RationalSymbol,
     identity_symbol,
 )
-
-METHODS = ("repr", "duhamel", "duhamel-zero", "duhamel-rl", "duhamel-integer", "oracle")
 
 
 # ---------------------------------------------------------------------------
@@ -329,27 +319,9 @@ def read_csv(path):
 # subcommands
 
 
-def _solve_with(method: str, problem: CauchyProblem) -> SolutionPath:
-    if method == "repr":
-        return solve_repr(problem)
-    if method == "duhamel":
-        return duhamel_caputo(problem)
-    if method == "duhamel-zero":
-        return duhamel_caputo_zero(problem)
-    if method == "duhamel-rl":
-        return duhamel_rl(problem)
-    if method == "duhamel-integer":
-        return duhamel_integer(problem)
-    if method == "oracle":
-        if problem.flavor == RIEMANN_LIOUVILLE:
-            return oracle_rl(problem)
-        return oracle_caputo(problem)
-    raise SchemaError("/method", f"unknown method {method!r}")
-
-
 def _cmd_solve(args) -> int:
     problem = parse_problem(args.problem)
-    solution = _solve_with(args.method, problem)
+    solution = ROUTES[args.method](problem)
     write_csv(args.out, solution)
     print(f"wrote {args.out} ({solution.grid.n + 1} rows, method {solution.method})")
     return 0
@@ -361,14 +333,14 @@ def _cmd_compare(args) -> int:
     if len(methods) != 2:
         raise SchemaError("/methods", "expected exactly two comma-separated methods")
     for m in methods:
-        if m not in METHODS:
+        if m not in ROUTES:
             raise SchemaError("/methods", f"unknown method {m!r}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.problem).stem
     paths = []
     for m in methods:
-        sol = _solve_with(m, problem)
+        sol = ROUTES[m](problem)
         csv_path = out_dir / f"{stem}__{m}.csv"
         write_csv(csv_path, sol)
         paths.append(sol)
@@ -442,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve a problem file, write CSV")
     p_solve.add_argument("--problem", required=True)
-    p_solve.add_argument("--method", required=True, choices=METHODS)
+    p_solve.add_argument("--method", required=True, choices=ROUTES)
     p_solve.add_argument("--out", required=True)
     p_solve.set_defaults(func=_cmd_solve)
 

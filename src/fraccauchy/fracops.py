@@ -256,10 +256,11 @@ def solve_abel(h: FunctionSpec, alpha: float, grid: TimeGrid) -> ScalarPath:
 _JACOBI_CACHE: dict = {}
 
 
-def _jacobi_rule(npts: int, exponent: float):
-    key = (npts, round(exponent, 14))
+def jacobi_rule(npts: int, a: float, b: float):
+    """Cached Gauss-Jacobi rule for the weight (1 - x)^a (1 + x)^b on [-1, 1]."""
+    key = (npts, round(a, 14), round(b, 14))
     if key not in _JACOBI_CACHE:
-        _JACOBI_CACHE[key] = roots_jacobi(npts, exponent, 0.0)
+        _JACOBI_CACHE[key] = roots_jacobi(npts, a, b)
     return _JACOBI_CACHE[key]
 
 
@@ -274,7 +275,7 @@ def caputo_derivative_at(
     if not 0 < alpha < 1:
         raise OrderDomainError(f"pointwise order must lie in (0, 1), got {alpha}")
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    x, w = _jacobi_rule(npts, -alpha)
+    x, w = jacobi_rule(npts, -alpha, 0.0)
     df = f.derivative(1)
     # s = tau (x + 1) / 2, kernel (tau - s)^(-alpha) = (tau/2)^(-alpha) (1-x)^(-alpha)
     s = 0.5 * tau[:, None] * (x[None, :] + 1.0)

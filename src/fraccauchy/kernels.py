@@ -23,7 +23,7 @@ from scipy.special import rgamma
 from .errors import DomainError, InversionError, OrderDomainError
 from .ml import ml_array
 from .operators import FourierMultiplier, MatrixOperator, SpectralOperator
-from .symbols import SymbolFunction, identity_symbol
+from .symbols import SymbolFunction
 
 __all__ = [
     "Atom",
@@ -35,7 +35,6 @@ __all__ = [
     "solution_symbol",
     "solution_symbol_path",
     "apply_solution_operator",
-    "single_term_measure",
 ]
 
 
@@ -293,8 +292,3 @@ def _check_spectrum_in_domains(measure: OrderMeasure, op: SpectralOperator) -> N
                 raise DomainError(
                     f"eigenvalue {lam} lies outside the symbol domain {f.domain}"
                 )
-
-
-def single_term_measure(weight: float, alpha: float, mu: float) -> OrderMeasure:
-    """Convenience constructor: Delta = s^mu + weight * z * s^alpha."""
-    return OrderMeasure(mu, (Atom(alpha, weight, identity_symbol()),))

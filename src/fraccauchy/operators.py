@@ -36,6 +36,14 @@ class SpectralOperator:
             )
         return v
 
+    def check_states(self, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=complex)
+        if v.shape[-1:] != (self.dimension,):
+            raise DomainError(
+                f"states have shape {v.shape}, operator needs (..., {self.dimension})"
+            )
+        return v
+
 
 @dataclass
 class MatrixOperator(SpectralOperator):
@@ -99,12 +107,17 @@ class MatrixOperator(SpectralOperator):
         return self.matrix @ self.check_vector(v)
 
     def to_spectral(self, v: np.ndarray) -> np.ndarray:
+        """Eigenbasis coordinates P^-1 v of states shaped (..., dim).
+
+        The broadcast mat-vec gives every state the same bits as ``pinv @ v``.
+        """
         _, _, pinv = self.eigensystem()
-        return pinv @ self.check_vector(v)
+        return (pinv @ self.check_states(v)[..., None])[..., 0]
 
     def from_spectral(self, w: np.ndarray) -> np.ndarray:
+        """States P w of eigenbasis coordinates shaped (..., dim)."""
         _, p, _ = self.eigensystem()
-        return p @ np.asarray(w, dtype=complex)
+        return (p @ self.check_states(w)[..., None])[..., 0]
 
 
 @dataclass
@@ -159,19 +172,16 @@ class FourierMultiplier(SpectralOperator):
         return np.fft.ifft(self.symbol_values * vhat)
 
     def to_spectral(self, v: np.ndarray) -> np.ndarray:
-        return np.fft.fft(self.check_vector(v))
+        """Mode amplitudes of states shaped (..., dim), FFT along the last axis."""
+        return np.fft.fft(self.check_states(v))
 
     def from_spectral(self, w: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(np.asarray(w, dtype=complex))
+        """States of mode amplitudes shaped (..., dim), inverse FFT on the last axis."""
+        return np.fft.ifft(self.check_states(w))
 
 
 # ---------------------------------------------------------------------------
 # the three evaluation routes
-
-
-def apply_operator(op: SpectralOperator, v: np.ndarray) -> np.ndarray:
-    """Plain application A v."""
-    return op.apply(v)
 
 
 def _checked_values(f: SymbolFunction, spectrum: np.ndarray) -> np.ndarray:
@@ -287,7 +297,6 @@ __all__ = [
     "SpectralOperator",
     "MatrixOperator",
     "FourierMultiplier",
-    "apply_operator",
     "apply_symbol_spectral",
     "apply_symbol_taylor",
     "apply_symbol_contour",

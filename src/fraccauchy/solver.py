@@ -25,16 +25,17 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import lu_factor, lu_solve
-from scipy.special import rgamma, roots_jacobi
+from scipy.special import rgamma
 
 from .errors import (
+    BlowupError,
     CapabilityError,
     DomainError,
     FlavorError,
     PreconditionError,
     StepSolveError,
 )
-from .fracops import caputo_derivative_at, frac_integral, rl_derivative_at
+from .fracops import caputo_derivative_at, frac_integral, jacobi_rule, rl_derivative_at
 from .grids import TimeGrid
 from .kernels import OrderMeasure, TalbotContour, solution_symbol_path
 from .operators import FourierMultiplier, MatrixOperator
@@ -58,38 +59,73 @@ __all__ = [
     "oracle_rl",
     "operator_residual",
     "compare",
+    "ROUTES",
 ]
 
 _ACTIVE_TOL = 1e-14
+_EPS = float(np.finfo(float).eps)
+# largest accepted error bound of duhamel_rl's series, relative to its peak
+_SERIES_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
 # spectral plumbing
 
 
-def _spectral_parts(op):
-    """(eigenvalue array, to-spectral, from-spectral) for either variant."""
+def _spectrum(op) -> np.ndarray:
+    """Eigenvalues in the order of the operator's spectral coordinates."""
     if isinstance(op, FourierMultiplier):
-        return op.symbol_values, op.to_spectral, op.from_spectral
+        return op.symbol_values
     assert isinstance(op, MatrixOperator)
-    lam, p, pinv = op.eigensystem()
-    return lam, (lambda v: pinv @ v), (lambda w: p @ w)
+    return op.eigensystem()[0]
+
+
+def _leading(measure: OrderMeasure, lam: np.ndarray) -> np.ndarray:
+    g = np.asarray(measure.leading(lam), dtype=complex)
+    return np.full(lam.shape, complex(g)) if g.ndim == 0 else g
+
+
+def _atom_terms(measure: OrderMeasure, lam: np.ndarray) -> list:
+    """(alpha_j, c_j f_j(lam)) for every atom, over the whole spectrum."""
+    return [
+        (a.alpha, a.weight * np.asarray(a.symbol.eval(lam), dtype=complex))
+        for a in measure.atoms
+    ]
+
+
+def _atom_sum(measure: OrderMeasure, lam: np.ndarray) -> np.ndarray:
+    """Symbol of B = sum_j c_j f_j(A), the single-order route's operator."""
+    terms = _atom_terms(measure, lam)
+    return sum((vals for _, vals in terms), np.zeros(lam.shape, complex))
 
 
 def _leading_values(measure: OrderMeasure, lam: np.ndarray) -> np.ndarray:
-    g = np.asarray(measure.leading(lam), dtype=complex)
-    if g.ndim == 0:
-        g = np.full(lam.shape, complex(g))
+    g = _leading(measure, lam)
     if np.any(np.abs(g) < 1e-14):
         raise DomainError("leading symbol vanishes on the operator spectrum")
     return g
 
 
 def _active(components: np.ndarray) -> np.ndarray:
-    scale = float(np.max(np.abs(components))) if components.size else 0.0
-    if scale == 0.0:
-        return np.zeros(components.shape[-1], dtype=bool)
-    return np.max(np.abs(components), axis=0) > _ACTIVE_TOL * scale
+    """Indices of the spectral components (last axis) that carry data."""
+    peak = np.max(np.abs(components.reshape(-1, components.shape[-1])), axis=0)
+    return np.nonzero(peak > _ACTIVE_TOL * max(1e-300, float(np.max(peak))))[0]
+
+
+def _forcing_components(problem: CauchyProblem):
+    """Eigenvalues, the forcing direction over the leading symbol in spectral
+    coordinates, and the indices of its active components."""
+    lam = _spectrum(problem.operator)
+    g_lead = _leading_values(problem.measure, lam)
+    dir_spec = problem.operator.to_spectral(problem.forcing.direction) / g_lead
+    return lam, dir_spec, _active(dir_spec)
+
+
+def _zero_path(problem: CauchyProblem, method: str) -> SolutionPath:
+    grid = problem.grid
+    return SolutionPath(
+        grid, np.zeros((grid.n + 1, problem.dim), dtype=complex), method=method
+    )
 
 
 def _require_caputo(problem: CauchyProblem, route: str) -> None:
@@ -117,15 +153,15 @@ def solve_homogeneous(
     if problem.forcing_or_zero() is not None:
         raise PreconditionError("solve_homogeneous needs zero forcing")
     grid = problem.grid
-    lam, to_spec, from_spec = _spectral_parts(problem.operator)
+    op = problem.operator
+    lam = _spectrum(op)
     _leading_values(problem.measure, lam)
     m = problem.measure.m
-    phis = np.stack([to_spec(v) for v in problem.initial])
+    phis = op.to_spectral(np.array(problem.initial))
     u_spec = np.zeros((grid.n + 1, problem.dim), dtype=complex)
     u_spec[0] = phis[0]
-    mask = _active(phis)
     t_pos = grid.nodes[1:]
-    for j in np.nonzero(mask)[0]:
+    for j in _active(phis):
         acc = np.zeros(grid.n, dtype=complex)
         for k in range(m):
             if phis[k, j] == 0:
@@ -134,8 +170,7 @@ def solve_homogeneous(
                 problem.measure, k, t_pos, lam[j], contour
             )
         u_spec[1:, j] = acc
-    states = np.stack([from_spec(u_spec[i]) for i in range(grid.n + 1)])
-    return SolutionPath(grid, states, method="homogeneous")
+    return SolutionPath(grid, op.from_spectral(u_spec), method="homogeneous")
 
 
 # ---------------------------------------------------------------------------
@@ -166,23 +201,13 @@ def _gauss(npts: int):
     return _GAUSS_CACHE[npts]
 
 
-_JACOBI_CACHE: dict = {}
-
-
-def _jacobi(npts: int, exponent: float):
-    key = (npts, round(exponent, 14))
-    if key not in _JACOBI_CACHE:
-        _JACOBI_CACHE[key] = roots_jacobi(npts, 0.0, exponent)
-    return _JACOBI_CACHE[key]
-
-
 def _cell_rule_weighted(a: float, b: float, gamma: float, npts: int):
     """Nodes/weights integrating F over [a, b] with F ~ (tau - a)^(-gamma).
 
     The algebraic factor is absorbed exactly: the returned weights apply to
     plain F values at interior nodes.
     """
-    x, w = _jacobi(npts, -gamma)
+    x, w = jacobi_rule(npts, 0.0, -gamma)
     half = 0.5 * (b - a)
     tau = a + half * (x + 1.0)
     weights = w * half ** (1.0 - gamma) * (tau - a) ** gamma
@@ -229,27 +254,20 @@ def _forced_convolution(
     measure = problem.measure
     m = measure.m
     gamma = m - measure.mu
-    forcing = problem.forcing
-    lam, to_spec, from_spec = _spectral_parts(problem.operator)
-    g_lead = _leading_values(measure, lam)
-    dir_spec = to_spec(forcing.direction) / g_lead
-    datum = _datum_function(forcing.profile, gamma, variant)
-    n = grid.n
+    lam, dir_spec, active = _forcing_components(problem)
+    datum = _datum_function(problem.forcing.profile, gamma, variant)
     t_pos = grid.nodes[1:]
     tau_mat = t_pos[:, None] * unit_tau[None, :]
     w_mat = t_pos[:, None] * unit_w[None, :]
     gvals = datum(tau_mat.reshape(-1)).reshape(tau_mat.shape)
     sig = (t_pos[:, None] - tau_mat).reshape(-1)
-    active = np.nonzero(
-        np.abs(dir_spec) > _ACTIVE_TOL * max(1e-300, float(np.max(np.abs(dir_spec))))
-    )[0]
-    u_spec = np.zeros((n + 1, problem.dim), dtype=complex)
+    u_spec = np.zeros((grid.n + 1, problem.dim), dtype=complex)
     for j in active:
         svals = solution_symbol_path(measure, m - 1, sig, lam[j], contour).reshape(
             tau_mat.shape
         )
         u_spec[1:, j] = dir_spec[j] * np.sum(w_mat * svals * gvals, axis=1)
-    return np.stack([from_spec(u_spec[i]) for i in range(n + 1)])
+    return problem.operator.from_spectral(u_spec)
 
 
 def solve_repr(
@@ -295,17 +313,10 @@ def _duhamel_convolution(
     measure = problem.measure
     m = measure.m
     gamma = m - measure.mu
-    forcing = problem.forcing_or_zero()
-    if forcing is None:
-        return SolutionPath(
-            grid,
-            np.zeros((grid.n + 1, problem.dim), dtype=complex),
-            method=f"duhamel-{variant}",
-        )
-    lam, to_spec, from_spec = _spectral_parts(problem.operator)
-    g_lead = _leading_values(measure, lam)
-    dir_spec = to_spec(forcing.direction) / g_lead
-    datum = _datum_function(forcing.profile, gamma, variant)
+    if problem.forcing_or_zero() is None:
+        return _zero_path(problem, f"duhamel-{variant}")
+    lam, dir_spec, active = _forcing_components(problem)
+    datum = _datum_function(problem.forcing.profile, gamma, variant)
     h = grid.h
     n = grid.n
     t = grid.nodes
@@ -325,9 +336,6 @@ def _duhamel_convolution(
     g_b = datum(tau_b)
     s0 = 1.0 if m == 1 else 0.0  # S_{m-1}(0+)
 
-    active = np.nonzero(
-        np.abs(dir_spec) > _ACTIVE_TOL * max(1e-300, float(np.max(np.abs(dir_spec))))
-    )[0]
     u_spec = np.zeros((n + 1, problem.dim), dtype=complex)
     for j in active:
         s_grid = solution_symbol_path(measure, m - 1, t[1:], lam[j], contour)
@@ -344,21 +352,17 @@ def _duhamel_convolution(
             len(t_out), len(tau_b)
         )
         boundary = s_b @ (w_b * g_b)
-        # trapezoid over grid nodes j = layer..i
-        conv_full = np.convolve(g_grid, s_grid)
-        conv_head = (
-            np.convolve(g_grid[: layer - 1], s_grid) if layer >= 2 else None
-        )
-        for i in range(layer + 1, n + 1):
-            tail = conv_full[i - 2]
-            if conv_head is not None:
-                tail -= conv_head[i - 2]
-            f_w = s_grid[i - layer - 1] * g_grid[layer - 1]
-            f_i = s0 * g_grid[i - 1]
-            trap = h * (tail + f_i - 0.5 * f_w - 0.5 * f_i)
-            u_spec[i, j] = dir_spec[j] * (boundary[i - layer - 1] + trap)
-    states = np.stack([from_spec(u_spec[i]) for i in range(n + 1)])
-    return SolutionPath(grid, states, method=f"duhamel-{variant}")
+        # trapezoid over grid nodes j = layer..i, for the nodes i beyond the layer
+        tail = np.convolve(g_grid, s_grid)[layer - 1 : n - 1]
+        if layer >= 2:
+            tail = tail - np.convolve(g_grid[: layer - 1], s_grid)[layer - 1 : n - 1]
+        f_w = s_grid[: n - layer] * g_grid[layer - 1]
+        f_i = s0 * g_grid[layer:]
+        trap = h * (tail + f_i - 0.5 * f_w - 0.5 * f_i)
+        u_spec[layer + 1 :, j] = dir_spec[j] * (boundary + trap)
+    return SolutionPath(
+        grid, problem.operator.from_spectral(u_spec), method=f"duhamel-{variant}"
+    )
 
 
 def duhamel_caputo(
@@ -410,40 +414,28 @@ def duhamel_integer(
                 f"duhamel_integer needs integer atom orders, got {a.alpha}"
             )
     _require_zero_data(problem, "duhamel_integer")
+    if problem.forcing_or_zero() is None:
+        return _zero_path(problem, "duhamel-integer")
     grid = problem.grid
-    forcing = problem.forcing_or_zero()
-    if forcing is None:
-        return SolutionPath(
-            grid,
-            np.zeros((grid.n + 1, problem.dim), dtype=complex),
-            method="duhamel-integer",
-        )
     measure = problem.measure
     m = measure.m
-    lam, to_spec, from_spec = _spectral_parts(problem.operator)
-    g_lead = _leading_values(measure, lam)
-    dir_spec = to_spec(forcing.direction) / g_lead
-    h = grid.h
+    lam, dir_spec, active = _forcing_components(problem)
     n = grid.n
     t = grid.nodes
-    g_grid = np.asarray(forcing.profile.eval(t), dtype=complex)
+    g_grid = np.asarray(problem.forcing.profile.eval(t), dtype=complex)
     s0 = 1.0 if m == 1 else 0.0
-    active = np.nonzero(
-        np.abs(dir_spec) > _ACTIVE_TOL * max(1e-300, np.max(np.abs(dir_spec)))
-    )[0]
     u_spec = np.zeros((n + 1, problem.dim), dtype=complex)
     for j in active:
         s_grid = np.concatenate(
             [[s0], solution_symbol_path(measure, m - 1, t[1:], lam[j], contour)]
         )
-        conv = np.convolve(g_grid, s_grid)
-        for i in range(1, n + 1):
-            full = conv[i]  # sum_{j=0..i} S_{i-j} g_j
-            u_spec[i, j] = dir_spec[j] * h * (
-                full - 0.5 * s_grid[i] * g_grid[0] - 0.5 * s0 * g_grid[i]
-            )
-    states = np.stack([from_spec(u_spec[i]) for i in range(n + 1)])
-    return SolutionPath(grid, states, method="duhamel-integer")
+        full = np.convolve(g_grid, s_grid)[1 : n + 1]  # sum_{j=0..i} S_{i-j} g_j
+        u_spec[1:, j] = dir_spec[j] * grid.h * (
+            full - 0.5 * s_grid[1:] * g_grid[0] - 0.5 * s0 * g_grid[1:]
+        )
+    return SolutionPath(
+        grid, problem.operator.from_spectral(u_spec), method="duhamel-integer"
+    )
 
 
 def duhamel_rl(problem: CauchyProblem) -> SolutionPath:
@@ -453,6 +445,12 @@ def duhamel_rl(problem: CauchyProblem) -> SolutionPath:
     h is integrated by expanding the kernel and using the exact
     product-integration moments of every power, which sums to the Neumann
     series u = sum_k (-b)^k J^(alpha (k+1)) h per spectral component.
+
+    Once |b| t^alpha is large the terms rise far above the result before
+    they decay, and the sum cancels.  The rounding bound eps sum_k |term_k|
+    plus the last term kept estimates the error of each component; the
+    route raises BlowupError when that passes 1e-6 of the component's peak,
+    or when the terms overflow.
     """
     if problem.flavor != RIEMANN_LIOUVILLE:
         raise FlavorError("duhamel_rl requires the riemann_liouville flavor")
@@ -466,21 +464,13 @@ def duhamel_rl(problem: CauchyProblem) -> SolutionPath:
     grid = problem.grid
     forcing = problem.forcing_or_zero()
     if forcing is None:
-        return SolutionPath(
-            grid,
-            np.zeros((grid.n + 1, problem.dim), dtype=complex),
-            method="duhamel-rl",
-        )
-    lam, to_spec, from_spec = _spectral_parts(problem.operator)
-    b_vals = np.zeros(problem.dim, dtype=complex)
-    for a in problem.measure.atoms:
-        b_vals += a.weight * np.asarray(a.symbol.eval(lam), dtype=complex)
-    dir_spec = to_spec(forcing.direction)
+        return _zero_path(problem, "duhamel-rl")
+    op = problem.operator
+    b_vals = _atom_sum(problem.measure, _spectrum(op))
+    dir_spec = op.to_spectral(forcing.direction)
     n = grid.n
     u_spec = np.zeros((n + 1, problem.dim), dtype=complex)
-    active = np.nonzero(
-        np.abs(dir_spec) > _ACTIVE_TOL * max(1e-300, np.max(np.abs(dir_spec)))
-    )[0]
+    active = _active(dir_spec)
     if len(active):
         j_paths = []
         bmax = float(np.max(np.abs(b_vals[active])))
@@ -489,7 +479,12 @@ def duhamel_rl(problem: CauchyProblem) -> SolutionPath:
         while True:
             path = frac_integral(forcing.profile, alpha * (k + 1), grid).values
             j_paths.append(path)
-            bound = bmax**k * float(np.max(np.abs(path)))
+            try:
+                bound = bmax**k * float(np.max(np.abs(path)))
+            except OverflowError as exc:
+                raise BlowupError(
+                    "duhamel_rl kernel series overflows; use oracle_rl here"
+                ) from exc
             if scale is None:
                 scale = max(1e-300, bound)
             if k >= 2 and bound < 1e-16 * scale:
@@ -499,10 +494,23 @@ def duhamel_rl(problem: CauchyProblem) -> SolutionPath:
             k += 1
         for j in active:
             acc = np.zeros(n + 1, dtype=complex)
+            size = np.zeros(n + 1)
             for kk, path in enumerate(j_paths):
                 acc += (-b_vals[j]) ** kk * path
+                size += abs(b_vals[j]) ** kk * np.abs(path)
+            # a term that underflows to zero can stop the loop before the
+            # series converges, so the term before it stands for the rest
+            cut = abs(b_vals[j]) ** (len(j_paths) - 2) * np.max(np.abs(j_paths[-2]))
+            error = _EPS * np.max(size) + cut
+            peak = np.max(np.abs(acc))
+            if not error <= _SERIES_TOL * peak:
+                raise BlowupError(
+                    f"duhamel_rl kernel series is lost for b = "
+                    f"{complex(b_vals[j]):.4g} (error bound {error:.2e}, result "
+                    f"peak {peak:.2e}); use oracle_rl for this spectrum"
+                )
             u_spec[:, j] = dir_spec[j] * acc
-    states = np.stack([from_spec(u_spec[i]) for i in range(n + 1)])
+    states = op.from_spectral(u_spec)
     states[0] = 0.0
     return SolutionPath(grid, states, method="duhamel-rl")
 
@@ -511,38 +519,21 @@ def duhamel_rl(problem: CauchyProblem) -> SolutionPath:
 # stepping oracles
 
 
+def _as_matrix(op: MatrixOperator, vals: np.ndarray) -> np.ndarray:
+    """P diag(vals) P^-1 in the operator's eigenbasis."""
+    _, p, pinv = op.eigensystem()
+    return p @ (vals[:, None] * pinv)
+
+
 def _term_operators(problem: CauchyProblem):
     """Leading and atom operators as dense matrices or diagonal arrays."""
     op = problem.operator
-    measure = problem.measure
+    lam = _spectrum(op)
+    terms = [(problem.measure.mu, _leading(problem.measure, lam))]
+    terms += _atom_terms(problem.measure, lam)
     if isinstance(op, FourierMultiplier):
-        lam = op.symbol_values
-        dense = False
-        lead = np.asarray(measure.leading(lam), dtype=complex)
-        if lead.ndim == 0:
-            lead = np.full(lam.shape, complex(lead))
-        terms = [(measure.mu, lead)]
-        for a in measure.atoms:
-            terms.append(
-                (a.alpha, a.weight * np.asarray(a.symbol.eval(lam), dtype=complex))
-            )
-        return terms, dense
-    assert isinstance(op, MatrixOperator)
-    lam, p, pinv = op.eigensystem()
-    dense = True
-
-    def as_matrix(vals):
-        return p @ (np.asarray(vals, dtype=complex)[:, None] * pinv)
-
-    lead = np.asarray(measure.leading(lam), dtype=complex)
-    if lead.ndim == 0:
-        lead = np.full(lam.shape, complex(lead))
-    terms = [(measure.mu, as_matrix(lead))]
-    for a in measure.atoms:
-        terms.append(
-            (a.alpha, as_matrix(a.weight * np.asarray(a.symbol.eval(lam), complex)))
-        )
-    return terms, dense
+        return terms, False
+    return [(alpha, _as_matrix(op, vals)) for alpha, vals in terms], True
 
 
 class _TermScheme:
@@ -679,12 +670,6 @@ def _step_caputo(
     return u
 
 
-def _warm_start_sizes(n: int):
-    cells = int(np.clip(n // 16, 1, 128))
-    refine = int(np.clip(n // 8, 8, 128))
-    return cells, refine
-
-
 def _warm_start(step_fn, grid: TimeGrid, cells: int, refine: int):
     """Startup states at coarse nodes 0..cells, Richardson-extrapolated.
 
@@ -696,6 +681,40 @@ def _warm_start(step_fn, grid: TimeGrid, cells: int, refine: int):
     u_fine = step_fn(fine)[::refine]
     u_half = step_fn(half)[:: refine // 2]
     return 2.0 * u_fine - u_half
+
+
+def _run_oracle(problem: CauchyProblem, dense: bool, method: str, step) -> SolutionPath:
+    """Shared oracle driver: forcing samples, warm start, back-transform.
+
+    ``step(grid, forcing_values, injected)`` returns the states on ``grid``;
+    dense schemes step in state space, diagonal ones in spectral coordinates.
+    Grids of 32 cells or more start from a warm start on a refined subgrid.
+    """
+    op = problem.operator
+    forcing = problem.forcing_or_zero()
+
+    def forcing_on(g: TimeGrid) -> np.ndarray:
+        if forcing is None:
+            return np.zeros((g.n + 1, problem.dim), dtype=complex)
+        vals = forcing.values(g.nodes)
+        return vals if dense else op.to_spectral(vals)
+
+    grid = problem.grid
+    cells = refine = 0
+    injected = None
+    if grid.n >= 32:
+        cells = int(np.clip(grid.n // 16, 1, 128))
+        refine = int(np.clip(grid.n // 8, 8, 128))
+        injected = _warm_start(
+            lambda g: step(g, forcing_on(g), None), grid, cells, refine
+        )
+    u = step(grid, forcing_on(grid), injected)
+    return SolutionPath(
+        grid,
+        u if dense else op.from_spectral(u),
+        method=method,
+        diagnostics={"warm_cells": cells, "warm_refine": refine},
+    )
 
 
 def oracle_caputo(problem: CauchyProblem) -> SolutionPath:
@@ -711,41 +730,15 @@ def oracle_caputo(problem: CauchyProblem) -> SolutionPath:
     _require_caputo(problem, "oracle_caputo")
     if problem.measure.mu > 2:
         raise CapabilityError("oracle stepping covers leading orders up to 2")
-    grid = problem.grid
     terms, dense = _term_operators(problem)
-    lamspace = isinstance(problem.operator, FourierMultiplier)
-    if lamspace:
-        to_spec = problem.operator.to_spectral
-        from_spec = problem.operator.from_spectral
-        phis = [to_spec(v) for v in problem.initial]
-    else:
-        phis = [v for v in problem.initial]
-
-    def forcing_on(g: TimeGrid) -> np.ndarray:
-        if problem.forcing_or_zero() is None:
-            return np.zeros((g.n + 1, problem.dim), dtype=complex)
-        vals = problem.forcing.values(g.nodes)
-        if lamspace:
-            return np.stack([to_spec(vals[i]) for i in range(g.n + 1)])
-        return vals
-
-    cells, refine = _warm_start_sizes(grid.n)
-    injected = None
-    if grid.n >= 32:
-        injected = _warm_start(
-            lambda g: _step_caputo(terms, dense, g, phis, forcing_on(g)),
-            grid,
-            cells,
-            refine,
-        )
-    u = _step_caputo(terms, dense, grid, phis, forcing_on(grid), injected)
-    states = np.stack([from_spec(u[i]) for i in range(grid.n + 1)]) if lamspace else u
-    return SolutionPath(
-        grid,
-        states,
-        method="oracle-caputo",
-        diagnostics={"warm_cells": cells if injected is not None else 0,
-                     "warm_refine": refine if injected is not None else 0},
+    phis = np.array(problem.initial)
+    if not dense:
+        phis = problem.operator.to_spectral(phis)
+    return _run_oracle(
+        problem,
+        dense,
+        "oracle-caputo",
+        lambda g, f, injected: _step_caputo(terms, dense, g, phis, f, injected),
     )
 
 
@@ -789,44 +782,17 @@ def oracle_rl(problem: CauchyProblem) -> SolutionPath:
     alpha = problem.measure.mu
     if np.any(np.abs(problem.initial[0]) > 1e-12):
         raise PreconditionError("oracle_rl assumes a zero weighted datum")
-    grid = problem.grid
     op = problem.operator
-    lamspace = isinstance(op, FourierMultiplier)
-    if lamspace:
-        lam = op.symbol_values
-        b_op = np.zeros(problem.dim, dtype=complex)
-        for a in problem.measure.atoms:
-            b_op += a.weight * np.asarray(a.symbol.eval(lam), dtype=complex)
-        dense = False
-    else:
-        assert isinstance(op, MatrixOperator)
-        lam, p, pinv = op.eigensystem()
-        vals = np.zeros(problem.dim, dtype=complex)
-        for a in problem.measure.atoms:
-            vals += a.weight * np.asarray(a.symbol.eval(lam), dtype=complex)
-        b_op = p @ (vals[:, None] * pinv)
-        dense = True
-
-    def forcing_on(g: TimeGrid) -> np.ndarray:
-        if problem.forcing_or_zero() is None:
-            return np.zeros((g.n + 1, problem.dim), dtype=complex)
-        vals = problem.forcing.values(g.nodes)
-        if lamspace:
-            return np.stack([op.to_spectral(vals[i]) for i in range(g.n + 1)])
-        return vals
-
-    cells, refine = _warm_start_sizes(grid.n)
-    injected = None
-    if grid.n >= 32:
-        injected = _warm_start(
-            lambda g: _step_rl(b_op, dense, g, forcing_on(g), alpha),
-            grid,
-            cells,
-            refine,
-        )
-    u = _step_rl(b_op, dense, grid, forcing_on(grid), alpha, injected)
-    states = np.stack([op.from_spectral(u[i]) for i in range(grid.n + 1)]) if lamspace else u
-    return SolutionPath(grid, states, method="oracle-rl")
+    b_op = _atom_sum(problem.measure, _spectrum(op))
+    dense = not isinstance(op, FourierMultiplier)
+    if dense:
+        b_op = _as_matrix(op, b_op)
+    return _run_oracle(
+        problem,
+        dense,
+        "oracle-rl",
+        lambda g, f, injected: _step_rl(b_op, dense, g, f, alpha, injected),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -844,21 +810,11 @@ def operator_residual(problem: CauchyProblem, path: SolutionPath) -> np.ndarray:
     n = grid.n
     h = grid.h
     terms, dense = _term_operators(problem)
-    lamspace = isinstance(problem.operator, FourierMultiplier)
-    if lamspace:
-        u = np.stack([problem.operator.to_spectral(path.states[i]) for i in range(n + 1)])
-        phi1 = (
-            problem.operator.to_spectral(problem.initial[1])
-            if len(problem.initial) > 1
-            else np.zeros(problem.dim, complex)
-        )
-    else:
-        u = path.states
-        phi1 = (
-            problem.initial[1]
-            if len(problem.initial) > 1
-            else np.zeros(problem.dim, complex)
-        )
+    op = problem.operator
+    u = path.states if dense else op.to_spectral(path.states)
+    phi1 = np.zeros(problem.dim, complex)
+    if len(problem.initial) > 1:
+        phi1 = problem.initial[1] if dense else op.to_spectral(problem.initial[1])
     d1 = u[1:] - u[:-1]
     s2 = np.zeros((n, problem.dim), dtype=complex)
     s2[0] = 2 * u[1] - 2 * u[0] - 2 * h * phi1
@@ -872,9 +828,22 @@ def operator_residual(problem: CauchyProblem, path: SolutionPath) -> np.ndarray:
             res[step - 1] += f @ dval if dense else f * dval
     if problem.forcing_or_zero() is not None:
         fv = problem.forcing.values(grid.nodes[1:])
-        if lamspace:
-            fv = np.stack([problem.operator.to_spectral(fv[i]) for i in range(n)])
-        res -= fv
-    if lamspace:
-        res = np.stack([problem.operator.from_spectral(res[i]) for i in range(n)])
-    return res
+        res -= fv if dense else op.to_spectral(fv)
+    return res if dense else op.from_spectral(res)
+
+
+def _oracle_for_flavor(problem: CauchyProblem) -> SolutionPath:
+    if problem.flavor == RIEMANN_LIOUVILLE:
+        return oracle_rl(problem)
+    return oracle_caputo(problem)
+
+
+# method name -> route; the single list of names the CLI offers
+ROUTES = {
+    "repr": solve_repr,
+    "duhamel": duhamel_caputo,
+    "duhamel-zero": duhamel_caputo_zero,
+    "duhamel-rl": duhamel_rl,
+    "duhamel-integer": duhamel_integer,
+    "oracle": _oracle_for_flavor,
+}

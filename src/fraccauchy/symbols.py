@@ -40,32 +40,6 @@ class WholePlane(Domain):
 
 
 @dataclass(frozen=True)
-class Disk(Domain):
-    center: complex
-    radius: float
-
-    def contains(self, z: complex) -> bool:
-        return abs(z - self.center) < self.radius
-
-    def __str__(self) -> str:
-        return f"disk(center={self.center}, radius={self.radius})"
-
-
-@dataclass(frozen=True)
-class HalfPlane(Domain):
-    """Points with Re(z e^{-i angle}) > offset; default is the right half-plane."""
-
-    angle: float = 0.0
-    offset: float = 0.0
-
-    def contains(self, z: complex) -> bool:
-        return (z * np.exp(-1j * self.angle)).real > self.offset
-
-    def __str__(self) -> str:
-        return f"half-plane(angle={self.angle}, offset={self.offset})"
-
-
-@dataclass(frozen=True)
 class SlitPlane(Domain):
     """The plane minus the branch cut (-inf, 0] on the negative real axis."""
 
@@ -314,8 +288,6 @@ def constant_symbol(value: complex = 1.0) -> PolynomialSymbol:
 __all__ = [
     "Domain",
     "WholePlane",
-    "Disk",
-    "HalfPlane",
     "SlitPlane",
     "PlaneMinusPoles",
     "SymbolFunction",

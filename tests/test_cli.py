@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fraccauchy import SchemaError
-from fraccauchy.cli import main, parse_problem, read_csv, write_csv
+from fraccauchy.cli import build_parser, main, parse_problem, read_csv, write_csv
+from fraccauchy.solver import ROUTES
 
 RELAX_DOC = {
     "operator": {"type": "matrix", "data": {"matrix": [[1.0]]}},
@@ -149,6 +150,19 @@ def test_solve_unknown_method_exits_2(tmp_path, capsys):
         main(["solve", "--problem", str(prob), "--method", "bogus", "--out", "x.csv"])
     assert exc.value.code == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_solve_method_choices_are_the_route_table():
+    solve = build_parser()._subparsers._group_actions[0].choices["solve"]
+    (method,) = [a for a in solve._actions if a.dest == "method"]
+    assert list(method.choices) == list(ROUTES)
+
+
+def test_compare_unknown_method_exits_2(tmp_path, capsys):
+    prob = write_doc(tmp_path, RELAX_DOC)
+    args = ["compare", "--problem", str(prob), "--methods", "repr,bogus", "--tol", "1"]
+    assert main(args + ["--out-dir", str(tmp_path / "out")]) == 2
+    assert "unknown method 'bogus'" in capsys.readouterr().err
 
 
 def test_malformed_problem_exits_2(tmp_path):

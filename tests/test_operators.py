@@ -15,7 +15,6 @@ from fraccauchy import (
     PowerSymbol,
     PreconditionError,
     RationalSymbol,
-    apply_operator,
     apply_symbol_contour,
     apply_symbol_spectral,
     apply_symbol_taylor,
@@ -34,18 +33,38 @@ def random_diagonalizable(rng, d, spread=1.0, center=0.5):
 def test_apply_identity():
     op = MatrixOperator(np.eye(3))
     v = np.array([1.0, -2.0, 0.5])
-    assert np.allclose(apply_operator(op, v), v)
+    assert np.allclose(op.apply(v), v)
 
 
 def test_apply_diag():
     op = MatrixOperator(np.diag([1.0, 2.0]))
-    assert np.allclose(apply_operator(op, [1.0, 1.0]), [1.0, 2.0])
+    assert np.allclose(op.apply([1.0, 1.0]), [1.0, 2.0])
 
 
 def test_apply_dimension_mismatch():
     op = MatrixOperator(np.diag([1.0, 2.0]))
     with pytest.raises(DomainError):
-        apply_operator(op, np.ones(3))
+        op.apply(np.ones(3))
+
+
+def test_batched_transforms_match_row_by_row(rng):
+    mat, _ = random_diagonalizable(rng, 4)
+    fourier = FourierMultiplier.from_callable(lambda xi: xi**2, 8, 2 * np.pi)
+    for op in (mat, fourier):
+        d = op.dimension
+        states = rng.normal(size=(17, d)) + 1j * rng.normal(size=(17, d))
+        for transform in (op.to_spectral, op.from_spectral):
+            rows = np.stack([transform(row) for row in states])
+            assert np.array_equal(transform(states), rows)
+
+
+def test_transforms_reject_wrong_last_dimension():
+    for op in (MatrixOperator(np.diag([1.0, 2.0])), FourierMultiplier(4, 1.0, np.ones(4))):
+        for transform in (op.to_spectral, op.from_spectral):
+            with pytest.raises(DomainError):
+                transform(np.ones((5, op.dimension + 1)))
+            with pytest.raises(DomainError):
+                transform(np.ones(op.dimension + 1))
 
 
 def test_spectral_square():
@@ -161,7 +180,7 @@ def test_jordan_block_needs_taylor_route():
 def test_multiplier_eigenfunction():
     op = FourierMultiplier.from_callable(lambda xi: xi**2, 64, 2 * np.pi)
     x = op.grid_points
-    out = apply_operator(op, np.cos(x))
+    out = op.apply(np.cos(x))
     assert np.max(np.abs(out - np.cos(x))) < 1e-12
 
 
@@ -194,7 +213,7 @@ def test_polynomial_symbol_equals_horner_in_operator(coeffs):
     got = apply_symbol_spectral(f, op, v)
     acc = np.zeros(3, dtype=complex)
     for c in reversed(coeffs):
-        acc = apply_operator(op, acc) + c * v
+        acc = op.apply(acc) + c * v
     assert np.max(np.abs(got - acc)) < 1e-10 * (1 + np.max(np.abs(acc)))
 
 

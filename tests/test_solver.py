@@ -11,6 +11,7 @@ from fraccauchy import (
     Exponential,
     FlavorError,
     Forcing,
+    FracCauchyError,
     FourierMultiplier,
     MatrixOperator,
     OrderMeasure,
@@ -347,6 +348,25 @@ def test_rl_weighted_datum_vanishes_under_refinement():
     assert prev < 1e-3
 
 
+@pytest.mark.parametrize("b", [6.0, 10.0, 20.0])
+@pytest.mark.parametrize("n", [8, 256])
+def test_duhamel_rl_raises_when_series_cancels(b, n):
+    prob = rl_problem(MatrixOperator(np.array([[b]])), n=n)
+    with pytest.raises(FracCauchyError):
+        duhamel_rl(prob)
+
+
+@pytest.mark.parametrize("b", [0.5, 2.0, 4.0])
+@pytest.mark.parametrize("n", [8, 256])
+def test_duhamel_rl_matches_mittag_leffler_reference(b, n):
+    # u(1) = E_{1/2, 3/2}(-b) for D_+^(1/2) u + b u = 1
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        exact = mp.nsum(lambda j: (-b) ** j / mp.gamma(0.5 * j + 1.5), [0, mp.inf])
+    path = duhamel_rl(rl_problem(MatrixOperator(np.array([[b]])), n=n))
+    assert abs(path.states[-1, 0] - complex(exact)) < 1e-8
+
+
 def test_rl_flavor_guards():
     grid = TimeGrid(1.0, 64)
     prob_c = CauchyProblem(SCALAR_ONE, RELAX, [np.zeros(1)], None, grid)
@@ -523,10 +543,14 @@ def test_compare_reports():
 
 
 def test_warm_start_diagnostics_present():
-    prob = multiterm_benchmark(256)
-    path = oracle_caputo(prob)
-    assert path.diagnostics["warm_cells"] > 0
-    assert path.method == "oracle-caputo"
+    for prob, oracle, method in (
+        (multiterm_benchmark(256), oracle_caputo, "oracle-caputo"),
+        (rl_problem(SCALAR_ONE, n=256), oracle_rl, "oracle-rl"),
+    ):
+        path = oracle(prob)
+        assert path.diagnostics["warm_cells"] > 0
+        assert path.diagnostics["warm_refine"] > 0
+        assert path.method == method
 
 
 def test_duhamel_rejects_discontinuous_forcing():
