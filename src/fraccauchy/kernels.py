@@ -10,6 +10,20 @@ through inverse Laplace transforms c_beta(t, z) = L^-1[s^beta / Delta](t).
 Measures with at most one atom invert in closed Mittag-Leffler form; the
 general case runs a modified Talbot contour whose nodes also monitor Delta
 for zeros that would invalidate the inversion.
+
+The contour at time t is a fixed shape scaled by n/t, s_k = (n/t) w_k, so
+s_k t = n w_k does not depend on t and every power factors as
+s_k^a = (n/t)^a w_k^a.  The inversion over an array of times is therefore
+
+    c_beta(t_i) = (n/t_i)^(beta+1) sum_k E_k / Delta_ik,
+    E_k = exp(n w_k) w_k^beta w'_k / (i n),
+    Delta_ik = g (n/t_i)^mu w_k^mu + sum_j c_j f_j(z) (n/t_i)^(alpha_j) w_k^(alpha_j),
+
+with every complex power and exponential taken once per node, Delta a sum
+of real-by-complex outer products, and the node sum one matrix-vector
+product.  Times go through in blocks of `_TIME_BLOCK`, which bounds the
+size of each (times x nodes) temporary whatever the length of the time
+array.
 """
 
 from __future__ import annotations
@@ -88,14 +102,6 @@ class OrderMeasure:
         return [(a.alpha, a.weight * complex(a.symbol.eval(z))) for a in self.atoms]
 
 
-def _char_eval_raw(measure: OrderMeasure, s_arr: np.ndarray, z: complex) -> np.ndarray:
-    # principal-branch powers; callers keep s off the cut (-inf, 0]
-    acc = s_arr**measure.mu * measure.leading(complex(z))
-    for alpha_j, w in measure.atom_values(complex(z)):
-        acc = acc + w * s_arr**alpha_j
-    return acc
-
-
 def char_eval(measure: OrderMeasure, s, z: complex):
     """Characteristic function Delta(s, z) with principal-branch powers.
 
@@ -104,7 +110,9 @@ def char_eval(measure: OrderMeasure, s, z: complex):
     s_arr = np.asarray(s, dtype=complex)
     if np.any(s_arr.real <= 0):
         raise DomainError("characteristic function needs Re(s) > 0")
-    acc = _char_eval_raw(measure, s_arr, z)
+    acc = s_arr**measure.mu * measure.leading(complex(z))
+    for alpha_j, w in measure.atom_values(complex(z)):
+        acc = acc + w * s_arr**alpha_j
     if np.ndim(s) == 0:
         return complex(acc)
     return acc
@@ -112,7 +120,12 @@ def char_eval(measure: OrderMeasure, s, z: complex):
 
 @dataclass(frozen=True)
 class TalbotContour:
-    """Modified Talbot contour; parameters rescale with 1/t per evaluation."""
+    """Modified Talbot contour; parameters rescale with 1/t per evaluation.
+
+    The nodes at time t are the fixed shape w(theta_k) scaled by n/t, which
+    is what lets `c_beta_path` invert at many times with one shape (see the
+    module docstring).
+    """
 
     n_nodes: int = 48
 
@@ -120,21 +133,27 @@ class TalbotContour:
         if self.n_nodes < 16 or self.n_nodes % 2:
             raise OrderDomainError("node count must be even and at least 16")
 
-    def nodes(self, t: float):
-        """Contour points s(theta) and s'(theta) at midpoint angles."""
+    def _shape(self):
+        """Unscaled shape w(theta) and w'(theta) at midpoint angles."""
         n = self.n_nodes
         theta = (np.arange(n) + 0.5) * (2 * np.pi / n) - np.pi
-        scale = n / t
         # optimized Talbot constants (sigma, mu, nu, b)
         sg, mu_, nu_, b_ = 0.61220, 0.50174, 0.64070, 0.26450
         nt = nu_ * theta
         cot = np.cos(nt) / np.sin(nt)
-        s = scale * (-sg + mu_ * theta * cot + 1j * b_ * theta)
-        ds = scale * (mu_ * (cot - nt / np.sin(nt) ** 2) + 1j * b_)
-        return s, ds
+        w = -sg + mu_ * theta * cot + 1j * b_ * theta
+        dw = mu_ * (cot - nt / np.sin(nt) ** 2) + 1j * b_
+        return w, dw
+
+    def nodes(self, t: float):
+        """Contour points s(theta) and s'(theta) at midpoint angles."""
+        w, dw = self._shape()
+        scale = self.n_nodes / t
+        return scale * w, scale * dw
 
 
 _DEFAULT_CONTOUR = TalbotContour()
+_TIME_BLOCK = 512  # times per (times x nodes) block of the contour inversion
 
 
 def _fast_path(measure: OrderMeasure) -> bool:
@@ -148,7 +167,12 @@ def c_beta_path(
     z: complex,
     contour: TalbotContour | None = None,
 ) -> np.ndarray:
-    """c_beta(t, z) on an array of positive times."""
+    """c_beta(t, z) on an array of positive times.
+
+    Measures with two or more atoms invert on the contour for all times at
+    once, in blocks of `_TIME_BLOCK` times; `InversionError` names the first
+    time, in input order, at which |Delta| falls below 1e-8 on a node.
+    """
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0):
         raise DomainError("kernel times must be positive")
@@ -171,28 +195,33 @@ def c_beta_path(
             e = np.full(t.shape, rgamma(mu - beta), dtype=complex)
         return t ** (mu - beta - 1.0) * e / g
     contour = contour or _DEFAULT_CONTOUR
-    out = np.empty(t.shape, dtype=complex)
+    n = contour.n_nodes
+    w, dw = contour._shape()
+    e = np.exp(n * w) * w**beta * dw / (1j * n)
+    # (order, symbol-weighted power of the shape) for each term of Delta
+    terms = [(mu, g * w**mu)]
+    terms += [(a, c * w**a) for a, c in measure.atom_values(complex(z))]
     flat_t = t.reshape(-1)
-    flat_o = out.reshape(-1)
-    for i, ti in enumerate(flat_t):
-        flat_o[i] = _talbot_invert(measure, beta, float(ti), z, contour)
-    return out
-
-
-def _talbot_invert(
-    measure: OrderMeasure, beta: float, t: float, z: complex, contour: TalbotContour
-) -> complex:
-    s, ds = contour.nodes(t)
-    delta = _char_eval_raw(measure, s, z)
-    bad = np.abs(delta) < 1e-8
-    if np.any(bad):
-        raise InversionError(
-            f"characteristic function dips to |Delta| = "
-            f"{np.min(np.abs(delta)):.2e} on the inversion contour at t = {t}; "
-            "a zero near or right of the contour makes the result unreliable"
-        )
-    integrand = np.exp(s * t) * s**beta / delta * ds
-    return complex(np.sum(integrand) / (1j * contour.n_nodes))
+    out = np.empty(flat_t.shape, dtype=complex)
+    for start in range(0, flat_t.size, _TIME_BLOCK):
+        tb = flat_t[start : start + _TIME_BLOCK]
+        scale = n / tb
+        delta = 0.0
+        for a, cw in terms:
+            delta = delta + np.multiply.outer(scale**a, cw)
+        low = np.abs(delta).min(axis=1)
+        if np.any(low < 1e-8):
+            i = int(np.argmax(low < 1e-8))
+            raise InversionError(
+                f"characteristic function dips to |Delta| = {low[i]:.2e} on "
+                f"the inversion contour at t = {float(tb[i])}; a zero near or "
+                "right of the contour makes the result unreliable"
+            )
+        # einsum sums each row alike wherever it sits, so results do not
+        # depend on how the times are split into calls or blocks
+        node_sum = np.einsum("ik,k->i", 1.0 / delta, e)
+        out[start : start + _TIME_BLOCK] = scale ** (beta + 1.0) * node_sum
+    return out.reshape(t.shape)
 
 
 def c_beta(
