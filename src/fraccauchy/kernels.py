@@ -36,7 +36,7 @@ from scipy.special import rgamma
 
 from .errors import DomainError, InversionError, OrderDomainError
 from .ml import ml_array
-from .operators import FourierMultiplier, MatrixOperator, SpectralOperator
+from .operators import SpectralOperator
 from .symbols import SymbolFunction
 
 __all__ = [
@@ -294,20 +294,13 @@ def apply_solution_operator(
     if t == 0:
         return op.check_vector(phi) if k == 0 else np.zeros(op.dimension, complex)
     _check_spectrum_in_domains(measure, op)
-    if isinstance(op, FourierMultiplier):
-        w = op.to_spectral(phi)
-        out = np.zeros(op.dimension, dtype=complex)
-        mask = np.abs(w) > 1e-14 * max(1.0, float(np.max(np.abs(w))))
-        for i in np.nonzero(mask)[0]:
-            out[i] = solution_symbol(measure, k, t, op.symbol_values[i], contour) * w[i]
-        return op.from_spectral(out)
-    assert isinstance(op, MatrixOperator)
-    lam, p, pinv = op.eigensystem()
-    w = pinv @ op.check_vector(phi)
-    vals = np.array(
-        [solution_symbol(measure, k, t, lam_i, contour) for lam_i in lam]
-    )
-    return p @ (vals * w)
+    w = op.to_spectral(op.check_vector(phi))
+    lam = op.spectrum()
+    out = np.zeros(op.dimension, dtype=complex)
+    # only components with nonzero amplitude are evaluated
+    for i in np.flatnonzero(np.abs(w) > 1e-14 * max(1.0, float(np.max(np.abs(w))))):
+        out[i] = solution_symbol(measure, k, t, lam[i], contour) * w[i]
+    return op.from_spectral(out)
 
 
 def _check_spectrum_in_domains(measure: OrderMeasure, op: SpectralOperator) -> None:

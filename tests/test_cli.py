@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import wofz
 
 from fraccauchy import SchemaError
 from fraccauchy.cli import build_parser, main, parse_problem, read_csv, write_csv
@@ -208,6 +209,13 @@ def test_ml_subcommand(capsys):
     assert main(["ml", "--alpha", "0.5", "--beta", "1", "--z", "-1"]) == 0
     out = capsys.readouterr().out.strip()
     assert abs(float(out) - 0.4275835761558070) < 1e-10
+
+
+def test_ml_subcommand_on_stokes_ray(capsys):
+    # z = 4.5i lies on |arg z| = alpha pi for alpha = 1/2; E = wofz(4.5)
+    assert main(["ml", "--alpha", "0.5", "--beta", "1", "--z", "0,4.5"]) == 0
+    out = capsys.readouterr().out.strip()
+    assert abs(complex(out) - wofz(4.5)) < 1e-12
 
 
 def test_kernel_subcommand(capsys):

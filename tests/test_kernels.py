@@ -262,33 +262,25 @@ def test_contour_path_memory_is_bounded_by_its_blocks():
     assert peak < 8e6
 
 
-def _ml_reference(mu: float, z: complex) -> complex:
+def _ml_reference(ml_series, mu: float, z: complex) -> complex:
     """E_{mu,1}(-z) to about 40 digits with mpmath.
 
-    The power series runs at x / 2.3 + 40 digits, x = |z|^(1/mu), to absorb
-    its cancellation of ~e^x.  For x > 250 and mu < 1 the algebraic
-    asymptotic series -sum_k (-z)^(-k) / Gamma(1 - mu k) is used instead; its
-    one exponential term, exp(x cos(arg(-z) / mu)), is absent for
-    |arg(-z)| > mu pi and must be below e^-40 otherwise.
+    The `ml_series` fixture serves x = |z|^(1/mu) <= 250.  Beyond that, for
+    mu < 1, the algebraic asymptotic series
+    -sum_k (-z)^(-k) / Gamma(1 - mu k) is used instead; its one exponential
+    term, exp(x cos(arg(-z) / mu)), is absent for |arg(-z)| > mu pi and must
+    be below e^-40 otherwise.
     """
-    mp = pytest.importorskip("mpmath")
     x = abs(z) ** (1.0 / mu)
+    if x <= 250:
+        return ml_series(mu, 1.0, -z)
+    mp = pytest.importorskip("mpmath")
     w = -mp.mpc(z)
-    if x > 250:
-        if mu >= 1 or x * mp.cos(min(abs(mp.arg(w)) / mu, mp.pi)) > -40:
-            raise ValueError(f"no reference for mu = {mu}, z = {z}")
-        with mp.workdps(40):
-            terms = (w**-k * mp.rgamma(1 - mp.mpf(mu) * k) for k in range(1, 41))
-            return complex(-mp.fsum(terms))
-    with mp.workdps(int(40 + x / 2.3)):
-        total, power, k = mp.mpc(0), mp.mpc(1), 0
-        while True:
-            term = power * mp.rgamma(mp.mpf(mu) * k + 1)
-            total += term
-            if k > x / mu + 10 and abs(term) < mp.mpf(10) ** -40:
-                return complex(total)
-            power *= w
-            k += 1
+    if mu >= 1 or x * mp.cos(min(abs(mp.arg(w)) / mu, mp.pi)) > -40:
+        raise ValueError(f"no reference for mu = {mu}, z = {z}")
+    with mp.workdps(40):
+        terms = (w**-k * mp.rgamma(1 - mp.mpf(mu) * k) for k in range(1, 41))
+        return complex(-mp.fsum(terms))
 
 
 @pytest.mark.xfail(
@@ -297,14 +289,14 @@ def _ml_reference(mu: float, z: complex) -> complex:
     reason="the contour misses zeros of Delta right of it and near the "
     "imaginary axis without raising; needs a pole-aware inversion",
 )
-def test_split_atom_contour_agrees_with_mittag_leffler_or_raises():
+def test_split_atom_contour_agrees_with_mittag_leffler_or_raises(ml_series):
     # S_0(1, z) of the measure mu with its atom (0, 1) split in two halves is
     # E_{mu,1}(-z); the contour must match it to 1e-9 relative or raise
     missed = []
     for mu in (0.5, 0.9, 1.5, 1.9):
         twin = split_atom(OrderMeasure(mu, (Atom(0.0, 1.0, identity_symbol()),)))
         for z in (1, 10, 100, 1000, -2, 30j):
-            exact = _ml_reference(mu, z)
+            exact = _ml_reference(ml_series, mu, z)
             try:
                 got = c_beta(twin, mu - 1.0, 1.0, z)
             except FracCauchyError:

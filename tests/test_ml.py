@@ -74,11 +74,9 @@ def test_frozen_high_precision_values(alpha, beta, z, ref):
     "radius", [0.5, 2.0, 4.0, 4.4, 4.8, 5.2, 8.0, 20.0, 50.0]
 )
 def test_half_order_oracle_across_regimes(radius):
-    for frac in (1.0, 0.85, 0.65, 0.35, 0.1, 0.0):
-        ang = np.pi * frac
-        if abs(ang - np.pi / 2) < 0.03:  # Stokes ray for alpha = 1/2
-            continue
-        z = radius * np.exp(1j * ang)
+    # frac = 0.5 is the Stokes ray |arg z| = alpha pi
+    for frac in (1.0, 0.85, 0.65, 0.5, 0.35, 0.1, 0.0):
+        z = radius * np.exp(1j * np.pi * frac)
         ref = half_order_oracle(z)
         if not np.isfinite(abs(ref)) or abs(ref) > 1e12:
             continue
@@ -117,9 +115,35 @@ def test_vectorized_matches_scalar():
     assert np.max(np.abs(va - vs)) < 1e-12
 
 
+def test_non_finite_arguments_give_nan():
+    zs = np.array([np.nan, np.inf, complex(np.nan, 1.0), -np.inf])
+    assert np.all(np.isnan(ml_array(0.5, 1.0, zs)))
+
+
 def test_monotone_relaxation_profile():
     # E_alpha(-x) is completely monotone on x >= 0 for alpha in (0, 1]
     x = np.linspace(0.0, 40.0, 200)
     vals = ml_array(0.6, 1.0, -x).real
     assert np.all(vals > 0)
     assert np.all(np.diff(vals) < 1e-14)
+
+
+def _sweep_points():
+    rng = np.random.default_rng(20261018)
+    points = [(1.3, 0.5, -24.9 + 19.2j)]  # once lost to root-averaging cancellation
+    for _ in range(375):
+        alpha = rng.uniform(0.25, 2.0)
+        beta = rng.uniform(0.3, 2.5)
+        x = rng.uniform(0.0, min(100.0, 50.0 ** (1.0 / alpha)))
+        points.append((alpha, beta, x**alpha * np.exp(1j * rng.uniform(-np.pi, np.pi))))
+    return points
+
+
+def test_accuracy_sweep_against_mpmath(ml_series):
+    # documented target: 1e-10, absolute where |E| <= 1 and relative above
+    errors = []
+    for a, b, z in _sweep_points():
+        ref = ml_series(a, b, z)
+        errors.append((abs(mittag_leffler(a, b, z) - ref) / max(1.0, abs(ref)), (a, b, z)))
+    worst = max(errors, key=lambda e: e[0])
+    assert worst[0] < 1e-10, worst

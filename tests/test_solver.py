@@ -98,6 +98,15 @@ def test_homogeneous_initial_node_is_datum():
     assert path.states[0, 0] == 0.37
 
 
+def test_homogeneous_skew_hermitian_matches_oracle():
+    # A = d/dx puts every z = -i xi t^(1/2) on the Stokes ray of E_{1/2}
+    op = FourierMultiplier.from_callable(lambda xi: 1j * xi, 32)
+    phi = np.exp(np.sin(op.grid_points))
+    prob = CauchyProblem(op, RELAX, [phi], None, TimeGrid(1.0, 256))
+    path = solve_homogeneous(prob)
+    assert np.max(np.abs(path.states - oracle_caputo(prob).states)) < 1e-3
+
+
 def test_homogeneous_rejects_forcing():
     grid = TimeGrid(1.0, 32)
     prob = CauchyProblem(
