@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import rgamma
 
-from .errors import DomainError, InversionError, OrderDomainError
+from .errors import BlowupError, DomainError, InversionError, OrderDomainError
 from .ml import ml_array
 from .operators import SpectralOperator
 from .symbols import SymbolFunction
@@ -252,7 +252,11 @@ def solution_symbol_path(
     z: complex,
     contour: TalbotContour | None = None,
 ) -> np.ndarray:
-    """S_k(t, z) on an array of positive times."""
+    """S_k(t, z) on an array of positive times.
+
+    Raises BlowupError, naming z and the first time in input order, where
+    the symbol is not finite: growth spectra overflow the kernel.
+    """
     m = measure.m
     if not 0 <= k <= m - 1:
         raise OrderDomainError(f"datum index must lie in 0..{m - 1}, got {k}")
@@ -263,6 +267,13 @@ def solution_symbol_path(
         if w == 0:
             continue
         acc = acc + w * c_beta_path(measure, a.alpha - k - 1.0, t, z, contour)
+    bad = np.flatnonzero(~np.isfinite(acc))
+    if bad.size:
+        raise BlowupError(
+            f"solution symbol S_{k}(t, z) is not finite at t = "
+            f"{float(np.ravel(t)[bad[0]])} for z = {complex(z)}; the kernel "
+            "overflows on this spectrum"
+        )
     return acc
 
 

@@ -124,7 +124,9 @@ def _contour(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
 
     right = np.isfinite(phi) & (np.arange(phi.shape[1]) >= region[:, None])
     residues = np.zeros(phi.shape, dtype=complex)
-    residues[right] = poles[right] ** (1.0 - beta) * np.exp(poles[right]) / alpha
+    # e^(s*) overflows on growth spectra; the caller sees the non-finite value
+    with np.errstate(over="ignore", invalid="ignore"):
+        residues[right] = poles[right] ** (1.0 - beta) * np.exp(poles[right]) / alpha
     out += residues.sum(axis=1)
     out.imag[z.imag == 0] = 0.0  # E is real on the real axis; drop rounding
     return out

@@ -181,6 +181,18 @@ def test_numeric_error_exits_3(tmp_path):
     assert main(["solve", "--problem", str(path), "--method", "duhamel", "--out", str(tmp_path / "y.csv")]) == 3
 
 
+def test_kernel_overflow_exits_3(tmp_path, capsys):
+    # E_{1/2}(30 t^(1/2)) overflows: a typed error, not a CSV of NaN
+    doc = json.loads(json.dumps(RELAX_DOC))
+    doc["operator"]["data"]["matrix"] = [[-30.0]]
+    doc["grid"] = {"t_end": 1.0, "n": 16}
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "z.csv"
+    assert main(["solve", "--problem", str(path), "--method", "repr", "--out", str(out)]) == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_gates_on_tolerance(tmp_path):
     doc = json.loads(json.dumps(RELAX_DOC))
     doc["initial"] = [[0.0]]

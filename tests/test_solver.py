@@ -1,11 +1,15 @@
 """Solution routes, their preconditions, and route-agreement properties."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import erfc, rgamma
 
 from fraccauchy import (
     Atom,
+    BlowupError,
     CauchyProblem,
     Constant,
     Exponential,
@@ -19,6 +23,7 @@ from fraccauchy import (
     PreconditionError,
     RIEMANN_LIOUVILLE,
     Sine,
+    StepSolveError,
     TimeGrid,
     compare,
     duhamel_caputo,
@@ -148,6 +153,20 @@ def test_repr_forced_relaxation():
     assert np.max(rel) < 1e-4
     i_one = np.argmin(np.abs(grid.nodes - 1.0))
     assert abs(path.states[i_one, 0] - 0.5724164238441929) < 1e-5
+
+
+def test_repr_overflow_raises_blowup_without_warnings():
+    # E_{1/2}(30 t^(1/2)) ~ exp(900 t) overflows for t above about 0.79
+    grid = TimeGrid(1.0, 16)
+    op = MatrixOperator(np.array([[-30.0]]))
+    for prob in (
+        CauchyProblem(op, RELAX, [np.array([1.0])], None, grid),
+        CauchyProblem(op, RELAX, [np.zeros(1)], Forcing(Constant(1.0), np.ones(1)), grid),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowupError, match=r"not finite at t = 0\.8\d* for z = \(-30"):
+                solve_repr(prob)
 
 
 def test_repr_classical_forced():
@@ -559,6 +578,8 @@ def test_warm_start_diagnostics_present():
         path = oracle(prob)
         assert path.diagnostics["warm_cells"] > 0
         assert path.diagnostics["warm_refine"] > 0
+        assert path.diagnostics["warm_s"] > 0.0
+        assert path.diagnostics["main_s"] > 0.0
         assert path.method == method
 
 
@@ -633,3 +654,244 @@ def test_duhamel_on_multiplier_matches_repr():
     a = solve_repr(prob)
     b = duhamel_caputo(prob)
     assert compare(a, b).max_abs < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# blocked march against the per-step loop it replaced
+
+
+class _LoopScheme:
+    """Per-step product-integration weights of one order (reference only)."""
+
+    def __init__(self, alpha, h, n):
+        self.alpha, self.h = alpha, h
+        i = np.arange(n + 1, dtype=float)
+        if alpha == 0:
+            self.kind = "id"
+        elif alpha == 1:
+            self.kind = "bdf2"
+        elif alpha == 2:
+            self.kind = "d2"
+        elif alpha < 1:
+            self.kind = "l1"
+            self.w = (i + 1) ** (1 - alpha) - i ** (1 - alpha)
+            self.c = h ** (-alpha) * rgamma(2 - alpha)
+        else:
+            self.kind = "l2"
+            self.w = (i + 1) ** (2 - alpha) - i ** (2 - alpha)
+            self.c = h ** (-alpha) * rgamma(3 - alpha)
+
+    def coef(self, step):
+        if self.kind == "id":
+            return 1.0
+        if self.kind == "bdf2":
+            return (1.0 if step == 1 else 1.5) / self.h
+        if self.kind == "d2":
+            return (2.0 if step == 1 else 1.0) / self.h**2
+        if self.kind == "l1":
+            return self.c
+        return (2.0 if step == 1 else 1.0) * self.c
+
+    def history(self, n, u, d1, s2, phi1):
+        h = self.h
+        if self.kind == "id":
+            return 0.0
+        if self.kind == "bdf2":
+            return -u[0] / h if n == 1 else (-4.0 * u[n - 1] + u[n - 2]) / (2.0 * h)
+        if self.kind == "d2":
+            if n == 1:
+                return (-2.0 * u[0] - 2.0 * h * phi1) / h**2
+            return (-2.0 * u[n - 1] + u[n - 2]) / h**2
+        if self.kind == "l1":
+            acc = -self.c * u[n - 1]
+            if n >= 2:
+                acc = acc + self.c * (self.w[1:n][::-1] @ d1[: n - 1])
+            return acc
+        if n == 1:
+            return self.c * (-2.0 * u[0] - 2.0 * h * phi1)
+        acc = self.c * (-2.0 * u[n - 1] + u[n - 2])
+        return acc + self.c * (self.w[1:n][::-1] @ s2[: n - 1])
+
+
+def _loop_caputo(terms, dense, grid, phis, forcing_vals, injected=None):
+    """The per-step Caputo loop, one linear solve and history sum per step."""
+    n, h = grid.n, grid.h
+    dim = phis[0].shape[0]
+    schemes = [_LoopScheme(alpha, h, n) for alpha, _ in terms]
+    mats = [f for _, f in terms]
+    phi1 = phis[1] if len(phis) > 1 else np.zeros(dim, dtype=complex)
+    u = np.zeros((n + 1, dim), dtype=complex)
+    u[0] = phis[0]
+    d1 = np.zeros((n, dim), dtype=complex)
+    s2 = np.zeros((n, dim), dtype=complex)
+    start = 1
+    if injected is not None:
+        k = injected.shape[0] - 1
+        u[: k + 1] = injected
+        d1[:k] = u[1 : k + 1] - u[:k]
+        s2[0] = 2.0 * u[1] - 2.0 * u[0] - 2.0 * h * phi1
+        for j in range(1, k):
+            s2[j] = u[j + 1] - 2.0 * u[j] + u[j - 1]
+        start = k + 1
+    for step in range(start, n + 1):
+        lhs = sum(sch.coef(step) * f for sch, f in zip(schemes, mats))
+        rhs = forcing_vals[step].astype(complex)
+        for sch, f in zip(schemes, mats):
+            hist = sch.history(step, u, d1, s2, phi1)
+            if sch.kind != "id":
+                rhs = rhs - (f @ hist if dense else f * hist)
+        u[step] = np.linalg.solve(lhs, rhs) if dense else rhs / lhs
+        d1[step - 1] = u[step] - u[step - 1]
+        if step == 1:
+            s2[0] = 2.0 * u[1] - 2.0 * u[0] - 2.0 * h * phi1
+        else:
+            s2[step - 1] = u[step] - 2.0 * u[step - 1] + u[step - 2]
+    return u
+
+
+def _loop_rl(b_op, dense, grid, forcing_vals, alpha, injected=None):
+    """The per-step Grunwald-Letnikov loop."""
+    n, h = grid.n, grid.h
+    dim = forcing_vals.shape[1]
+    g = np.empty(n + 1)
+    g[0] = 1.0
+    for j in range(1, n + 1):
+        g[j] = g[j - 1] * (j - 1 - alpha) / j
+    ha = h ** (-alpha)
+    u = np.zeros((n + 1, dim), dtype=complex)
+    start = 1
+    if injected is not None:
+        u[: injected.shape[0]] = injected
+        start = injected.shape[0]
+    lhs = ha * np.eye(dim) + b_op if dense else ha + b_op
+    for step in range(start, n + 1):
+        hist = (g[1 : step + 1][:, None] * u[step - 1 :: -1][:step]).sum(axis=0)
+        rhs = forcing_vals[step] - ha * hist
+        u[step] = np.linalg.solve(lhs, rhs) if dense else rhs / lhs
+    return u
+
+
+_COMPLEX_PAIR = MatrixOperator(np.array([[0.0, 2.0], [-2.0, 0.3]]))  # eigenvalues 0.15 +- 1.99i
+_MODES = FourierMultiplier.from_callable(lambda xi: 1j * xi + 0.1 * xi**2, 16, 2 * np.pi)
+_MARCH_CASES = {
+    "l1": (SCALAR_ONE, RELAX, [np.array([1.0])]),
+    "l2_phi1": (
+        MatrixOperator(np.array([[1.0, 0.3], [-2.0, 1.6]])),
+        OrderMeasure(1.5, (Atom(0.5, 0.5, identity_symbol()), Atom(0.0, 0.3, identity_symbol()))),
+        [np.array([1.0, 0.5]), np.array([0.2, -0.7])],
+    ),
+    "bdf2": (SCALAR_ONE, OrderMeasure(1.0, (Atom(0.0, 1.0, identity_symbol()),)), [np.array([1.0])]),
+    "d2": (SCALAR_ONE, CLASSICAL2, [np.array([1.0]), np.array([0.5])]),
+    "complex_pair": (_COMPLEX_PAIR, RELAX, [np.array([1.0, 0.0])]),
+    "multiplier": (
+        _MODES,
+        OrderMeasure(1.5, (Atom(0.5, 0.5, identity_symbol()),)),
+        [np.cos(_MODES.grid_points), np.sin(_MODES.grid_points)],
+    ),
+}
+
+
+@pytest.mark.parametrize("inject", [False, True])
+@pytest.mark.parametrize("case", sorted(_MARCH_CASES) + ["gl", "gl_multiplier"])
+def test_blocked_march_matches_step_loop(case, inject):
+    from fraccauchy import solver
+
+    n = 3 * solver._BLOCK + 5  # the last block is partial
+    grid = TimeGrid(1.3, n)
+    if case.startswith("gl"):
+        op = _MODES if case == "gl_multiplier" else _COMPLEX_PAIR
+        prob = rl_problem(op, n=n, t_end=1.3, profile=Sine(2.0))
+    else:
+        op, measure, data = _MARCH_CASES[case]
+        forcing = Forcing(Sine(2.0), np.linspace(1.0, 0.5, op.dimension))
+        prob = CauchyProblem(op, measure, data, forcing, grid)
+    dense = isinstance(op, MatrixOperator)
+
+    def forcing_at(t):
+        vals = prob.forcing.values(t)
+        return vals if dense else op.to_spectral(vals)
+
+    fvals = forcing_at(grid.nodes)
+    if case.startswith("gl"):
+        b_op = solver._atom_sum(prob.measure, op.spectrum())
+        ident = np.ones(op.dimension, complex)
+        if dense:
+            b_op, ident = solver._as_matrix(op, b_op), np.eye(op.dimension, dtype=complex)
+        loop = _loop_rl(b_op, dense, grid, fvals, 0.5)
+        injected = 1.01 * loop[:13] if inject else None
+        ref = _loop_rl(b_op, dense, grid, fvals, 0.5, injected)
+        terms = solver._gl_terms(0.5, ident, b_op, grid)
+        zero = np.zeros(op.dimension, complex)
+        got = solver._march(terms, dense, grid, zero, zero, forcing_at, injected)
+    else:
+        terms, _ = solver._term_operators(prob)
+        phis = np.array(prob.initial, dtype=complex)
+        if not dense:
+            phis = op.to_spectral(phis)
+        phi1 = phis[1] if len(phis) > 1 else np.zeros(op.dimension, complex)
+        loop = _loop_caputo(terms, dense, grid, phis, fvals)
+        injected = 1.01 * loop[:13] if inject else None
+        ref = _loop_caputo(terms, dense, grid, phis, fvals, injected)
+        got = solver._march(
+            solver._caputo_terms(terms, grid), dense, grid, phis[0], phi1, forcing_at, injected
+        )
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_oracle_overflow_raises_step_error_without_warnings():
+    # lambda = -30 grows like exp(900 t): the march must stop with a typed
+    # error at the first non-finite step, not warn about overflow
+    prob = CauchyProblem(
+        MatrixOperator(np.array([[-30.0]])), RELAX, [np.array([1.0])], None, TimeGrid(1.0, 1024)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepSolveError, match=r"non-finite state at step \d+"):
+            oracle_caputo(prob)
+
+
+@pytest.mark.parametrize(
+    "op", [MatrixOperator(np.array([[-4.0]])), FourierMultiplier.from_callable(lambda xi: -4.0 + 0.0 * xi, 4)]
+)
+def test_singular_first_step_raises_step_error(op):
+    # h^-1/2 + B = 0 at h = 1/16: the first step has no solution
+    prob = rl_problem(op, n=16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepSolveError, match="step 1"):
+            oracle_rl(prob)
+
+
+def test_singular_block_matrix_raises_step_error():
+    # mu = 3/2: step 1 weighs u_1 by 2c + lambda, later steps by c + lambda
+    h = 1.0 / 16
+    lam = -(h**-1.5 * rgamma(1.5))
+    prob = CauchyProblem(
+        MatrixOperator(np.array([[lam]])),
+        OrderMeasure(1.5, (Atom(0.0, 1.0, identity_symbol()),)),
+        [np.array([1.0]), np.array([0.0])],
+        None,
+        TimeGrid(1.0, 16),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepSolveError, match="step 2"):
+            oracle_caputo(prob)
+
+
+def test_oracle_memory_on_wide_spectrum():
+    # 128-mode advection-diffusion: states, their differences and one block
+    # inverse of about 1 MB, not full-length temporaries
+    op = FourierMultiplier.from_callable(lambda xi: 1j * xi + xi**2, 128)
+    x = op.grid_points
+    prob = CauchyProblem(
+        op, RELAX, [np.exp(np.cos(x))], Forcing(Constant(1.0), np.sin(x)), TimeGrid(1.0, 512)
+    )
+    oracle_caputo(prob)
+    tracemalloc.start()
+    try:
+        oracle_caputo(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
