@@ -6,6 +6,11 @@ High-precision reference values were frozen from a 50-digit arbitrary
 precision evaluation of the defining series.
 """
 
+import cmath
+import functools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -147,3 +152,109 @@ def test_accuracy_sweep_against_mpmath(ml_series):
         errors.append((abs(mittag_leffler(a, b, z) - ref) / max(1.0, abs(ref)), (a, b, z)))
     worst = max(errors, key=lambda e: e[0])
     assert worst[0] < 1e-10, worst
+
+
+# ---------------------------------------------------------------------------
+# kernel rays: many x on one argument, as c_beta_path asks for them
+
+def _ray_reference(ml_series, alpha: float, beta: float, z: complex) -> complex:
+    """E_{alpha,beta}(z) to about 30 digits with mpmath.
+
+    E = P - sum_k z^(-k) / Gamma(beta - alpha k), where P sums the pole
+    terms (1/alpha) s^(1-beta) e^s, s = x e^(i phi), x = |z|^(1/alpha),
+    phi = (arg z + 2 pi k) / alpha with |phi| < pi (poles on the branch cut,
+    on Stokes rays, add less than e^-x).  The algebraic asymptotic series,
+    summed until its terms are negligible or up to k = x / alpha, is then off
+    by less than about e^-x, so it serves where that is below e^-35 of
+    max(1, |P|); elsewhere the `ml_series` fixture does.
+    """
+    mp = pytest.importorskip("mpmath")
+    x = abs(z) ** (1.0 / alpha)
+    phis = [(cmath.phase(z) + 2 * math.pi * k) / alpha for k in range(-2, 3)]
+    with mp.workdps(30):
+        total = mp.mpc(0)
+        for phi in (p for p in phis if abs(p) < math.pi):
+            s = x * mp.expj(phi)
+            total += s ** (1 - mp.mpf(beta)) * mp.exp(s) / alpha
+        size = max(1.0, float(abs(total)))
+        if x + math.log(size) < 35:
+            return ml_series(alpha, beta, z)
+        w, tiny = mp.mpc(z), 1e-30 * max(size, abs(z) ** -1)
+        power, last = mp.mpc(1), 0
+        for k, c in _asymptotic_coefficients(mp, alpha, beta):
+            if k > x / alpha:
+                break
+            power /= w ** (k - last)
+            last = k
+            term = c * power
+            total -= term
+            if abs(term) < tiny:
+                break
+        return complex(total)
+
+
+@functools.lru_cache(maxsize=None)
+def _asymptotic_coefficients(mp, alpha: float, beta: float):
+    """(k, 1/Gamma(beta - alpha k)) for k = 1..100 where that is not zero."""
+    with mp.workdps(30):
+        pairs = [(k, mp.rgamma(mp.mpf(beta) - mp.mpf(alpha) * k)) for k in range(1, 101)]
+    return [(k, c) for k, c in pairs if c != 0]
+
+
+def _kernel_rays(rho: float):
+    """(theta, x) of the decaying, advection, Stokes and growth rays.
+
+    The Stokes ray |theta| = rho pi is taken mod 2 pi; for rho = 1 and 2 it
+    is the decaying and the growth ray.  Where a pole term grows, x <= 200.
+    """
+    stokes = math.remainder(rho * math.pi, 2 * math.pi)
+    for theta in dict.fromkeys((math.pi, float(np.angle(-(30.0**2 + 30.0j))), stokes, 0.0)):
+        phis = [(theta + 2 * math.pi * k) / rho for k in range(-2, 3)]
+        grows = any(abs(p) < math.pi and math.cos(p) > 0 for p in phis)
+        yield theta, np.geomspace(4.01, 200.0 if grows else 1e16, 256)
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.0, 1.5, 2.0])
+def test_kernel_rays_against_mpmath(ml_series, rho):
+    # one call per ray, as c_beta_path makes it: the points share windows
+    worst = []
+    for theta, x in _kernel_rays(rho):
+        z = x**rho * np.exp(1j * theta)
+        got = ml_array(rho, 1.0, z)
+        ref = np.array([_ray_reference(ml_series, rho, 1.0, complex(v)) for v in z])
+        err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
+        worst.append((float(err.max()), theta, float(x[np.argmax(err)])))
+    assert max(worst)[0] < 1e-12, worst
+
+
+def _kernel_path(c: complex, rho: float, n: int) -> np.ndarray:
+    """-c t^rho over a graded rule on (0, 1], as a kernel path evaluates it."""
+    t = np.linspace(0.0, 1.0, n + 1)[1:] ** 2
+    return -c * t**rho
+
+
+def test_values_do_not_depend_on_the_other_points_of_a_call():
+    rho = 0.5
+    z = _kernel_path(900.0 + 30.0j, rho, 5000)
+    whole = ml_array(rho, 1.0, z)
+    thirds = np.concatenate([ml_array(rho, 1.0, part) for part in np.array_split(z, 3)])
+    backwards = ml_array(rho, 1.0, z[::-1])[::-1]
+    mixed = np.empty(3 * z.size, dtype=complex)
+    mixed[0::3] = z
+    mixed[1::3] = _kernel_path(4000.0, rho, 5000)
+    mixed[2::3] = _kernel_path(-2.0 + 100.0j, rho, 5000)
+    woven = ml_array(rho, 1.0, mixed)[0::3]
+    for other in (thirds, backwards, woven):
+        assert other.tobytes() == whole.tobytes()
+
+
+def test_ray_memory_is_bounded_by_its_blocks():
+    z = _kernel_path(900.0 + 30.0j, 0.5, 65536)
+    ml_array(0.5, 1.0, z[:8])  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        ml_array(0.5, 1.0, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
