@@ -22,7 +22,10 @@ class CapabilityError(FracCauchyError):
 
 
 class BlowupError(FracCauchyError):
-    """A non-finite value appeared at an interior node."""
+    """A non-finite value appeared at an interior node.
+
+    Raised by a kernel, it carries the failing spectral point as `z`.
+    """
 
 
 class DomainError(FracCauchyError):
@@ -38,7 +41,10 @@ class ContourError(FracCauchyError):
 
 
 class InversionError(FracCauchyError):
-    """The Laplace inversion contour is unreliable (characteristic zero nearby)."""
+    """The Laplace inversion contour is unreliable (characteristic zero nearby).
+
+    It carries the failing spectral point as `z`.
+    """
 
 
 class FlavorError(FracCauchyError):

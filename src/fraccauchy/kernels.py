@@ -19,11 +19,19 @@ s_k^a = (n/t)^a w_k^a.  The inversion over an array of times is therefore
     E_k = exp(n w_k) w_k^beta w'_k / (i n),
     Delta_ik = g (n/t_i)^mu w_k^mu + sum_j c_j f_j(z) (n/t_i)^(alpha_j) w_k^(alpha_j),
 
-with every complex power and exponential taken once per node, Delta a sum
-of real-by-complex outer products, and the node sum one matrix-vector
-product.  Times go through in blocks of `_TIME_BLOCK`, which bounds the
-size of each (times x nodes) temporary whatever the length of the time
-array.
+with every complex power and exponential taken once per node, each symbol
+weight c_j f_j(z) w_k^(alpha_j) once per run of points on one spectral
+point and then scaled by the real (n/t_i)^(alpha_j) row by row, and the node
+sum one matrix-vector product.  Points go through in blocks of
+`_TIME_BLOCK`, which bounds the size of each (points x nodes) temporary
+whatever the length of the call.
+
+The kernels take an array of spectral points z that broadcasts against the
+times and return the broadcast shape: one call evaluates every (t, z) of a
+route, the closed form with one Mittag-Leffler call per kernel exponent, the
+contour over the flattened (z, t) points.  Every value depends on its own
+(t, z) alone, so a batch gives the bits of one scalar-z call per point, and
+errors name the first failing point in the flattened order of the broadcast.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ __all__ = [
     "c_beta_path",
     "solution_symbol",
     "solution_symbol_path",
+    "symbol_values",
     "apply_solution_operator",
 ]
 
@@ -94,12 +103,8 @@ class OrderMeasure:
 
     def leading(self, z):
         if self.leading_symbol is None:
-            return np.ones(np.shape(z), dtype=complex) if np.ndim(z) else 1.0 + 0.0j
+            return np.ones(np.shape(z), dtype=complex)
         return self.leading_symbol.eval(z)
-
-    def atom_values(self, z: complex) -> list:
-        """(alpha_j, c_j f_j(z)) pairs for a fixed spectral point."""
-        return [(a.alpha, a.weight * complex(a.symbol.eval(z))) for a in self.atoms]
 
 
 def char_eval(measure: OrderMeasure, s, z: complex):
@@ -110,9 +115,10 @@ def char_eval(measure: OrderMeasure, s, z: complex):
     s_arr = np.asarray(s, dtype=complex)
     if np.any(s_arr.real <= 0):
         raise DomainError("characteristic function needs Re(s) > 0")
-    acc = s_arr**measure.mu * measure.leading(complex(z))
-    for alpha_j, w in measure.atom_values(complex(z)):
-        acc = acc + w * s_arr**alpha_j
+    g, weights = symbol_values(measure, z)
+    acc = s_arr**measure.mu * g
+    for a, w in zip(measure.atoms, weights):
+        acc = acc + w * s_arr**a.alpha
     if np.ndim(s) == 0:
         return complex(acc)
     return acc
@@ -160,20 +166,42 @@ def _fast_path(measure: OrderMeasure) -> bool:
     return len(measure.atoms) <= 1
 
 
+def symbol_values(measure: OrderMeasure, z, atoms=None) -> tuple:
+    """g(z) and the weights c_j f_j(z) of the atoms (all of the measure's by
+    default), each an array shaped like z.
+
+    The symbols see z as a flat array, so a scalar z takes the same array
+    arithmetic as each point of a batch and gives the same bits.
+    """
+    z = np.asarray(z, dtype=complex)
+    atoms = measure.atoms if atoms is None else atoms
+    flat = z.reshape(-1)
+    g = np.asarray(measure.leading(flat), dtype=complex).reshape(z.shape)
+    weights = [
+        a.weight * np.asarray(a.symbol.eval(flat), dtype=complex).reshape(z.shape)
+        for a in atoms
+    ]
+    return g, weights
+
+
 def c_beta_path(
     measure: OrderMeasure,
     beta: float,
     t: np.ndarray,
-    z: complex,
+    z,
     contour: TalbotContour | None = None,
 ) -> np.ndarray:
-    """c_beta(t, z) on an array of positive times.
+    """c_beta(t, z) on positive times t and spectral points z.
 
-    Measures with two or more atoms invert on the contour for all times at
-    once, in blocks of `_TIME_BLOCK` times; `InversionError` names the first
-    time, in input order, at which |Delta| falls below 1e-8 on a node.
+    z is a scalar or an array that broadcasts against t; the result has the
+    broadcast shape, and each value depends on its own (t, z) alone.
+    Measures with two or more atoms invert on the contour, in blocks of
+    `_TIME_BLOCK` points of the flattened broadcast; `InversionError` names
+    the first time, in that order, at which |Delta| falls below 1e-8 on a
+    node.
     """
     t = np.asarray(t, dtype=float)
+    z = np.asarray(z, dtype=complex)
     if np.any(t <= 0):
         raise DomainError("kernel times must be positive")
     if beta >= measure.mu:
@@ -182,46 +210,63 @@ def c_beta_path(
             f"got {beta}"
         )
     mu = measure.mu
-    g = complex(measure.leading(complex(z)))
-    if g == 0:
+    g, weights = symbol_values(measure, z)
+    if np.any(g == 0):
         raise DomainError("leading symbol vanishes at the spectral point")
+    shape = np.broadcast(t, z).shape
     if _fast_path(measure):
-        pairs = measure.atom_values(complex(z))
-        if pairs:
-            alpha_j, w = pairs[0]
-            rho = mu - alpha_j
-            e = ml_array(rho, mu - beta, -(w / g) * t**rho)
+        if weights:
+            rho = mu - measure.atoms[0].alpha
+            e = ml_array(rho, mu - beta, -(weights[0] / g) * t**rho)
         else:
-            e = np.full(t.shape, rgamma(mu - beta), dtype=complex)
-        return t ** (mu - beta - 1.0) * e / g
+            e = np.full(shape, rgamma(mu - beta), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):  # growth spectra overflow e
+            return t ** (mu - beta - 1.0) * e / g
     contour = contour or _DEFAULT_CONTOUR
     n = contour.n_nodes
     w, dw = contour._shape()
     e = np.exp(n * w) * w**beta * dw / (1j * n)
-    # (order, symbol-weighted power of the shape) for each term of Delta
-    terms = [(mu, g * w**mu)]
-    terms += [(a, c * w**a) for a, c in measure.atom_values(complex(z))]
-    flat_t = t.reshape(-1)
+    # (order, symbol weight at each spectral point, power of the shape) per term
+    terms = [(mu, g.reshape(-1), w**mu)]
+    terms += [(a.alpha, c.reshape(-1), w**a.alpha) for a, c in zip(measure.atoms, weights)]
+    flat_t = np.broadcast_to(t, shape).reshape(-1)
+    # each point's index into the spectral values, and the runs of points
+    # on one spectral value: each run's value index and each point's run
+    zi = np.broadcast_to(np.arange(z.size).reshape(z.shape), shape).reshape(-1)
+    starts = np.diff(zi, prepend=-1) != 0
+    run_z = zi[starts]
+    run = np.cumsum(starts) - 1
     out = np.empty(flat_t.shape, dtype=complex)
     for start in range(0, flat_t.size, _TIME_BLOCK):
-        tb = flat_t[start : start + _TIME_BLOCK]
+        rows = slice(start, start + _TIME_BLOCK)
+        tb, rb = flat_t[rows], run[rows]
+        zb = run_z[rb[0] : rb[-1] + 1]  # at most one run per row
+        rb = rb - rb[0]
         scale = n / tb
-        delta = 0.0
-        for a, cw in terms:
-            delta = delta + np.multiply.outer(scale**a, cw)
+        delta = np.zeros((tb.size, n), dtype=complex)
+        for a, c, wa in terms:
+            # symbol times shape power once per run, then each row scaled on
+            # its real and imaginary parts, which rounds as the complex
+            # product with (n/t)^a + 0i does
+            cw = (c[zb, None] * wa)[rb]
+            parts = cw.view(float)
+            parts *= (scale**a)[:, None]
+            delta += cw
         low = np.abs(delta).min(axis=1)
         if np.any(low < 1e-8):
             i = int(np.argmax(low < 1e-8))
-            raise InversionError(
+            exc = InversionError(
                 f"characteristic function dips to |Delta| = {low[i]:.2e} on "
                 f"the inversion contour at t = {float(tb[i])}; a zero near or "
                 "right of the contour makes the result unreliable"
             )
+            exc.z = complex(z.reshape(-1)[zi[start + i]])
+            raise exc
         # einsum sums each row alike wherever it sits, so results do not
-        # depend on how the times are split into calls or blocks
+        # depend on how the points are split into calls or blocks
         node_sum = np.einsum("ik,k->i", 1.0 / delta, e)
-        out[start : start + _TIME_BLOCK] = scale ** (beta + 1.0) * node_sum
-    return out.reshape(t.shape)
+        out[rows] = scale ** (beta + 1.0) * node_sum
+    return out.reshape(shape)
 
 
 def c_beta(
@@ -240,40 +285,52 @@ def c_beta(
     return complex(c_beta_path(measure, beta, np.array([t]), z, contour)[0])
 
 
-def _included_atoms(measure: OrderMeasure, k: int) -> list:
-    """Atoms contributing to the k-th solution symbol: strictly alpha > k."""
-    return [a for a in measure.atoms if a.alpha > k]
-
-
 def solution_symbol_path(
     measure: OrderMeasure,
     k: int,
     t: np.ndarray,
-    z: complex,
+    z,
     contour: TalbotContour | None = None,
 ) -> np.ndarray:
-    """S_k(t, z) on an array of positive times.
+    """S_k(t, z) on positive times t and spectral points z.
 
-    Raises BlowupError, naming z and the first time in input order, where
-    the symbol is not finite: growth spectra overflow the kernel.
+    z is a scalar or an array that broadcasts against t, as in
+    `c_beta_path`; the result has the broadcast shape.  Raises BlowupError
+    where the symbol is not finite (growth spectra overflow the kernel),
+    naming the first (t, z) in the order of the flattened broadcast: with
+    the spectral components on the leading axis, the first failure in
+    component-major order.
     """
     m = measure.m
     if not 0 <= k <= m - 1:
         raise OrderDomainError(f"datum index must lie in 0..{m - 1}, got {k}")
-    g = complex(measure.leading(complex(z)))
-    acc = g * c_beta_path(measure, measure.mu - k - 1.0, t, z, contour)
-    for a in _included_atoms(measure, k):
-        w = a.weight * complex(a.symbol.eval(complex(z)))
-        if w == 0:
-            continue
-        acc = acc + w * c_beta_path(measure, a.alpha - k - 1.0, t, z, contour)
+    t = np.asarray(t, dtype=float)
+    z = np.asarray(z, dtype=complex)
+    shape = np.broadcast(t, z).shape
+    if t.shape != shape:  # every kernel call gets one time per point it evaluates
+        t = np.broadcast_to(t, shape)
+    # atoms exactly at the integer k feed only lower data indices
+    included = [a for a in measure.atoms if a.alpha > k]
+    g, weights = symbol_values(measure, z, included)
+    c = c_beta_path(measure, measure.mu - k - 1.0, t, z, contour)
+    # non-finite kernels are reported below, whichever point of the call has them
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = g * c
+        for a, w in zip(included, weights):
+            if not np.any(w):  # where c_j f_j(z) = 0 the atom adds nothing
+                continue
+            c = c_beta_path(measure, a.alpha - k - 1.0, t, z, contour)
+            acc = np.where(w == 0, acc, acc + w * c)
     bad = np.flatnonzero(~np.isfinite(acc))
     if bad.size:
-        raise BlowupError(
+        zb = complex(np.broadcast_to(z, shape).flat[bad[0]])
+        exc = BlowupError(
             f"solution symbol S_{k}(t, z) is not finite at t = "
-            f"{float(np.ravel(t)[bad[0]])} for z = {complex(z)}; the kernel "
+            f"{float(t.flat[bad[0]])} for z = {zb}; the kernel "
             "overflows on this spectrum"
         )
+        exc.z = zb
+        raise exc
     return acc
 
 
@@ -306,11 +363,11 @@ def apply_solution_operator(
         return op.check_vector(phi) if k == 0 else np.zeros(op.dimension, complex)
     _check_spectrum_in_domains(measure, op)
     w = op.to_spectral(op.check_vector(phi))
-    lam = op.spectrum()
     out = np.zeros(op.dimension, dtype=complex)
-    # only components with nonzero amplitude are evaluated
-    for i in np.flatnonzero(np.abs(w) > 1e-14 * max(1.0, float(np.max(np.abs(w))))):
-        out[i] = solution_symbol(measure, k, t, lam[i], contour) * w[i]
+    # only components with nonzero amplitude are evaluated, in one call
+    idx = np.flatnonzero(np.abs(w) > 1e-14 * max(1.0, float(np.max(np.abs(w)))))
+    if idx.size:
+        out[idx] = solution_symbol_path(measure, k, t, op.spectrum()[idx], contour) * w[idx]
     return op.from_spectral(out)
 
 

@@ -28,7 +28,12 @@ off |s| = 1, which bounds the cancellation of that subtraction.  Poles on
 the branch cut (Stokes rays) stay in F, like the branch point.
 
 A value depends only on its own point: the same argument gives the same
-bits whatever other points share the call or how a caller splits them.
+bits whatever other points share the call or how a caller splits them.  On
+the series path each point stops on its own, and on the contour path each
+point's node sum is its own row.  Finite arguments whose x overflows (alpha
+< 1) take the algebraic asymptotic series -sum_{k<=3} z^(-k) /
+Gamma(beta - alpha k) where no pole term e^(x s*) with Re s* >= 0 lives, and
+are nan otherwise.
 
 Accuracy, absolute where |E| <= 1 and relative above: 1e-10 for alpha in
 [0.25, 2] and |z| <= 50, Stokes rays included, and 1e-12 on the kernel rays
@@ -64,29 +69,70 @@ def ml_array(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     flat = z.reshape(-1)
     out = np.full(flat.shape, np.nan, dtype=complex)
-    near = np.abs(flat) ** (1.0 / alpha) <= _SERIES_CUT
+    with np.errstate(over="ignore"):  # x overflows for huge |z| and alpha < 1
+        x = np.abs(flat) ** (1.0 / alpha)
+    near = x <= _SERIES_CUT
     if np.any(near):
         out[near] = _series(alpha, beta, flat[near])
-    far = np.flatnonzero(~near & np.isfinite(flat))
+    far = np.flatnonzero(~near & np.isfinite(x))
     for start in range(0, far.size, _POINT_BLOCK):
         idx = far[start : start + _POINT_BLOCK]
         out[idx] = _contour(alpha, beta, flat[idx])
+    huge = np.flatnonzero(np.isinf(x) & np.isfinite(flat))
+    if huge.size:
+        out[huge] = _algebraic(alpha, beta, flat[huge])
     return out.reshape(z.shape)
 
 
 def _series(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """Power series for |z|**(1/alpha) <= 4."""
-    x = float(np.max(np.abs(z))) ** (1.0 / alpha)
-    k_peak = int(x / alpha) + 1
-    acc = np.zeros_like(z)
-    pw = np.ones_like(z)
+    """Power series for |z|**(1/alpha) <= 4.
+
+    Each point stops on its own, at the first k > floor(x / alpha) + 1 whose
+    term is below 1e-18, and the stopped points leave the working set once they
+    are half of it.  Powers go into a second buffer, never in place (numpy
+    rounds an in-place complex product on a length-1 array differently), so
+    a point's sum does not depend on the other points of the call.
+    """
+    k_peak = np.floor(np.abs(z) ** (1.0 / alpha) / alpha) + 1
+    out = np.empty_like(z)
+    idx = np.arange(z.size)  # the working set
+    live = np.ones(z.size, dtype=bool)  # its points that have not stopped
+    left = z.size
+    acc, pw, nxt = np.zeros_like(z), np.ones_like(z), np.empty_like(z)
+    first = k_peak.min()
     for k in range(_MAX_TERMS):
         term = pw * rgamma(alpha * k + beta)
         acc += term
-        if k > k_peak and float(np.max(np.abs(term))) < 1e-18:
-            break
-        pw *= z
-    return acc
+        if k > first:
+            hit = np.flatnonzero((np.abs(term) < 1e-18) & (k > k_peak) & live)
+            if hit.size:
+                out[idx[hit]] = acc[hit]
+                live[hit] = False
+                left -= hit.size
+                if not left:
+                    return out
+                if 2 * left <= live.size:
+                    idx, acc, pw, z, k_peak = (a[live] for a in (idx, acc, pw, z, k_peak))
+                    live, nxt = np.ones(left, dtype=bool), np.empty_like(z)
+        np.multiply(pw, z, out=nxt)
+        pw, nxt = nxt, pw
+    out[idx[live]] = acc[live]
+    return out
+
+
+def _algebraic(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
+    """E where x = |z|^(1/alpha) overflows although z is finite (alpha < 1).
+
+    Without a pole term, e^(x s*) with Re s* >= 0, E is its algebraic
+    asymptotic series -sum_{k=1}^{3} z^(-k) / Gamma(beta - alpha k), whose
+    next term is below |z|^-4; with one, E is not finite and stays nan.
+    """
+    theta = np.angle(z)
+    r = 1.0 / z
+    out = -(r * rgamma(beta - alpha) + r * r * rgamma(beta - 2 * alpha))
+    out = out - r * r * r * rgamma(beta - 3 * alpha)
+    # alpha < 1 leaves one candidate pole, s* = e^(i theta / alpha)
+    return np.where(np.abs(theta) <= alpha * np.pi / 2, np.nan, out)
 
 
 def _contour(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:

@@ -25,6 +25,15 @@ Quadrature layout of the Duhamel integrals:
   ~ sqrt(n) cells near tau = 0 and walk the remaining cells of the time
   grid itself with trapezoid weights, so their error is grid-driven and
   shrinks as the grid refines.
+
+Every route evaluates its solution symbols in one `solution_symbol_path`
+call per datum index, over all active spectral components at once (the
+components on the leading axis, the route's kernel times after it).  Runs
+of components split the call only where it would pass `_POINT_BUDGET`
+points, so no temporary outgrows max(one component's points, the budget).
+Only the trapezoid convolutions still loop over components.  A failure
+names the point the per-component loop met first: the first failing
+component, and for it the first datum index and time.
 """
 
 from __future__ import annotations
@@ -43,12 +52,13 @@ from .errors import (
     CapabilityError,
     DomainError,
     FlavorError,
+    InversionError,
     PreconditionError,
     StepSolveError,
 )
 from .fracops import caputo_derivative_at, frac_integral, jacobi_rule, rl_derivative_at
 from .grids import TimeGrid
-from .kernels import OrderMeasure, TalbotContour, solution_symbol_path
+from .kernels import OrderMeasure, TalbotContour, solution_symbol_path, symbol_values
 from .operators import FourierMultiplier, MatrixOperator
 from .problems import (
     CAPUTO,
@@ -74,6 +84,7 @@ __all__ = [
 ]
 
 _ACTIVE_TOL = 1e-14
+_POINT_BUDGET = 2**15  # kernel points per call, unless one component has more
 _EPS = float(np.finfo(float).eps)
 # largest accepted error bound of duhamel_rl's series, relative to its peak
 _SERIES_TOL = 1e-6
@@ -91,27 +102,13 @@ def _spectrum(op) -> np.ndarray:
     return op.eigensystem()[0]
 
 
-def _leading(measure: OrderMeasure, lam: np.ndarray) -> np.ndarray:
-    g = np.asarray(measure.leading(lam), dtype=complex)
-    return np.full(lam.shape, complex(g)) if g.ndim == 0 else g
-
-
-def _atom_terms(measure: OrderMeasure, lam: np.ndarray) -> list:
-    """(alpha_j, c_j f_j(lam)) for every atom, over the whole spectrum."""
-    return [
-        (a.alpha, a.weight * np.asarray(a.symbol.eval(lam), dtype=complex))
-        for a in measure.atoms
-    ]
-
-
 def _atom_sum(measure: OrderMeasure, lam: np.ndarray) -> np.ndarray:
     """Symbol of B = sum_j c_j f_j(A), the single-order route's operator."""
-    terms = _atom_terms(measure, lam)
-    return sum((vals for _, vals in terms), np.zeros(lam.shape, complex))
+    return sum(symbol_values(measure, lam)[1], np.zeros(lam.shape, complex))
 
 
 def _leading_values(measure: OrderMeasure, lam: np.ndarray) -> np.ndarray:
-    g = _leading(measure, lam)
+    g = symbol_values(measure, lam, ())[0]
     if np.any(np.abs(g) < 1e-14):
         raise DomainError("leading symbol vanishes on the operator spectrum")
     return g
@@ -121,6 +118,13 @@ def _active(components: np.ndarray) -> np.ndarray:
     """Indices of the spectral components (last axis) that carry data."""
     peak = np.max(np.abs(components.reshape(-1, components.shape[-1])), axis=0)
     return np.nonzero(peak > _ACTIVE_TOL * max(1e-300, float(np.max(peak))))[0]
+
+
+def _chunks(components: np.ndarray, points: int) -> list:
+    """Runs of components holding at most max(points, _POINT_BUDGET) kernel
+    points, `points` being one component's: each run is one kernel call."""
+    step = max(1, _POINT_BUDGET // max(1, points))
+    return [components[i : i + step] for i in range(0, len(components), step)]
 
 
 def _forcing_components(problem: CauchyProblem):
@@ -167,20 +171,29 @@ def solve_homogeneous(
     op = problem.operator
     lam = _spectrum(op)
     _leading_values(problem.measure, lam)
-    m = problem.measure.m
     phis = op.to_spectral(np.array(problem.initial))
     u_spec = np.zeros((grid.n + 1, problem.dim), dtype=complex)
     u_spec[0] = phis[0]
     t_pos = grid.nodes[1:]
-    for j in _active(phis):
-        acc = np.zeros(grid.n, dtype=complex)
-        for k in range(m):
-            if phis[k, j] == 0:
+    for js in _chunks(_active(phis), grid.n):
+        acc = np.zeros((len(js), grid.n), dtype=complex)
+        failures = []
+        for k in range(problem.measure.m):
+            live = phis[k, js] != 0  # a vanishing datum is not evaluated
+            if not live.any():
                 continue
-            acc += phis[k, j] * solution_symbol_path(
-                problem.measure, k, t_pos, lam[j], contour
-            )
-        u_spec[1:, j] = acc
+            try:
+                s = solution_symbol_path(
+                    problem.measure, k, t_pos, lam[js[live], None], contour
+                )
+            except (BlowupError, InversionError) as exc:
+                j = js[live][np.argmax(lam[js[live]] == exc.z)]
+                failures.append((j, k, exc))
+                continue
+            acc[live] += phis[k, js[live], None] * s
+        if failures:  # the first failure in component-major order
+            raise min(failures, key=lambda f: f[:2])[2]
+        u_spec[1:, js] = acc.T
     return SolutionPath(grid, op.from_spectral(u_spec), method="homogeneous")
 
 
@@ -259,7 +272,7 @@ def _forced_convolution(
     """States of int_0^t S_{m-1}(t - tau, A) datum(tau) dtau on all nodes.
 
     The quadrature pattern is one graded unit rule rescaled per node, so the
-    kernel evaluations batch into a single vectorized call per component.
+    kernel evaluations of all components batch into one vectorized call.
     """
     grid = problem.grid
     measure = problem.measure
@@ -271,13 +284,11 @@ def _forced_convolution(
     tau_mat = t_pos[:, None] * unit_tau[None, :]
     w_mat = t_pos[:, None] * unit_w[None, :]
     gvals = datum(tau_mat.reshape(-1)).reshape(tau_mat.shape)
-    sig = (t_pos[:, None] - tau_mat).reshape(-1)
+    sig = t_pos[:, None] - tau_mat
     u_spec = np.zeros((grid.n + 1, problem.dim), dtype=complex)
-    for j in active:
-        svals = solution_symbol_path(measure, m - 1, sig, lam[j], contour).reshape(
-            tau_mat.shape
-        )
-        u_spec[1:, j] = dir_spec[j] * np.sum(w_mat * svals * gvals, axis=1)
+    for js in _chunks(active, sig.size):
+        svals = solution_symbol_path(measure, m - 1, sig, lam[js, None, None], contour)
+        u_spec[1:, js] = (dir_spec[js, None] * np.sum(w_mat * svals * gvals, axis=-1)).T
     return problem.operator.from_spectral(u_spec)
 
 
@@ -346,31 +357,33 @@ def _duhamel_convolution(
     w_b = (layer * h) * unit_w
     g_b = datum(tau_b)
     s0 = 1.0 if m == 1 else 0.0  # S_{m-1}(0+)
+    # one kernel call per run of components: grid nodes, layer rule, boundary rule
+    sig_in = t_lay[:, None] - tau_in
+    sig_b = t[layer + 1 :, None] - tau_b[None, :]
+    times = np.concatenate([t[1:], sig_in.reshape(-1), sig_b.reshape(-1)])
 
     u_spec = np.zeros((n + 1, problem.dim), dtype=complex)
-    for j in active:
-        s_grid = solution_symbol_path(measure, m - 1, t[1:], lam[j], contour)
-        sig_in = (t_lay[:, None] - tau_in).reshape(-1)
-        s_in = solution_symbol_path(measure, m - 1, sig_in, lam[j], contour).reshape(
-            tau_in.shape
-        )
-        u_spec[1 : layer + 1, j] = dir_spec[j] * np.sum(w_in * s_in * g_in, axis=1)
+    for js in _chunks(active, times.size):
+        s = solution_symbol_path(measure, m - 1, times, lam[js, None], contour)
+        s_grid = s[:, :n]
+        s_in = s[:, n : n + sig_in.size].reshape(len(js), *sig_in.shape)
+        s_b = s[:, n + sig_in.size :].reshape(len(js), *sig_b.shape)
+        u_spec[1 : layer + 1, js] = (
+            dir_spec[js, None] * np.sum(w_in * s_in * g_in, axis=-1)
+        ).T
         if layer >= n:
             continue
-        t_out = t[layer + 1 :]
-        sig_b = (t_out[:, None] - tau_b[None, :]).reshape(-1)
-        s_b = solution_symbol_path(measure, m - 1, sig_b, lam[j], contour).reshape(
-            len(t_out), len(tau_b)
-        )
         boundary = s_b @ (w_b * g_b)
         # trapezoid over grid nodes j = layer..i, for the nodes i beyond the layer
-        tail = np.convolve(g_grid, s_grid)[layer - 1 : n - 1]
-        if layer >= 2:
-            tail = tail - np.convolve(g_grid[: layer - 1], s_grid)[layer - 1 : n - 1]
-        f_w = s_grid[: n - layer] * g_grid[layer - 1]
+        tail = np.empty((len(js), n - layer), dtype=complex)
+        for c, row in enumerate(s_grid):
+            tail[c] = np.convolve(g_grid, row)[layer - 1 : n - 1]
+            if layer >= 2:
+                tail[c] -= np.convolve(g_grid[: layer - 1], row)[layer - 1 : n - 1]
+        f_w = s_grid[:, : n - layer] * g_grid[layer - 1]
         f_i = s0 * g_grid[layer:]
         trap = h * (tail + f_i - 0.5 * f_w - 0.5 * f_i)
-        u_spec[layer + 1 :, j] = dir_spec[j] * (boundary + trap)
+        u_spec[layer + 1 :, js] = (dir_spec[js, None] * (boundary + trap)).T
     return SolutionPath(
         grid, problem.operator.from_spectral(u_spec), method=f"duhamel-{variant}"
     )
@@ -436,14 +449,14 @@ def duhamel_integer(
     g_grid = np.asarray(problem.forcing.profile.eval(t), dtype=complex)
     s0 = 1.0 if m == 1 else 0.0
     u_spec = np.zeros((n + 1, problem.dim), dtype=complex)
-    for j in active:
-        s_grid = np.concatenate(
-            [[s0], solution_symbol_path(measure, m - 1, t[1:], lam[j], contour)]
-        )
-        full = np.convolve(g_grid, s_grid)[1 : n + 1]  # sum_{j=0..i} S_{i-j} g_j
-        u_spec[1:, j] = dir_spec[j] * grid.h * (
-            full - 0.5 * s_grid[1:] * g_grid[0] - 0.5 * s0 * g_grid[1:]
-        )
+    for js in _chunks(active, n):
+        s = solution_symbol_path(measure, m - 1, t[1:], lam[js, None], contour)
+        full = np.empty_like(s)
+        for c, row in enumerate(s):  # sum_{j=0..i} S_{i-j} g_j
+            full[c] = np.convolve(g_grid, np.concatenate([[s0], row]))[1 : n + 1]
+        u_spec[1:, js] = (
+            dir_spec[js, None] * grid.h * (full - 0.5 * s * g_grid[0] - 0.5 * s0 * g_grid[1:])
+        ).T
     return SolutionPath(
         grid, problem.operator.from_spectral(u_spec), method="duhamel-integer"
     )
@@ -503,24 +516,29 @@ def duhamel_rl(problem: CauchyProblem) -> SolutionPath:
             if k > 300:
                 raise StepSolveError("kernel series for duhamel_rl did not converge")
             k += 1
-        for j in active:
-            acc = np.zeros(n + 1, dtype=complex)
-            size = np.zeros(n + 1)
+        for js in _chunks(active, n + 1):
+            b = b_vals[js]
+            acc = np.zeros((n + 1, len(js)), dtype=complex)
+            size = np.zeros((n + 1, len(js)))
             for kk, path in enumerate(j_paths):
-                acc += (-b_vals[j]) ** kk * path
-                size += abs(b_vals[j]) ** kk * np.abs(path)
+                # np.power rounds each power as the scalar b^kk does; ** squares
+                # by another rule
+                acc += np.power(-b, kk) * path[:, None]
+                size += np.abs(b) ** kk * np.abs(path)[:, None]
             # a term that underflows to zero can stop the loop before the
             # series converges, so the term before it stands for the rest
-            cut = abs(b_vals[j]) ** (len(j_paths) - 2) * np.max(np.abs(j_paths[-2]))
-            error = _EPS * np.max(size) + cut
-            peak = np.max(np.abs(acc))
-            if not error <= _SERIES_TOL * peak:
+            cut = np.abs(b) ** (len(j_paths) - 2) * np.max(np.abs(j_paths[-2]))
+            error = _EPS * np.max(size, axis=0) + cut
+            peak = np.max(np.abs(acc), axis=0)
+            lost = np.flatnonzero(~(error <= _SERIES_TOL * peak))
+            if lost.size:
+                i = lost[0]
                 raise BlowupError(
                     f"duhamel_rl kernel series is lost for b = "
-                    f"{complex(b_vals[j]):.4g} (error bound {error:.2e}, result "
-                    f"peak {peak:.2e}); use oracle_rl for this spectrum"
+                    f"{complex(b[i]):.4g} (error bound {error[i]:.2e}, result "
+                    f"peak {peak[i]:.2e}); use oracle_rl for this spectrum"
                 )
-            u_spec[:, j] = dir_spec[j] * acc
+            u_spec[:, js] = dir_spec[js] * acc
     states = op.from_spectral(u_spec)
     states[0] = 0.0
     return SolutionPath(grid, states, method="duhamel-rl")
@@ -547,8 +565,9 @@ def _term_operators(problem: CauchyProblem):
     """Leading and atom operators as dense matrices or diagonal arrays."""
     op = problem.operator
     lam = _spectrum(op)
-    terms = [(problem.measure.mu, _leading(problem.measure, lam))]
-    terms += _atom_terms(problem.measure, lam)
+    g, weights = symbol_values(problem.measure, lam)
+    terms = [(problem.measure.mu, g)]
+    terms += [(a.alpha, w) for a, w in zip(problem.measure.atoms, weights)]
     if isinstance(op, FourierMultiplier):
         return terms, False
     return [(alpha, _as_matrix(op, vals)) for alpha, vals in terms], True

@@ -16,6 +16,7 @@ from scipy.special import erfc, rgamma
 from fraccauchy import (
     Atom,
     DomainError,
+    ExponentialSymbol,
     FourierMultiplier,
     FracCauchyError,
     InversionError,
@@ -23,6 +24,7 @@ from fraccauchy import (
     OrderDomainError,
     OrderMeasure,
     PolynomialSymbol,
+    PowerSymbol,
     Sampled,
     ScalarPath,
     TalbotContour,
@@ -244,6 +246,14 @@ def test_contour_blocks_match_closed_form_and_split_calls(mu):
         assert np.array_equal(np.concatenate(parts), talbot)
         grid = c_beta_path(twin, mu - 1.0, t.reshape(53, 29), z)
         assert np.array_equal(grid, talbot.reshape(53, 29))
+    # spectral points on the leading or the trailing axis: blocks then hold
+    # long runs of one point or a new point on every row, and each value is
+    # still the scalar-z call's
+    zs = np.array([0.5, 2.0, 3.0 + 1.0j])
+    for m in (measure, twin):
+        each = np.array([c_beta_path(m, mu - 1.0, t, z) for z in zs])
+        assert np.array_equal(c_beta_path(m, mu - 1.0, t, zs[:, None]), each)
+        assert np.array_equal(c_beta_path(m, mu - 1.0, t[:, None], zs), each.T)
 
 
 def test_contour_path_memory_is_bounded_by_its_blocks():
@@ -376,6 +386,61 @@ def test_integer_leading_order_reduces_to_classical():
     for t in (0.3, 1.0, 2.5):
         assert abs(solution_symbol(m, 0, t, z) - np.cos(t)) < 1e-11
         assert abs(solution_symbol(m, 1, t, z) - np.sin(t)) < 1e-11
+
+
+# Scalar-z values of c_{mu-1}(2.9, z) and S_1(2.9, z), z = 0.3+0.7j,
+# 1.5-0.4j, 0.05+3.1j, from the per-component code before kernels took
+# arrays of z.  Symbols that round (a square root, an exponential, non-unit
+# weights) go through the same arithmetic for a scalar z as for a batch.
+_INEXACT_SYMBOL_MEASURES = {
+    "power": OrderMeasure(1.8, (Atom(0.3, 0.7, PowerSymbol(0.5)),)),
+    "exponential": OrderMeasure(
+        1.9, (Atom(0.5, 0.6, ExponentialSymbol(-0.4 + 0.2j, 1.1)),)
+    ),
+    "two_atom": OrderMeasure(
+        1.5, (Atom(0.3, 0.7, PowerSymbol(0.5)), Atom(0.6, 0.45, ExponentialSymbol(-0.3)))
+    ),
+}
+_STORED_SCALAR_VALUES = {
+    "power": [
+        -0.26799561712151426 - 0.29260947326199577j,
+        1.1569648997127042 - 0.6776053090014491j,
+        -0.294749360516424 + 0.0212461557085381j,
+        0.7414938022850079 + 0.13752130079530797j,
+        -0.6806617667166828 + 0.18736691207866063j,
+        0.1075901525059032 - 0.7664447616936079j,
+    ],
+    "exponential": [
+        -0.027632951462712663 + 0.10172439547889228j,
+        1.3693880658813327 + 0.22498312036825674j,
+        0.09899028597852418 - 0.24409570245314918j,
+        1.6608369137389105 - 0.4381554393571696j,
+        0.28768452414962675 + 0.8087148105148119j,
+        2.1510174313649184 + 1.1461042024617591j,
+    ],
+    "two_atom": [
+        -0.005154467676344002 - 0.08115935394740116j,
+        0.9360730758533967 - 0.26140917303719996j,
+        -0.03663948820347354 + 0.012448492799224239j,
+        0.7574560733303731 + 0.06136389031834365j,
+        -0.1268904871015436 - 0.06058599397427308j,
+        0.6193353710858381 - 0.3904082032647923j,
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STORED_SCALAR_VALUES))
+def test_scalar_kernels_with_inexact_symbols_match_stored_values(name):
+    # the one-atom values move by at most 8 eps of max(1, |value|): the
+    # length-1 Mittag-Leffler series no longer rounds its products in place
+    measure = _INEXACT_SYMBOL_MEASURES[name]
+    got = []
+    for z in (0.3 + 0.7j, 1.5 - 0.4j, 0.05 + 3.1j):
+        got.append(c_beta(measure, measure.mu - 1.0, 2.9, z))
+        got.append(solution_symbol(measure, 1, 2.9, z))
+    stored = np.array(_STORED_SCALAR_VALUES[name])
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(np.array(got) - stored) <= 8 * eps * np.maximum(1.0, np.abs(stored)))
 
 
 def test_apply_solution_operator_scalar_and_diag():

@@ -10,6 +10,7 @@ import cmath
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -258,3 +259,55 @@ def test_ray_memory_is_bounded_by_its_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, peak
+
+
+def test_series_values_do_not_depend_on_the_other_points_of_a_call():
+    # x <= 4 near the negative axis: each point alone, and all of them with
+    # a point at x = 3.99, whose late stop once kept its neighbours summing
+    rng = np.random.default_rng(20261018)
+    for alpha in (0.5, 0.9, 1.5, 2.0):
+        for beta in (0.5, 1.0, 1.5):
+            x = rng.uniform(0.0, 4.0, 200)
+            z = x**alpha * np.exp(1j * (np.pi - rng.uniform(0.0, 0.3, 200)))
+            alone = np.array([ml_array(alpha, beta, z[i : i + 1])[0] for i in range(z.size)])
+            far = 3.99**alpha * np.exp(0.99j * np.pi)
+            together = ml_array(alpha, beta, np.append(z, far))[:-1]
+            assert together.tobytes() == alone.tobytes(), (alpha, beta)
+
+
+def test_single_point_calls_match_a_whole_kernel_path():
+    # series and contour points of one kernel path, each in a call of its own
+    z = _kernel_path(900.0 + 30.0j, 0.5, 400)
+    whole = ml_array(0.5, 1.0, z)
+    alone = np.array([ml_array(0.5, 1.0, z[i : i + 1])[0] for i in range(z.size)])
+    scalar = np.array([mittag_leffler(0.5, 1.0, v) for v in z])
+    assert alone.tobytes() == whole.tobytes()
+    assert scalar.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize(
+    "alpha,z",
+    [(0.25, -1e200), (0.5, -1e300), (0.5, 1e300 * cmath.exp(0.3j * math.pi))],
+)
+def test_finite_arguments_whose_x_overflows(alpha, z):
+    # x = |z|^(1/alpha) overflows; no pole term e^(x s*) with Re s* >= 0
+    # lives on these rays, so E is its algebraic asymptotic series
+    mp = pytest.importorskip("mpmath")
+    for beta in (1.0, 1.7):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ml_array(alpha, beta, np.array([z]))[0]
+        with mp.workdps(30):
+            w = mp.mpc(z)
+            a, b = mp.mpf(alpha), mp.mpf(beta)
+            ref = complex(-mp.fsum(w**-k * mp.rgamma(b - a * k) for k in range(1, 8)))
+        assert abs(got - ref) <= 1e-14 * abs(ref), (beta, got, ref)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.2 * math.pi, 0.25 * math.pi])
+def test_overflowing_x_on_growth_rays_is_not_finite(theta):
+    # |theta| <= alpha pi / 2: the pole term grows or keeps modulus x^(1-beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ml_array(0.5, 1.0, np.array([1e300 * cmath.exp(1j * theta)]))
+    assert not np.isfinite(got[0])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc, rgamma
 
+from fraccauchy import kernels, solver
 from fraccauchy import (
     Atom,
     BlowupError,
@@ -895,3 +896,140 @@ def test_oracle_memory_on_wide_spectrum():
     finally:
         tracemalloc.stop()
     assert peak < 12e6
+
+
+# ---------------------------------------------------------------------------
+# batched kernel calls against one scalar-z call per spectral component
+
+
+def _one_component_at_a_time(mp):
+    """Make the routes evaluate as they did one component at a time: each
+    component in its own run, its kernels by a scalar-z
+    `solution_symbol_path` call (test-only reference)."""
+
+    def scalar_calls(measure, k, t, z, contour=None):
+        return np.stack(
+            [kernels.solution_symbol_path(measure, k, t, complex(zc.flat[0]), contour)
+             for zc in np.asarray(z)]
+        )
+
+    def one_per_run(comps, points):
+        return [comps[i : i + 1] for i in range(len(comps))]
+
+    mp.setattr(solver, "solution_symbol_path", scalar_calls)
+    mp.setattr(solver, "_chunks", one_per_run)
+
+
+def _per_component(monkeypatch, route, problem):
+    with monkeypatch.context() as mp:
+        _one_component_at_a_time(mp)
+        return route(problem)
+
+
+_TWO_ATOM = OrderMeasure(
+    1.8, (Atom(0.0, 0.7, identity_symbol()), Atom(0.7, 0.4, identity_symbol()))
+)
+_MULTI = OrderMeasure(1.5, (Atom(0.5, 0.5, identity_symbol()),))
+
+# route, measure, number of data, forcing profile (None: unforced), flavor
+_ROUTE_CASES = {
+    "repr-data": (solve_repr, RELAX, 1, None, "caputo"),
+    "repr-forced": (solve_repr, _MULTI, 2, Polynomial([0.0, 1.0]), "caputo"),
+    "homogeneous": (solve_homogeneous, _MULTI, 2, None, "caputo"),
+    "duhamel": (duhamel_caputo, RELAX, 0, Constant(1.0), "caputo"),
+    "duhamel-zero": (duhamel_caputo_zero, _MULTI, 0, Polynomial([0.0, 1.0]), "caputo"),
+    "duhamel-integer": (duhamel_integer, CLASSICAL2, 0, Sine(1.0), "caputo"),
+    "duhamel-rl": (duhamel_rl, RELAX, 0, Exponential(-1.0), RIEMANN_LIOUVILLE),
+    "two-atom-repr": (solve_repr, _TWO_ATOM, 2, Polynomial([0.0, 1.0]), "caputo"),
+    "two-atom-homogeneous": (solve_homogeneous, _TWO_ATOM, 2, None, "caputo"),
+    "two-atom-duhamel": (duhamel_caputo, _TWO_ATOM, 0, Polynomial([0.0, 1.0]), "caputo"),
+}
+
+
+def _test_operator(kind: str):
+    if kind == "fourier":  # complex spectrum (xi^2 + i xi) / 16, |lambda| up to 4.5
+        return FourierMultiplier.from_callable(lambda xi: (xi**2 + 1j * xi) / 16, 16)
+    p = np.eye(3) + 0.3 * np.random.default_rng(7).standard_normal((3, 3))
+    return MatrixOperator.from_eigensystem([0.7, 2.0 + 1.5j, 2.0 - 1.5j], p)
+
+
+@pytest.mark.parametrize("kind", ["fourier", "matrix"])
+@pytest.mark.parametrize("case", list(_ROUTE_CASES))
+def test_batched_routes_match_one_call_per_component(monkeypatch, kind, case):
+    route, measure, n_data, profile, flavor = _ROUTE_CASES[case]
+    op = _test_operator(kind)
+    rng = np.random.default_rng(11)
+    vec = lambda: rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
+    m = measure.m
+    initial = [vec() if k < n_data else np.zeros(op.dimension) for k in range(m)]
+    forcing = Forcing(profile, vec()) if profile is not None else None
+    prob = CauchyProblem(op, measure, initial, forcing, TimeGrid(1.0, 64), flavor)
+    batched = route(prob).states
+    reference = _per_component(monkeypatch, route, prob).states
+    assert np.max(np.abs(reference)) > 0
+    if len(measure.atoms) <= 1:
+        assert batched.tobytes() == reference.tobytes()
+    else:  # Talbot kernels
+        assert np.max(np.abs(batched - reference)) <= 1e-15 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize(
+    "route,measure,eigs,data,message",
+    [
+        (solve_repr, RELAX, [1.0, -30.0, -60.0], None,
+         "S_0(t, z) is not finite at t = 0.8124953532708936 for z = (-30+0j)"),
+        (solve_homogeneous, RELAX, [1.0, -30.0, -60.0], [[1.0, 1.0, 1.0]],
+         "S_0(t, z) is not finite at t = 0.8125 for z = (-30+0j)"),
+        (duhamel_caputo, RELAX, [1.0, -30.0, -60.0], None,
+         "S_0(t, z) is not finite at t = 0.8125 for z = (-30+0j)"),
+        # the first growth component has no datum 0: its S_1 fails first,
+        # although S_0 of the next component is evaluated in an earlier call
+        (solve_homogeneous, _MULTI, [1.0, -2000.0, -3000.0],
+         [[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]],
+         "S_1(t, z) is not finite at t = 0.71875 for z = (-2000+0j)"),
+        (duhamel_rl, RELAX, [1.0, 20.0, 25.0], None,
+         "duhamel_rl kernel series is lost for b = 20+0j (error bound 3.78e+103"),
+    ],
+)
+def test_batched_routes_name_the_first_failing_component(
+    monkeypatch, route, measure, eigs, data, message
+):
+    # two failing components; the message is the one the per-component loop
+    # raised, on the first of them
+    op = MatrixOperator.from_eigensystem(eigs, np.eye(3))
+    grid = TimeGrid(1.0, 32)
+    flavor = RIEMANN_LIOUVILLE if route is duhamel_rl else "caputo"
+    if data is None:
+        forcing = Forcing(Constant(1.0), np.ones(3))
+        prob = CauchyProblem(op, measure, [np.zeros(3)] * measure.m, forcing, grid, flavor)
+    else:
+        prob = CauchyProblem(op, measure, [np.array(v) for v in data], None, grid)
+    with pytest.raises(BlowupError) as batched:
+        route(prob)
+    with pytest.raises(BlowupError) as reference:
+        _per_component(monkeypatch, route, prob)
+    assert str(batched.value) == str(reference.value)
+    assert message in str(batched.value)
+
+
+def test_forced_repr_memory_on_wide_spectrum():
+    # 128-mode advection-diffusion with data and low-mode forcing at n = 256:
+    # kernel calls over many components stay within 10% of the peak of one
+    # call per component (13.75 MB)
+    modes = 128
+    rng = np.random.default_rng(1)
+    op = FourierMultiplier.from_callable(lambda xi: xi**2 + 1j * xi, modes, 2 * np.pi)
+    k = np.abs(np.fft.fftfreq(modes, d=1.0 / modes))
+    field = lambda w: np.fft.ifft(modes * w * np.exp(2j * np.pi * rng.random(modes)))
+    prob = CauchyProblem(
+        op, RELAX, [field(np.exp(-k / 12.0))],
+        Forcing(Constant(1.0), field((k <= 3).astype(float))), TimeGrid(1.0, 256),
+    )
+    solve_repr(CauchyProblem(op, RELAX, prob.initial, prob.forcing, TimeGrid(1.0, 8)))
+    tracemalloc.start()
+    try:
+        solve_repr(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 13.75 * 2**20, peak
