@@ -254,6 +254,7 @@ def solve_abel(h: FunctionSpec, alpha: float, grid: TimeGrid) -> ScalarPath:
 # pointwise evaluation off the grid (continuous extensions)
 
 _JACOBI_CACHE: dict = {}
+_POINT_BLOCK = 8192  # evaluation points per block of caputo_derivative_at
 
 
 def jacobi_rule(npts: int, a: float, b: float):
@@ -277,10 +278,17 @@ def caputo_derivative_at(
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     x, w = jacobi_rule(npts, -alpha, 0.0)
     df = f.derivative(1)
-    # s = tau (x + 1) / 2, kernel (tau - s)^(-alpha) = (tau/2)^(-alpha) (1-x)^(-alpha)
-    s = 0.5 * tau[:, None] * (x[None, :] + 1.0)
-    vals = np.asarray(df.eval(s), dtype=complex)
-    acc = vals @ w
+    acc = np.empty(tau.shape, dtype=complex)
+    # blocks of points bound the (points, npts) temporaries; a product of
+    # two rows or more rounds each row as a product over all points does, a
+    # single row does not, so no block holds one row unless the call does
+    starts = list(range(0, tau.size, _POINT_BLOCK))
+    if len(starts) > 1 and tau.size - starts[-1] == 1:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [tau.size]):
+        # s = tau (x + 1) / 2, kernel (tau - s)^(-alpha) = (tau/2)^(-alpha) (1-x)^(-alpha)
+        s = 0.5 * tau[lo:hi, None] * (x[None, :] + 1.0)
+        acc[lo:hi] = np.asarray(df.eval(s), dtype=complex) @ w
     out = (0.5 * tau) ** (1.0 - alpha) * acc * rgamma(1.0 - alpha)
     out[tau == 0] = 0.0
     return out

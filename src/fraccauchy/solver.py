@@ -11,9 +11,13 @@ agreement is a genuine two-sided check.
 Both oracles run one blocked march.  Every term of a scheme convolves fixed
 weights with the states or their differences, so the steps after the first
 form a lower-triangular block-Toeplitz system.  It is marched in blocks of up
-to 64 steps: the history before a block is one matrix product per term, and
-the block is solved with the inverse of its system, built once per grid, and
-refined once against the scheme's own residual.
+to 64 steps, each solved with the inverse of its system, built once per grid,
+and refined once against the scheme's own residual.  The history before a
+block takes the last block of differences from a weight table; the long
+weights (L1, L2, Grunwald-Letnikov) reach all older differences through a
+sum of P exponentials, one history per exponential, moved on once per block.
+A march over n steps thus costs O(n P), P between about 80 and 150 for n up
+to 16384, where a product over the whole history per block cost O(n^2).
 
 Quadrature layout of the Duhamel integrals:
 
@@ -38,6 +42,7 @@ component, and for it the first datum index and time.
 
 from __future__ import annotations
 
+import functools
 import math
 from time import perf_counter
 from typing import NamedTuple
@@ -45,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
-from scipy.special import rgamma
+from scipy.special import rgamma, roots_jacobi
 
 from .errors import (
     BlowupError,
@@ -550,9 +555,101 @@ def duhamel_rl(problem: CauchyProblem) -> SolutionPath:
 
 
 _BLOCK = 64  # steps per block of the march
+_HEAD = 2 * _BLOCK  # weights a weight table reads: distances below two blocks
 _BLOCK_BYTES = 2**20  # largest block inverse; wide diagonal systems take shorter blocks
 # stencils turning the states into the convolved quantity, by difference order
 _STENCILS = (np.ones(1), np.array([1.0, -1.0]), np.array([1.0, -2.0, 1.0]))
+# sum-of-exponentials rule of the long weights (see `_soe`): Gauss-Jacobi
+# nodes on [0, 1/n], Gauss-Legendre nodes on each panel [r^k, r^(k+1)] / n
+# up to s = cutoff / D0
+_SOE_JACOBI = 8
+_SOE_PANEL = 14
+_SOE_RATIO = 3.0
+_SOE_CUTOFF = 36.0
+
+
+@functools.lru_cache(maxsize=64)
+def _jacobi_nodes(npts: int, beta: float):
+    """Gauss rule for the weight (1 + x)^beta on [-1, 1], to about 1 ulp.
+
+    scipy's nodes are refined by Newton steps and the weights taken from the
+    Christoffel function, both on the recurrence of the orthonormal Jacobi
+    polynomials in long double: scipy's own weights are off by up to
+    1.4e-13 relative at beta = -0.7.  Where long double is double, the
+    weights keep about 1e-14.
+    """
+    x = roots_jacobi(npts, 0.0, beta)[0].astype(np.longdouble)
+    b = np.longdouble(beta)
+    k = np.arange(1, npts + 1, dtype=np.longdouble)
+    s = 2 * k + b
+    diag = np.concatenate([[b / (b + 2)], b * b / (s[:-1] * (s[:-1] + 2))])
+    off = np.sqrt(4 * k * k * (k + b) ** 2 / (s * s * (s + 1) * (s - 1)))
+    for _ in range(3):
+        p_prev, p = np.zeros_like(x), np.ones_like(x)
+        dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
+        christoffel = np.zeros_like(x)
+        for j in range(npts):
+            christoffel += p * p
+            lower = off[j - 1] if j else 0
+            p, p_prev = ((x - diag[j]) * p - lower * p_prev) / off[j], p
+            dp, dp_prev = ((x - diag[j]) * dp + p_prev - lower * dp_prev) / off[j], dp
+        x = x - p / dp
+    mass = np.longdouble(2) ** (b + 1) / (b + 1)
+    return x.astype(float), (mass / christoffel).astype(float)
+
+
+def _soe(kind: str, a: float, d0: int, n: int):
+    """Exponents lam and weights w of sum_p w_p exp(-lam_p d), equal to the
+    unscaled long weights at every distance D0 <= d <= n to within 2e-15
+    relative (checked against 40-digit values for n up to 16384).
+
+    ``kind`` "power" is (d + 1)^a - d^a, the L1 and L2 weights; "gl" is the
+    Grunwald-Letnikov weight g_d of order a; a lies in (0, 1).  Both are
+    Laplace transforms int_0^oo s^beta g(s) e^(-s d) ds with g smooth
+    (Jiang, Zhang, Zhang & Zhang, Commun. Comput. Phys. 21, 2017):
+
+    * (d+1)^a - d^a = a / Gamma(1-a) int s^(-a) (1 - e^-s) / s e^(-s d) ds;
+    * g_d = B(d - a, 1 + a) / (Gamma(-a) Gamma(1 + a))
+          = -sin(pi a) / pi int s^a e^(a s) ((1 - e^-s) / s)^a e^(-s d) ds.
+
+    Gauss-Jacobi takes s^beta on [0, 1/n], where s d <= 1; Gauss-Legendre
+    the panels beyond it, up to s = 36 / D0 (36 / (D0 - a) for "gl", whose
+    integrand decays like e^(-s (d - a))), past which it is below 3e-16.
+    """
+    beta = -a if kind == "power" else a
+    x, w = _jacobi_nodes(_SOE_JACOBI, beta)
+    s0 = 1.0 / n
+    reach = d0 if kind == "power" else d0 - a  # the integrand decays like e^(-s reach)
+    panels = max(1, math.ceil(math.log(_SOE_CUTOFF * n / reach, _SOE_RATIO)))
+    xl, wl = _gauss(_SOE_PANEL)
+    left = s0 * _SOE_RATIO ** np.arange(panels)
+    half = 0.5 * (_SOE_RATIO - 1.0) * left
+    s_pan = (left[:, None] + half[:, None] * (xl + 1.0)).ravel()
+    lam = np.concatenate([0.5 * s0 * (x + 1.0), s_pan])
+    w = np.concatenate([(0.5 * s0) ** (beta + 1.0) * w, (half[:, None] * wl).ravel() * s_pan**beta])
+    r = -np.expm1(-lam) / lam
+    if kind == "power":
+        return lam, a * rgamma(1.0 - a) * w * r
+    return lam, -math.sin(math.pi * a) / math.pi * w * np.exp(a * lam) * r**a
+
+
+@functools.lru_cache(maxsize=32)
+def _soe_tables(kind: str, a: float, size: int, n: int):
+    """Unscaled far-field tables of blocks of `size` steps on n steps, for
+    distances from D0 = size + 1 on: the exponents lam, K[i, p] =
+    w_p e^(-lam_p (size + i)) (size, P), E[p, m] = e^(-lam_p (size - m))
+    (P, size) and the decay e^(-lam_p size) (P, 1)."""
+    lam, w = _soe(kind, a, size + 1, n)
+    powers = np.exp(-np.outer(lam, np.arange(1.0, 2 * size)))  # e^(-lam k), k < 2 size
+    tables = (
+        lam,
+        (w[:, None] * powers[:, size - 1 :]).T,
+        np.ascontiguousarray(powers[:, size - 1 :: -1]),
+        powers[:, size - 1, None].copy(),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _as_matrix(op: MatrixOperator, vals: np.ndarray) -> np.ndarray:
@@ -580,13 +677,16 @@ class _Term(NamedTuple):
     states (order 0, delta_j = u_(j+1)), their first differences (order 1),
     or their second differences (order 2) with the ghost start
     delta_0 = 2 u_1 - 2 u_0 - 2 h phi1.  `first`, when set, replaces v[0] at
-    step 1.
+    step 1.  Long weights keep their first `_HEAD` entries in v and name the
+    rest by `tail`, (kind, a, scale) with v[d] = scale * w(d) for the
+    weights w of `_soe`; short weights are all in v.
     """
 
     op: np.ndarray  # dense matrix, or the diagonal in spectral coordinates
     v: np.ndarray
     order: int
     first: float | None = None
+    tail: tuple | None = None
 
 
 def _caputo_term(alpha: float, op: np.ndarray, h: float, n: int) -> _Term:
@@ -606,9 +706,10 @@ def _caputo_term(alpha: float, op: np.ndarray, h: float, n: int) -> _Term:
     if not 0 < alpha < 2:
         raise CapabilityError(f"oracle orders must lie in [0, 2], got {alpha}")
     r = math.ceil(alpha)
-    i = np.arange(n + 1, dtype=float)
+    scale = h ** (-alpha) * rgamma(r + 1 - alpha)
+    i = np.arange(min(n, _HEAD) + 1, dtype=float)
     w = (i + 1) ** (r - alpha) - i ** (r - alpha)
-    return _Term(op, h ** (-alpha) * rgamma(r + 1 - alpha) * w, r)
+    return _Term(op, scale * w, r, tail=("power", r - alpha, scale))
 
 
 def _caputo_terms(terms, grid: TimeGrid) -> list:
@@ -626,20 +727,21 @@ def _gl_weights(alpha: float, n: int) -> np.ndarray:
 def _gl_terms(alpha: float, ident: np.ndarray, b_op: np.ndarray, grid: TimeGrid) -> list:
     """Grunwald-Letnikov derivative h^-alpha sum_k g_k u_(n-k) plus B u,
     for states that start from u_0 = 0."""
-    v = grid.h ** (-alpha) * _gl_weights(alpha, grid.n)
-    return [_Term(ident, v, 0), _Term(b_op, np.ones(1), 0)]
+    scale = grid.h ** (-alpha)
+    v = scale * _gl_weights(alpha, min(grid.n, _HEAD))
+    return [_Term(ident, v, 0, tail=("gl", alpha, scale)), _Term(b_op, np.ones(1), 0)]
 
 
-def _weight_table(v: np.ndarray, rows: int, n: int) -> np.ndarray:
+def _weight_table(v: np.ndarray, rows: int) -> np.ndarray:
     """T[i, j] = v[i + W - j], zero outside v, for W + rows columns and
-    W = min(len(v) - 1, n).
+    W = min(len(v) - 1, rows).
 
     Row i is step b + i of a block starting at step b, and column W - b + 1 + j
-    weighs delta_j.  The first W columns thus meet the differences before the
-    block as a forward slice ending at row b - 1, and the last `rows` columns,
-    a lower-triangular Toeplitz block, meet those inside it.
+    weighs delta_j.  The first W columns thus meet the W differences before
+    row b - 1, and the last `rows` columns, a lower-triangular Toeplitz
+    block, meet those from row b - 1 on.
     """
-    width = min(v.size - 1, n)
+    width = min(v.size - 1, rows)
     ext = np.zeros(width + 2 * rows - 1)
     k = min(v.size, width + rows)
     ext[rows - 1 : rows - 1 + k] = v[:k]
@@ -677,23 +779,39 @@ class _BlockSystem:
     At steps b0..b1-1 the scheme reads far + near = f: `far` weighs the
     differences before row b0 - 1, `near` those from row b0 - 1 on.  Both
     multiply weights with differences, never with raw states, so their
-    rounding stays that of the differences.  From step 2 on, the near part
-    is linear in the block's states with the lower-triangular block-Toeplitz
-    matrix whose first block column is A_j = sum_t a_t[j] F_t, a_t the
-    weights of term t convolved with its difference stencil; step 1 has its
-    own matrix `start`.  Dense operators give one system of dimension dim
+    rounding stays that of the differences; long weights reach the
+    differences more than one block back through their sum of exponentials
+    (`_soe`).  From step 2 on, the near part is linear in the block's states
+    with the lower-triangular block-Toeplitz matrix whose first block column
+    is A_j = sum_t a_t[j] F_t, a_t the weights of term t convolved with its
+    difference stencil; step 1 has its own matrix `start`.  Dense operators give one system of dimension dim
     (p = 1, q = dim), diagonal ones dim scalar systems (p = dim, q = 1); the
     block length keeps the (p, size q, size q) inverse within `_BLOCK_BYTES`.
     """
 
     def __init__(self, terms: list, dense: bool, grid: TimeGrid, dim: int):
         self.terms = terms
+        self.grid = grid
         self.dense = dense
         self.shape = (1, dim) if dense else (dim, 1)
         p, q = self.shape
         cap = math.isqrt(_BLOCK_BYTES // (16 * p * q * q))
         self.size = size = max(1, min(_BLOCK, cap, grid.n - 1))
-        self.tables = [_weight_table(t.v, size, grid.n) for t in terms]
+        self.tables = [_weight_table(t.v, size) for t in terms]
+        # per long term: the exponents, [T | scale K], E, the decay (see
+        # `_soe_tables`) and a (size + P, 2 dim) real buffer holding the
+        # window of differences and H; None for short weights
+        self.soes = []
+        for t, table in zip(terms, self.tables):
+            soe = None
+            if t.tail is not None and grid.n - 1 > size:  # a distance reaches D0
+                kind, a, scale = t.tail
+                lam, k_part, lower, decay = _soe_tables(kind, a, size, grid.n)
+                mat = np.concatenate([table[:, :size], scale * k_part], axis=1)
+                buffer = np.zeros((size + lam.size, 2 * dim))
+                soe = (lam, mat, lower, np.repeat(decay, 2 * dim, axis=1), buffer)
+            self.soes.append(soe)
+        self.cut = None
         self.start = 0.0
         self.coeffs = np.zeros((p, size, q, q), dtype=complex)
         for t, table in zip(terms, self.tables):
@@ -704,6 +822,11 @@ class _BlockSystem:
             self.coeffs += a[None, :, None, None] * f[:, None]
         self.orders = {t.order for t in terms if t.order}
 
+    @property
+    def far_terms(self) -> list:
+        """Number of exponentials in each term's far field (0: none)."""
+        return [0 if soe is None else soe[0].size for soe in self.soes]
+
     def _apply(self, t: _Term, v: np.ndarray) -> np.ndarray:
         return v @ t.op.T if self.dense else v * t.op
 
@@ -713,15 +836,44 @@ class _BlockSystem:
         return rows[lo:hi].view(float)
 
     def far(self, u: np.ndarray, deltas: dict, b0: int, b1: int) -> np.ndarray:
-        """Part of steps b0..b1-1 carried by the differences before row b0 - 1."""
-        acc = np.zeros((b1 - b0, u.shape[1]), dtype=complex)
-        for t, table in zip(self.terms, self.tables):
-            width = table.shape[1] - self.size
-            cols = min(b0 - 1, width)
-            if cols:
+        """Part of steps b0..b1-1 carried by the differences before row b0 - 1.
+
+        Long weights take the `size` differences before row b0 - 1 from the
+        weight table and all older ones through their sum of exponentials:
+        the history H_p = sum_(j < c) e^(-lam_p (c - j)) delta_j at the cut
+        c = b0 - 1 - size, kept in the rows after the window.  H then moves
+        on by one block, so blocks must come in order of steps; a call that
+        does not follow its predecessor by `size` steps sums H afresh.
+        """
+        rows = b1 - b0
+        size = self.size
+        lo = b0 - 1 - size
+        fresh = self.cut != lo
+        acc = np.zeros((rows, u.shape[1]), dtype=complex)
+        for t, table, soe in zip(self.terms, self.tables, self.soes):
+            width = table.shape[1] - size
+            if soe is None:
+                cols = min(b0 - 1, width)
+                if not cols:
+                    continue
                 part = self._part(t, u, deltas, b0 - 1 - cols, b0 - 1)
-                v = table[: b1 - b0, width - cols : width] @ part
-                acc += self._apply(t, v.view(complex))
+                v = table[:rows, width - cols : width] @ part
+            else:
+                lam, mat, lower, decay, x = soe
+                window, hist = x[:size], x[size:]
+                if fresh:
+                    hist[:] = 0.0
+                    if lo > 0:
+                        decays = np.exp(-np.outer(lam, np.arange(lo, 0.0, -1.0)))
+                        hist[:] = decays @ self._part(t, u, deltas, 0, lo)
+                if lo < 0:
+                    window[:-lo] = 0.0
+                window[max(0, -lo) :] = self._part(t, u, deltas, max(0, lo), b0 - 1)
+                v = mat[:rows] @ x
+                hist *= decay
+                hist += lower @ window
+            acc += self._apply(t, v.view(complex))
+        self.cut = b0 - 1
         return acc
 
     def near(self, u: np.ndarray, deltas: dict, b0: int, b1: int) -> np.ndarray:
@@ -768,15 +920,14 @@ class _BlockSystem:
 
 
 def _march(
-    terms: list,
-    dense: bool,
-    grid: TimeGrid,
+    system: _BlockSystem,
     u0: np.ndarray,
     phi1: np.ndarray,
     forcing,
     injected: np.ndarray | None = None,
 ) -> np.ndarray:
-    """States of one scheme on one grid, from u0 or from injected start states.
+    """States of one scheme on its system's grid, from u0 or from injected
+    start states.
 
     ``forcing(t)`` gives the right-hand side at the nodes t.  Step 1 takes
     the scheme's start rule; the later steps go in blocks of
@@ -786,10 +937,10 @@ def _march(
     Floating-point warnings are silenced and every block is checked instead,
     so overflow raises StepSolveError naming the first non-finite step.
     """
+    grid = system.grid
     n = grid.n
     dim = u0.shape[0]
     t = grid.nodes
-    system = _BlockSystem(terms, dense, grid, dim)
     u = np.zeros((n + 1, dim), dtype=complex)
     deltas = {r: np.empty((n, dim), dtype=complex) for r in system.orders}
     if injected is None:
@@ -851,8 +1002,9 @@ def _run_oracle(
     ``terms_on(grid)`` gives the scheme's terms on a grid; dense schemes
     march in state space, diagonal ones in spectral coordinates.  Grids of
     32 cells or more start from a warm start on a refined subgrid.  The
-    diagnostics carry the warm-start size and the wall time of the warm
-    start and of the main march.
+    diagnostics carry the warm-start size, the wall time of the warm start
+    and of the main march, and `far_terms`, the number of exponentials of
+    each term's far field on the main grid (0 for short weights).
     """
     op = problem.operator
     forcing = problem.forcing_or_zero()
@@ -865,8 +1017,8 @@ def _run_oracle(
             return 0.0
         return np.asarray(forcing.profile.eval(t), dtype=complex)[:, None] * direction
 
-    def march(g: TimeGrid, injected=None) -> np.ndarray:
-        return _march(terms_on(g), dense, g, u0, phi1, forcing_at, injected)
+    def system_on(g: TimeGrid) -> _BlockSystem:
+        return _BlockSystem(terms_on(g), dense, g, problem.dim)
 
     grid = problem.grid
     cells = refine = 0
@@ -875,9 +1027,12 @@ def _run_oracle(
     if grid.n >= 32:
         cells = int(np.clip(grid.n // 16, 1, 128))
         refine = int(np.clip(grid.n // 8, 8, 128))
-        injected = _warm_start(march, grid, cells, refine)
+        injected = _warm_start(
+            lambda g: _march(system_on(g), u0, phi1, forcing_at), grid, cells, refine
+        )
     warm_end = perf_counter()
-    u = march(grid, injected)
+    system = system_on(grid)
+    u = _march(system, u0, phi1, forcing_at, injected)
     end = perf_counter()
     return SolutionPath(
         grid,
@@ -888,6 +1043,7 @@ def _run_oracle(
             "warm_refine": refine,
             "warm_s": warm_end - start,
             "main_s": end - warm_end,
+            "far_terms": system.far_terms,
         },
     )
 
@@ -944,9 +1100,9 @@ def oracle_rl(problem: CauchyProblem) -> SolutionPath:
 def operator_residual(problem: CauchyProblem, path: SolutionPath) -> np.ndarray:
     """Discrete distributed-order operator applied to a path, minus forcing.
 
-    Uses the oracle discretization, block by block with the march's weights;
-    the result at nodes 1..n tends to zero under refinement when the path
-    solves the problem.
+    Uses the oracle discretization, block by block in order with the
+    march's weights and far field; the result at nodes 1..n tends to zero
+    under refinement when the path solves the problem.
     """
     _require_caputo(problem, "operator_residual")
     grid = problem.grid

@@ -332,6 +332,37 @@ def test_pointwise_caputo_power_rule():
     assert np.max(np.abs(got - exact)) < 1e-12
 
 
+@pytest.mark.parametrize("profile", [Polynomial([0.3, 1.0, -0.5, 0.25]), Sine(2.0)])
+@pytest.mark.parametrize("blocks, rest", [(0, 1), (0, 2), (0, 5000), (2, 1), (2, 77)])
+def test_pointwise_caputo_blocks_match_one_call(monkeypatch, profile, blocks, rest):
+    # the points go in blocks; each value keeps the bits of one product
+    # over all points, a trailing single point included
+    from fraccauchy import fracops
+
+    taus = np.linspace(0.01, 2.0, blocks * fracops._POINT_BLOCK + rest)
+    got = caputo_derivative_at(profile, 0.4, taus)
+    monkeypatch.setattr(fracops, "_POINT_BLOCK", 10**9)
+    assert np.array_equal(got, caputo_derivative_at(profile, 0.4, taus))
+
+
+def test_pointwise_derivative_memory_is_bounded_by_its_blocks():
+    # 87,040 datum points, those of a forced repr solve on 128 modes at
+    # n = 1024: the (points x 24) quadrature arrays once peaked at 54 MB;
+    # now a block of them takes about 7 MB, the output and its full-length
+    # temporaries about 2 MB
+    import tracemalloc
+
+    taus = np.linspace(0.01, 2.0, 87_040)
+    rl_derivative_at(Polynomial([0.3, 1.0, -0.5, 0.25]), 0.5, taus)
+    tracemalloc.start()
+    try:
+        rl_derivative_at(Polynomial([0.3, 1.0, -0.5, 0.25]), 0.5, taus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+
+
 # ---------------------------------------------------------------------------
 # Duhamel integral differentiation
 

@@ -24,6 +24,7 @@ from fraccauchy import (
     PreconditionError,
     RIEMANN_LIOUVILLE,
     Sine,
+    SolutionPath,
     StepSolveError,
     TimeGrid,
     compare,
@@ -582,6 +583,12 @@ def test_warm_start_diagnostics_present():
         assert path.diagnostics["warm_s"] > 0.0
         assert path.diagnostics["main_s"] > 0.0
         assert path.method == method
+        # n = 256 reaches past one block: the long term (the leading order)
+        # carries exponentials, the order-0 terms none
+        far = path.diagnostics["far_terms"]
+        terms = len(solver._term_operators(prob)[0]) if oracle is oracle_caputo else 2
+        assert len(far) == terms and far[0] > 0
+        assert all(isinstance(p, int) for p in far)
 
 
 def test_duhamel_rejects_discontinuous_forcing():
@@ -795,9 +802,23 @@ _MARCH_CASES = {
 @pytest.mark.parametrize("inject", [False, True])
 @pytest.mark.parametrize("case", sorted(_MARCH_CASES) + ["gl", "gl_multiplier"])
 def test_blocked_march_matches_step_loop(case, inject):
+    _check_march_against_loop(case, inject, blocks=3, start=13)
+
+
+@pytest.mark.parametrize("inject", [False, True])
+@pytest.mark.parametrize("case", ["l1", "l2_phi1", "gl", "gl_multiplier"])
+def test_long_blocked_march_matches_step_loop(case, inject):
+    # most of the history of the late blocks reaches them through the sum
+    # of exponentials, not the weight table; injected start states that
+    # reach more than a block back make the first block sum its history
+    # afresh
+    _check_march_against_loop(case, inject, blocks=16, start=solver._BLOCK + 40)
+
+
+def _check_march_against_loop(case, inject, blocks, start):
     from fraccauchy import solver
 
-    n = 3 * solver._BLOCK + 5  # the last block is partial
+    n = blocks * solver._BLOCK + 5  # the last block is partial
     grid = TimeGrid(1.3, n)
     if case.startswith("gl"):
         op = _MODES if case == "gl_multiplier" else _COMPLEX_PAIR
@@ -819,11 +840,11 @@ def test_blocked_march_matches_step_loop(case, inject):
         if dense:
             b_op, ident = solver._as_matrix(op, b_op), np.eye(op.dimension, dtype=complex)
         loop = _loop_rl(b_op, dense, grid, fvals, 0.5)
-        injected = 1.01 * loop[:13] if inject else None
+        injected = 1.01 * loop[:start] if inject else None
         ref = _loop_rl(b_op, dense, grid, fvals, 0.5, injected)
-        terms = solver._gl_terms(0.5, ident, b_op, grid)
+        system = solver._BlockSystem(solver._gl_terms(0.5, ident, b_op, grid), dense, grid, op.dimension)
         zero = np.zeros(op.dimension, complex)
-        got = solver._march(terms, dense, grid, zero, zero, forcing_at, injected)
+        got = solver._march(system, zero, zero, forcing_at, injected)
     else:
         terms, _ = solver._term_operators(prob)
         phis = np.array(prob.initial, dtype=complex)
@@ -831,12 +852,72 @@ def test_blocked_march_matches_step_loop(case, inject):
             phis = op.to_spectral(phis)
         phi1 = phis[1] if len(phis) > 1 else np.zeros(op.dimension, complex)
         loop = _loop_caputo(terms, dense, grid, phis, fvals)
-        injected = 1.01 * loop[:13] if inject else None
+        injected = 1.01 * loop[:start] if inject else None
         ref = _loop_caputo(terms, dense, grid, phis, fvals, injected)
-        got = solver._march(
-            solver._caputo_terms(terms, grid), dense, grid, phis[0], phi1, forcing_at, injected
-        )
+        system = solver._BlockSystem(solver._caputo_terms(terms, grid), dense, grid, op.dimension)
+        got = solver._march(system, phis[0], phi1, forcing_at, injected)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("case", ["l1", "l2_phi1"])
+def test_operator_residual_matches_step_loop(case):
+    # the residual walks the march's blocks and far field; on a long grid it
+    # matches the per-step history sums over all earlier differences
+    op, measure, data = _MARCH_CASES[case]
+    n = 16 * solver._BLOCK + 5
+    grid = TimeGrid(1.3, n)
+    prob = CauchyProblem(op, measure, data, Forcing(Sine(2.0), np.ones(op.dimension)), grid)
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal((n + 1, op.dimension)) + 1j * rng.standard_normal((n + 1, op.dimension))
+    got = operator_residual(prob, SolutionPath(grid, u))
+    terms, _ = solver._term_operators(prob)
+    schemes = [_LoopScheme(alpha, grid.h, n) for alpha, _ in terms]
+    phi1 = np.asarray(data[1], dtype=complex) if len(data) > 1 else np.zeros(op.dimension)
+    d1 = u[1:] - u[:-1]
+    s2 = np.empty_like(d1)
+    s2[0] = 2.0 * u[1] - 2.0 * u[0] - 2.0 * grid.h * phi1
+    s2[1:] = u[2:] - 2.0 * u[1:-1] + u[:-2]
+    ref = -prob.forcing.values(grid.nodes[1:]).astype(complex)
+    for step in range(1, n + 1):
+        for sch, (_, f) in zip(schemes, terms):
+            ref[step - 1] += f @ (sch.coef(step) * u[step] + sch.history(step, u, d1, s2, phi1))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _exact_weight(mp, scheme, alpha, d):
+    """Weight at distance d of the L1, L2 or Grunwald-Letnikov scheme with
+    unit step, at the caller's precision (test-only reference)."""
+    a = mp.mpf(alpha)
+    if scheme == "gl":
+        return mp.gamma(d - a) / (mp.gamma(-a) * mp.gamma(d + 1))
+    r = 1 if scheme == "l1" else 2
+    return ((mp.mpf(d) + 1) ** (r - a) - mp.mpf(d) ** (r - a)) * mp.rgamma(r + 1 - a)
+
+
+@pytest.mark.parametrize("n", [2048, 16384])
+@pytest.mark.parametrize("scheme", ["l1", "l2", "gl"])
+def test_sum_of_exponentials_matches_long_weights(scheme, n):
+    # the far field of every long term against 40-digit weights, relative,
+    # at all distances from D0 = block + 1 on; wide systems take shorter
+    # blocks (D0 = 23 for 128 modes, D0 = 2 for one-step blocks)
+    mp = pytest.importorskip("mpmath")
+    alphas = (0.05, 0.3, 0.5, 0.7, 0.95)
+    worst = 0.0
+    for alpha in alphas if scheme != "l2" else [1.0 + a for a in alphas]:
+        if scheme == "gl":
+            term = solver._gl_terms(alpha, np.ones(1), np.ones(1), TimeGrid(float(n), n))[0]
+        else:
+            term = solver._caputo_term(alpha, np.ones(1), 1.0, n)
+        kind, a, scale = term.tail
+        for d0 in (2, 23, solver._BLOCK + 1):
+            d = np.unique(np.concatenate([np.arange(d0, d0 + 64), np.geomspace(d0, n, 64).round(), [n]]))
+            lam, w = solver._soe(kind, a, d0, n)
+            got = scale * (np.exp(-np.outer(d, lam)) @ w)
+            with mp.workdps(40):
+                for dd, g in zip(d.astype(int).tolist(), got):
+                    ref = _exact_weight(mp, scheme, alpha, dd)
+                    worst = max(worst, float(abs(mp.mpf(g) / ref - 1)))
+    assert worst <= 1e-14
 
 
 def test_oracle_overflow_raises_step_error_without_warnings():
