@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
-from scipy.special import rgamma, roots_jacobi
+from scipy.special import rgamma
 
 from .errors import (
     BlowupError,
@@ -572,18 +572,20 @@ _SOE_CUTOFF = 36.0
 def _jacobi_nodes(npts: int, beta: float):
     """Gauss rule for the weight (1 + x)^beta on [-1, 1], to about 1 ulp.
 
-    scipy's nodes are refined by Newton steps and the weights taken from the
-    Christoffel function, both on the recurrence of the orthonormal Jacobi
-    polynomials in long double: scipy's own weights are off by up to
-    1.4e-13 relative at beta = -0.7.  Where long double is double, the
-    weights keep about 1e-14.
+    The nodes, eigenvalues of the Jacobi matrix, are refined by Newton
+    steps and the weights taken from the Christoffel function, both on the
+    recurrence of the orthonormal Jacobi polynomials in long double:
+    scipy's `roots_jacobi` weights are off by up to 1.4e-13 relative at
+    beta = -0.7.  Where long double is double, the weights keep about 1e-14.
     """
-    x = roots_jacobi(npts, 0.0, beta)[0].astype(np.longdouble)
     b = np.longdouble(beta)
     k = np.arange(1, npts + 1, dtype=np.longdouble)
     s = 2 * k + b
     diag = np.concatenate([[b / (b + 2)], b * b / (s[:-1] * (s[:-1] + 2))])
     off = np.sqrt(4 * k * k * (k + b) ** 2 / (s * s * (s + 1) * (s - 1)))
+    band = off[:-1].astype(float)
+    matrix = np.diag(diag.astype(float)) + np.diag(band, 1) + np.diag(band, -1)
+    x = np.linalg.eigvalsh(matrix).astype(np.longdouble)
     for _ in range(3):
         p_prev, p = np.zeros_like(x), np.ones_like(x)
         dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
