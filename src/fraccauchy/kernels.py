@@ -44,20 +44,17 @@ from scipy.special import rgamma
 
 from .errors import BlowupError, DomainError, InversionError, OrderDomainError
 from .ml import ml_array
-from .operators import SpectralOperator
 from .symbols import SymbolFunction
 
 __all__ = [
     "Atom",
     "OrderMeasure",
-    "TalbotContour",
     "char_eval",
     "c_beta",
     "c_beta_path",
     "solution_symbol",
     "solution_symbol_path",
     "symbol_values",
-    "apply_solution_operator",
 ]
 
 
@@ -124,41 +121,25 @@ def char_eval(measure: OrderMeasure, s, z: complex):
     return acc
 
 
-@dataclass(frozen=True)
-class TalbotContour:
-    """Modified Talbot contour; parameters rescale with 1/t per evaluation.
-
-    The nodes at time t are the fixed shape w(theta_k) scaled by n/t, which
-    is what lets `c_beta_path` invert at many times with one shape (see the
-    module docstring).
-    """
-
-    n_nodes: int = 48
-
-    def __post_init__(self):
-        if self.n_nodes < 16 or self.n_nodes % 2:
-            raise OrderDomainError("node count must be even and at least 16")
-
-    def _shape(self):
-        """Unscaled shape w(theta) and w'(theta) at midpoint angles."""
-        n = self.n_nodes
-        theta = (np.arange(n) + 0.5) * (2 * np.pi / n) - np.pi
-        # optimized Talbot constants (sigma, mu, nu, b)
-        sg, mu_, nu_, b_ = 0.61220, 0.50174, 0.64070, 0.26450
-        nt = nu_ * theta
-        cot = np.cos(nt) / np.sin(nt)
-        w = -sg + mu_ * theta * cot + 1j * b_ * theta
-        dw = mu_ * (cot - nt / np.sin(nt) ** 2) + 1j * b_
-        return w, dw
-
-    def nodes(self, t: float):
-        """Contour points s(theta) and s'(theta) at midpoint angles."""
-        w, dw = self._shape()
-        scale = self.n_nodes / t
-        return scale * w, scale * dw
+_TALBOT_NODES = 48  # nodes of the modified Talbot contour
 
 
-_DEFAULT_CONTOUR = TalbotContour()
+def _talbot_shape():
+    """Modified Talbot shape w(theta) and w'(theta) at `_TALBOT_NODES`
+    midpoint angles; the contour at time t has the nodes s = (n/t) w."""
+    n = _TALBOT_NODES
+    theta = (np.arange(n) + 0.5) * (2 * np.pi / n) - np.pi
+    # optimized Talbot constants (sigma, mu, nu, b)
+    sg, mu_, nu_, b_ = 0.61220, 0.50174, 0.64070, 0.26450
+    nt = nu_ * theta
+    cot = np.cos(nt) / np.sin(nt)
+    w = -sg + mu_ * theta * cot + 1j * b_ * theta
+    dw = mu_ * (cot - nt / np.sin(nt) ** 2) + 1j * b_
+    return w, dw
+
+
+_TALBOT_W, _TALBOT_DW = _talbot_shape()
+
 _TIME_BLOCK = 512  # times per (times x nodes) block of the contour inversion
 
 
@@ -189,7 +170,6 @@ def c_beta_path(
     beta: float,
     t: np.ndarray,
     z,
-    contour: TalbotContour | None = None,
 ) -> np.ndarray:
     """c_beta(t, z) on positive times t and spectral points z.
 
@@ -222,9 +202,7 @@ def c_beta_path(
             e = np.full(shape, rgamma(mu - beta), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):  # growth spectra overflow e
             return t ** (mu - beta - 1.0) * e / g
-    contour = contour or _DEFAULT_CONTOUR
-    n = contour.n_nodes
-    w, dw = contour._shape()
+    n, w, dw = _TALBOT_NODES, _TALBOT_W, _TALBOT_DW
     e = np.exp(n * w) * w**beta * dw / (1j * n)
     # (order, symbol weight at each spectral point, power of the shape) per term
     terms = [(mu, g.reshape(-1), w**mu)]
@@ -274,7 +252,6 @@ def c_beta(
     beta: float,
     t: float,
     z: complex,
-    contour: TalbotContour | None = None,
 ) -> complex:
     """Kernel c_beta(t, z), the inverse transform of s^beta / Delta(s, z).
 
@@ -282,7 +259,7 @@ def c_beta(
     t^(mu-beta-1) E_{mu-a, mu-beta}(-w t^(mu-a)); anything else inverts on
     the Talbot contour.
     """
-    return complex(c_beta_path(measure, beta, np.array([t]), z, contour)[0])
+    return complex(c_beta_path(measure, beta, np.array([t]), z)[0])
 
 
 def solution_symbol_path(
@@ -290,7 +267,6 @@ def solution_symbol_path(
     k: int,
     t: np.ndarray,
     z,
-    contour: TalbotContour | None = None,
 ) -> np.ndarray:
     """S_k(t, z) on positive times t and spectral points z.
 
@@ -312,14 +288,14 @@ def solution_symbol_path(
     # atoms exactly at the integer k feed only lower data indices
     included = [a for a in measure.atoms if a.alpha > k]
     g, weights = symbol_values(measure, z, included)
-    c = c_beta_path(measure, measure.mu - k - 1.0, t, z, contour)
+    c = c_beta_path(measure, measure.mu - k - 1.0, t, z)
     # non-finite kernels are reported below, whichever point of the call has them
     with np.errstate(over="ignore", invalid="ignore"):
         acc = g * c
         for a, w in zip(included, weights):
             if not np.any(w):  # where c_j f_j(z) = 0 the atom adds nothing
                 continue
-            c = c_beta_path(measure, a.alpha - k - 1.0, t, z, contour)
+            c = c_beta_path(measure, a.alpha - k - 1.0, t, z)
             acc = np.where(w == 0, acc, acc + w * c)
     bad = np.flatnonzero(~np.isfinite(acc))
     if bad.size:
@@ -339,7 +315,6 @@ def solution_symbol(
     k: int,
     t: float,
     z: complex,
-    contour: TalbotContour | None = None,
 ) -> complex:
     """Scalar symbol of the operator mapping the k-th datum into the solution.
 
@@ -347,38 +322,4 @@ def solution_symbol(
     c_j f_j(z) c_{alpha_j-k-1}(t, z); atoms exactly at the integer k feed
     only lower data indices.
     """
-    return complex(solution_symbol_path(measure, k, np.array([t]), z, contour)[0])
-
-
-def apply_solution_operator(
-    measure: OrderMeasure,
-    k: int,
-    t: float,
-    op: SpectralOperator,
-    phi: np.ndarray,
-    contour: TalbotContour | None = None,
-) -> np.ndarray:
-    """S_k(t, A) phi through the spectral decomposition of the operator."""
-    if t == 0:
-        return op.check_vector(phi) if k == 0 else np.zeros(op.dimension, complex)
-    _check_spectrum_in_domains(measure, op)
-    w = op.to_spectral(op.check_vector(phi))
-    out = np.zeros(op.dimension, dtype=complex)
-    # only components with nonzero amplitude are evaluated, in one call
-    idx = np.flatnonzero(np.abs(w) > 1e-14 * max(1.0, float(np.max(np.abs(w)))))
-    if idx.size:
-        out[idx] = solution_symbol_path(measure, k, t, op.spectrum()[idx], contour) * w[idx]
-    return op.from_spectral(out)
-
-
-def _check_spectrum_in_domains(measure: OrderMeasure, op: SpectralOperator) -> None:
-    spectrum = op.spectrum()
-    symbols = [a.symbol for a in measure.atoms]
-    if measure.leading_symbol is not None:
-        symbols.append(measure.leading_symbol)
-    for f in symbols:
-        for lam in spectrum:
-            if not f.domain.contains(lam):
-                raise DomainError(
-                    f"eigenvalue {lam} lies outside the symbol domain {f.domain}"
-                )
+    return complex(solution_symbol_path(measure, k, np.array([t]), z)[0])

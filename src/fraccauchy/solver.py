@@ -63,7 +63,7 @@ from .errors import (
 )
 from .fracops import caputo_derivative_at, frac_integral, jacobi_rule, rl_derivative_at
 from .grids import TimeGrid
-from .kernels import OrderMeasure, TalbotContour, solution_symbol_path, symbol_values
+from .kernels import OrderMeasure, solution_symbol_path, symbol_values
 from .operators import FourierMultiplier, MatrixOperator
 from .problems import (
     CAPUTO,
@@ -99,12 +99,27 @@ _SERIES_TOL = 1e-6
 # spectral plumbing
 
 
-def _spectrum(op) -> np.ndarray:
-    """Eigenvalues in the order of the operator's spectral coordinates."""
+def _spectrum(problem: CauchyProblem) -> np.ndarray:
+    """Eigenvalues in the order of the operator's spectral coordinates.
+
+    Every route and oracle takes its eigenvalues here, so each rejects an
+    eigenvalue outside the domain of one of the measure's symbols.
+    """
+    op = problem.operator
     if isinstance(op, FourierMultiplier):
-        return op.symbol_values
-    assert isinstance(op, MatrixOperator)
-    return op.eigensystem()[0]
+        lam = op.symbol_values
+    else:
+        assert isinstance(op, MatrixOperator)
+        lam = op.eigensystem()[0]
+    measure = problem.measure
+    symbols = [a.symbol for a in measure.atoms]
+    if measure.leading_symbol is not None:
+        symbols.append(measure.leading_symbol)
+    for f in symbols:
+        domain = f.domain
+        for z in lam.tolist():
+            domain.check(z, "eigenvalue")
+    return lam
 
 
 def _atom_sum(measure: OrderMeasure, lam: np.ndarray) -> np.ndarray:
@@ -135,7 +150,7 @@ def _chunks(components: np.ndarray, points: int) -> list:
 def _forcing_components(problem: CauchyProblem):
     """Eigenvalues, the forcing direction over the leading symbol in spectral
     coordinates, and the indices of its active components."""
-    lam = _spectrum(problem.operator)
+    lam = _spectrum(problem)
     g_lead = _leading_values(problem.measure, lam)
     dir_spec = problem.operator.to_spectral(problem.forcing.direction) / g_lead
     return lam, dir_spec, _active(dir_spec)
@@ -165,16 +180,14 @@ def _require_zero_data(problem: CauchyProblem, route: str) -> None:
 # homogeneous representation
 
 
-def solve_homogeneous(
-    problem: CauchyProblem, contour: TalbotContour | None = None
-) -> SolutionPath:
+def solve_homogeneous(problem: CauchyProblem) -> SolutionPath:
     """u(t) = sum_k S_k(t, A) phi_k for the homogeneous problem."""
     _require_caputo(problem, "solve_homogeneous")
     if problem.forcing_or_zero() is not None:
         raise PreconditionError("solve_homogeneous needs zero forcing")
     grid = problem.grid
     op = problem.operator
-    lam = _spectrum(op)
+    lam = _spectrum(problem)
     _leading_values(problem.measure, lam)
     phis = op.to_spectral(np.array(problem.initial))
     u_spec = np.zeros((grid.n + 1, problem.dim), dtype=complex)
@@ -188,9 +201,7 @@ def solve_homogeneous(
             if not live.any():
                 continue
             try:
-                s = solution_symbol_path(
-                    problem.measure, k, t_pos, lam[js[live], None], contour
-                )
+                s = solution_symbol_path(problem.measure, k, t_pos, lam[js[live], None])
             except (BlowupError, InversionError) as exc:
                 j = js[live][np.argmax(lam[js[live]] == exc.z)]
                 failures.append((j, k, exc))
@@ -221,13 +232,9 @@ def _profile_at_zero(profile: FunctionSpec) -> complex:
     return complex(np.asarray(profile.eval(0.0)).reshape(-1)[0])
 
 
-_GAUSS_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _gauss(npts: int):
-    if npts not in _GAUSS_CACHE:
-        _GAUSS_CACHE[npts] = leggauss(npts)
-    return _GAUSS_CACHE[npts]
+    return leggauss(npts)
 
 
 def _cell_rule_weighted(a: float, b: float, gamma: float, npts: int):
@@ -268,11 +275,7 @@ def _unit_graded_rule(gamma: float, panels: int, grade: float, npts: int = 5):
 
 
 def _forced_convolution(
-    problem: CauchyProblem,
-    contour: TalbotContour | None,
-    variant: str,
-    unit_tau: np.ndarray,
-    unit_w: np.ndarray,
+    problem: CauchyProblem, variant: str, unit_tau: np.ndarray, unit_w: np.ndarray
 ) -> np.ndarray:
     """States of int_0^t S_{m-1}(t - tau, A) datum(tau) dtau on all nodes.
 
@@ -292,14 +295,12 @@ def _forced_convolution(
     sig = t_pos[:, None] - tau_mat
     u_spec = np.zeros((grid.n + 1, problem.dim), dtype=complex)
     for js in _chunks(active, sig.size):
-        svals = solution_symbol_path(measure, m - 1, sig, lam[js, None, None], contour)
+        svals = solution_symbol_path(measure, m - 1, sig, lam[js, None, None])
         u_spec[1:, js] = (dir_spec[js, None] * np.sum(w_mat * svals * gvals, axis=-1)).T
     return problem.operator.from_spectral(u_spec)
 
 
-def solve_repr(
-    problem: CauchyProblem, contour: TalbotContour | None = None
-) -> SolutionPath:
+def solve_repr(problem: CauchyProblem) -> SolutionPath:
     """Representation formula: homogeneous sum plus the kernel convolution
     of the order-(m - mu) derivative of the forcing."""
     _require_caputo(problem, "solve_repr")
@@ -307,7 +308,7 @@ def solve_repr(
     hom = CauchyProblem(
         problem.operator, problem.measure, problem.initial, None, grid, CAPUTO
     )
-    path = solve_homogeneous(hom, contour)
+    path = solve_homogeneous(hom)
     states = path.states
     forcing = problem.forcing_or_zero()
     if forcing is not None:
@@ -316,9 +317,7 @@ def solve_repr(
         gamma = problem.measure.m - problem.measure.mu
         panels = int(np.clip(grid.n // 128, 8, 32))
         unit_tau, unit_w = _unit_graded_rule(gamma, panels, 3.0, npts=5)
-        states = states + _forced_convolution(
-            problem, contour, "rl", unit_tau, unit_w
-        )
+        states = states + _forced_convolution(problem, "rl", unit_tau, unit_w)
     return SolutionPath(grid, states, method="repr")
 
 
@@ -326,9 +325,7 @@ def solve_repr(
 # Duhamel-principle routes (grid-driven quadrature)
 
 
-def _duhamel_convolution(
-    problem: CauchyProblem, variant: str, contour: TalbotContour | None
-) -> SolutionPath:
+def _duhamel_convolution(problem: CauchyProblem, variant: str) -> SolutionPath:
     """Duhamel integral on the grid: graded boundary layer plus trapezoid.
 
     The datum is non-smooth at tau = 0 (singular when h(0) != 0, a
@@ -369,7 +366,7 @@ def _duhamel_convolution(
 
     u_spec = np.zeros((n + 1, problem.dim), dtype=complex)
     for js in _chunks(active, times.size):
-        s = solution_symbol_path(measure, m - 1, times, lam[js, None], contour)
+        s = solution_symbol_path(measure, m - 1, times, lam[js, None])
         s_grid = s[:, :n]
         s_in = s[:, n : n + sig_in.size].reshape(len(js), *sig_in.shape)
         s_b = s[:, n + sig_in.size :].reshape(len(js), *sig_b.shape)
@@ -394,9 +391,7 @@ def _duhamel_convolution(
     )
 
 
-def duhamel_caputo(
-    problem: CauchyProblem, contour: TalbotContour | None = None
-) -> SolutionPath:
+def duhamel_caputo(problem: CauchyProblem) -> SolutionPath:
     """Fractional Duhamel route: the forcing enters through the top datum
     D_+^(m-mu) h(tau) of a shifted homogeneous problem per quadrature node."""
     _require_caputo(problem, "duhamel_caputo")
@@ -406,12 +401,10 @@ def duhamel_caputo(
             "integer leading order: use duhamel_integer for this problem"
         )
     _require_zero_data(problem, "duhamel_caputo")
-    return _duhamel_convolution(problem, "rl", contour)
+    return _duhamel_convolution(problem, "rl")
 
 
-def duhamel_caputo_zero(
-    problem: CauchyProblem, contour: TalbotContour | None = None
-) -> SolutionPath:
+def duhamel_caputo_zero(problem: CauchyProblem) -> SolutionPath:
     """Variant with the regularized datum D_*^(m-mu) h(tau); needs h(0) = 0."""
     _require_caputo(problem, "duhamel_caputo_zero")
     mu = problem.measure.mu
@@ -426,12 +419,10 @@ def duhamel_caputo_zero(
             "this route requires h(0) = 0; the regularized datum only matches "
             "the unregularized one for forcing vanishing at t = 0"
         )
-    return _duhamel_convolution(problem, "caputo", contour)
+    return _duhamel_convolution(problem, "caputo")
 
 
-def duhamel_integer(
-    problem: CauchyProblem, contour: TalbotContour | None = None
-) -> SolutionPath:
+def duhamel_integer(problem: CauchyProblem) -> SolutionPath:
     """Classical Duhamel integral for integer leading order."""
     _require_caputo(problem, "duhamel_integer")
     mu = problem.measure.mu
@@ -455,7 +446,7 @@ def duhamel_integer(
     s0 = 1.0 if m == 1 else 0.0
     u_spec = np.zeros((n + 1, problem.dim), dtype=complex)
     for js in _chunks(active, n):
-        s = solution_symbol_path(measure, m - 1, t[1:], lam[js, None], contour)
+        s = solution_symbol_path(measure, m - 1, t[1:], lam[js, None])
         full = np.empty_like(s)
         for c, row in enumerate(s):  # sum_{j=0..i} S_{i-j} g_j
             full[c] = np.convolve(g_grid, np.concatenate([[s0], row]))[1 : n + 1]
@@ -495,7 +486,7 @@ def duhamel_rl(problem: CauchyProblem) -> SolutionPath:
     if forcing is None:
         return _zero_path(problem, "duhamel-rl")
     op = problem.operator
-    b_vals = _atom_sum(problem.measure, _spectrum(op))
+    b_vals = _atom_sum(problem.measure, _spectrum(problem))
     dir_spec = op.to_spectral(forcing.direction)
     n = grid.n
     u_spec = np.zeros((n + 1, problem.dim), dtype=complex)
@@ -663,7 +654,7 @@ def _as_matrix(op: MatrixOperator, vals: np.ndarray) -> np.ndarray:
 def _term_operators(problem: CauchyProblem):
     """Leading and atom operators as dense matrices or diagonal arrays."""
     op = problem.operator
-    lam = _spectrum(op)
+    lam = _spectrum(problem)
     g, weights = symbol_values(problem.measure, lam)
     terms = [(problem.measure.mu, g)]
     terms += [(a.alpha, w) for a, w in zip(problem.measure.atoms, weights)]
@@ -1083,7 +1074,7 @@ def oracle_rl(problem: CauchyProblem) -> SolutionPath:
     if np.any(np.abs(problem.initial[0]) > 1e-12):
         raise PreconditionError("oracle_rl assumes a zero weighted datum")
     op = problem.operator
-    b_op = _atom_sum(problem.measure, _spectrum(op))
+    b_op = _atom_sum(problem.measure, _spectrum(problem))
     ident = np.ones(problem.dim, dtype=complex)
     dense = not isinstance(op, FourierMultiplier)
     if dense:

@@ -193,6 +193,21 @@ def test_kernel_overflow_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_eigenvalue_outside_symbol_domain_exits_3(tmp_path, capsys):
+    # the square root is cut on (-inf, 0], where the eigenvalue -1 lies
+    doc = json.loads(json.dumps(RELAX_DOC))
+    doc["operator"]["data"]["matrix"] = [[-1.0, 0.0], [0.0, 2.0]]
+    doc["measure"]["atoms"][0]["symbol"] = {"kind": "power", "exponent": 0.5}
+    doc["initial"] = [[1.0, 1.0]]
+    doc["grid"] = {"t_end": 1.0, "n": 16}
+    path = write_doc(tmp_path, doc)
+    for method in ("repr", "oracle"):
+        out = tmp_path / f"{method}.csv"
+        assert main(["solve", "--problem", str(path), "--method", method, "--out", str(out)]) == 3
+        assert "eigenvalue (-1+0j) lies outside the domain" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_compare_gates_on_tolerance(tmp_path):
     doc = json.loads(json.dumps(RELAX_DOC))
     doc["initial"] = [[0.0]]

@@ -13,23 +13,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import erfc, rgamma
 
+from fraccauchy import kernels
 from fraccauchy import (
     Atom,
     DomainError,
     ExponentialSymbol,
-    FourierMultiplier,
     FracCauchyError,
     InversionError,
-    MatrixOperator,
     OrderDomainError,
     OrderMeasure,
     PolynomialSymbol,
     PowerSymbol,
     Sampled,
     ScalarPath,
-    TalbotContour,
     TimeGrid,
-    apply_solution_operator,
     c_beta,
     c_beta_path,
     char_eval,
@@ -100,13 +97,6 @@ def test_measure_invariants():
     assert [a.alpha for a in m.atoms] == [0.0, 0.5]
     assert m.m == 2
     assert OrderMeasure(2.0).m == 2
-
-
-def test_talbot_contour_invariants():
-    with pytest.raises(OrderDomainError):
-        TalbotContour(15)
-    with pytest.raises(OrderDomainError):
-        TalbotContour(17)
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +178,9 @@ def test_forward_laplace_smooth_case():
 
 
 def test_inversion_guard_detects_contour_zero():
-    # place a characteristic zero exactly on a contour node
-    contour = TalbotContour(48)
+    # place a characteristic zero exactly on a contour node, s = (n/t) w
     t = 1.0
-    s_nodes, _ = contour.nodes(t)
-    s0 = s_nodes[10]
+    s0 = kernels._TALBOT_NODES / t * kernels._TALBOT_W[10]
     coef = -(s0**1.5) / s0**0.5
     bad = OrderMeasure(
         1.5,
@@ -202,14 +190,13 @@ def test_inversion_guard_detects_contour_zero():
         ),
     )
     with pytest.raises(InversionError):
-        c_beta(bad, 0.0, t, 1.0, contour)
+        c_beta(bad, 0.0, t, 1.0)
 
 
 def test_inversion_guard_names_first_bad_time_across_blocks():
     # the zero of the test above, hit at t = 1 in the middle of the second
     # block and again, to within rounding, later in that block and the next
-    contour = TalbotContour(48)
-    s0 = contour.nodes(1.0)[0][10]
+    s0 = kernels._TALBOT_NODES * kernels._TALBOT_W[10]
     bad = OrderMeasure(
         1.5,
         (
@@ -221,11 +208,11 @@ def test_inversion_guard_names_first_bad_time_across_blocks():
     t[700] = 1.0
     t[900] = 1.0 + 1e-12
     t[1500] = 1.0 - 1e-12
-    c_beta_path(bad, 0.0, t[:600], 1.0, contour)
+    c_beta_path(bad, 0.0, t[:600], 1.0)
     with pytest.raises(InversionError, match=r"at t = 1\.0;"):
-        c_beta_path(bad, 0.0, t, 1.0, contour)
+        c_beta_path(bad, 0.0, t, 1.0)
     with pytest.raises(InversionError, match=r"at t = 0\.999999999999;"):
-        c_beta_path(bad, 0.0, t[::-1], 1.0, contour)
+        c_beta_path(bad, 0.0, t[::-1], 1.0)
 
 
 @pytest.mark.parametrize("mu", [0.5, 1.5])
@@ -443,28 +430,38 @@ def test_scalar_kernels_with_inexact_symbols_match_stored_values(name):
     assert np.all(np.abs(np.array(got) - stored) <= 8 * eps * np.maximum(1.0, np.abs(stored)))
 
 
-def test_apply_solution_operator_scalar_and_diag():
-    op1 = MatrixOperator(np.array([[1.0]]))
-    out = apply_solution_operator(RELAX, 0, 1.0, op1, np.array([1.0]))
-    assert abs(out[0] - np.e * erfc(1.0)) < 1e-12
-    op2 = MatrixOperator(np.diag([1.0, 2.0]))
-    out2 = apply_solution_operator(RELAX, 0, 1.0, op2, np.array([1.0, 1.0]))
-    assert abs(out2[0] - mittag_leffler(0.5, 1.0, -1.0)) < 1e-12
-    assert abs(out2[1] - mittag_leffler(0.5, 1.0, -2.0)) < 1e-12
+# Talbot-branch values of c_{mu-1}(t, z) and S_0(t, z) for the two-atom
+# measure of the contour benchmark, at t = 0.4 and 2.9 for z = 0.3, 40 and
+# 2+1j in turn; real z keep the contour's ~1e-13 imaginary rounding
+_TWO_ATOM_CONTOUR = OrderMeasure(
+    1.8, (Atom(0.0, 0.7, identity_symbol()), Atom(0.7, 0.4, identity_symbol()))
+)
+_STORED_CONTOUR_VALUES = [
+    0.9356334420465331 - 3.5351416702604424e-13j,
+    0.9763770722527052 - 3.5566163339325026e-13j,
+    -0.07788618868787199 - 1.5874060563325921e-13j,
+    0.40879601271281707 - 3.138448686474309e-13j,
+    0.6113494237334873 - 0.15801023866048536j,
+    0.854249037471496 - 0.06209961504053525j,
+    0.13200095542002685 - 2.956157020341506e-13j,
+    0.36679060440098943 - 3.120124383729418e-13j,
+    -0.0014964899662047013 - 7.831311777415973e-15j,
+    0.10745217632642799 - 1.724537698114928e-13j,
+    -0.07032229649560594 + 0.2506281408773711j,
+    -0.03576945350375108 + 0.16480320377496888j,
+]
 
 
-def test_apply_solution_operator_at_zero_time():
-    op = MatrixOperator(np.diag([1.0, 2.0]))
-    phi = np.array([0.3, -0.7])
-    assert np.allclose(apply_solution_operator(RELAX, 0, 0.0, op, phi), phi)
-
-
-def test_apply_solution_operator_multiplier_masks_empty_modes():
-    op = FourierMultiplier.from_callable(lambda xi: xi**2, 64, 2 * np.pi)
-    x = op.grid_points
-    phi = np.cos(x)
-    out = apply_solution_operator(RELAX, 0, 1.0, op, phi)
-    assert np.max(np.abs(out - np.e * erfc(1.0) * np.cos(x))) < 1e-10
+def test_contour_kernels_match_stored_values():
+    measure = _TWO_ATOM_CONTOUR
+    got = []
+    for t in (0.4, 2.9):
+        for z in (0.3, 40.0, 2.0 + 1.0j):
+            got.append(c_beta(measure, measure.mu - 1.0, t, z))
+            got.append(solution_symbol(measure, 0, t, z))
+    stored = np.array(_STORED_CONTOUR_VALUES)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(np.array(got) - stored) <= 8 * eps * np.maximum(1.0, np.abs(stored)))
 
 
 def test_leading_symbol_scales_kernel():

@@ -13,6 +13,7 @@ from fraccauchy import (
     BlowupError,
     CauchyProblem,
     Constant,
+    DomainError,
     Exponential,
     FlavorError,
     Forcing,
@@ -21,8 +22,10 @@ from fraccauchy import (
     MatrixOperator,
     OrderMeasure,
     Polynomial,
+    PowerSymbol,
     PreconditionError,
     RIEMANN_LIOUVILLE,
+    RationalSymbol,
     Sine,
     SolutionPath,
     StepSolveError,
@@ -34,6 +37,7 @@ from fraccauchy import (
     duhamel_rl,
     frac_integral_values,
     identity_symbol,
+    mittag_leffler,
     operator_residual,
     oracle_caputo,
     oracle_rl,
@@ -86,6 +90,16 @@ def test_homogeneous_relaxation_matches_erfc():
     prob = CauchyProblem(SCALAR_ONE, RELAX, [np.array([1.0])], None, grid)
     path = solve_homogeneous(prob)
     assert np.max(np.abs(path.states[:, 0] - relax_exact(grid.nodes))) < 1e-12
+    # at t = 1 on diag(1, 2): E_{1/2}(-1) and E_{1/2}(-2)
+    diag = MatrixOperator(np.diag([1.0, 2.0]))
+    u1 = solve_homogeneous(CauchyProblem(diag, RELAX, [np.ones(2)], None, grid)).states[256]
+    expect = [mittag_leffler(0.5, 1.0, -1.0), mittag_leffler(0.5, 1.0, -2.0)]
+    assert np.max(np.abs(u1 - expect)) < 1e-12
+    # a Fourier multiplier with only the cos(x) modes active
+    op = FourierMultiplier.from_callable(lambda xi: xi**2, 64, 2 * np.pi)
+    x = op.grid_points
+    u1 = solve_homogeneous(CauchyProblem(op, RELAX, [np.cos(x)], None, grid)).states[256]
+    assert np.max(np.abs(u1 - np.e * erfc(1.0) * np.cos(x))) < 1e-10
 
 
 def test_homogeneous_classical_oscillator():
@@ -103,6 +117,10 @@ def test_homogeneous_initial_node_is_datum():
     prob = CauchyProblem(SCALAR_ONE, RELAX, [np.array([0.37])], None, grid)
     path = solve_homogeneous(prob)
     assert path.states[0, 0] == 0.37
+    phi = np.array([0.3, -0.7])
+    diag = MatrixOperator(np.diag([1.0, 2.0]))
+    path = solve_homogeneous(CauchyProblem(diag, RELAX, [phi], None, grid))
+    assert np.allclose(path.states[0], phi)
 
 
 def test_homogeneous_skew_hermitian_matches_oracle():
@@ -988,9 +1006,9 @@ def _one_component_at_a_time(mp):
     component in its own run, its kernels by a scalar-z
     `solution_symbol_path` call (test-only reference)."""
 
-    def scalar_calls(measure, k, t, z, contour=None):
+    def scalar_calls(measure, k, t, z):
         return np.stack(
-            [kernels.solution_symbol_path(measure, k, t, complex(zc.flat[0]), contour)
+            [kernels.solution_symbol_path(measure, k, t, complex(zc.flat[0]))
              for zc in np.asarray(z)]
         )
 
@@ -1091,6 +1109,21 @@ def test_batched_routes_name_the_first_failing_component(
         _per_component(monkeypatch, route, prob)
     assert str(batched.value) == str(reference.value)
     assert message in str(batched.value)
+
+
+@pytest.mark.parametrize("route", [solve_repr, duhamel_caputo, oracle_caputo])
+@pytest.mark.parametrize(
+    "symbol", [PowerSymbol(0.5), RationalSymbol([1.0], [1.0, 1.0])], ids=["cut", "pole"]
+)
+def test_routes_reject_eigenvalue_outside_symbol_domain(route, symbol):
+    # lambda = -1 lies on the cut of the square root and on the pole of
+    # 1 / (1 + z); kernel routes and oracle must raise, not answer
+    measure = OrderMeasure(0.5, (Atom(0.0, 1.0, symbol),))
+    op = MatrixOperator(np.diag([-1.0, 2.0]))
+    forcing = Forcing(Constant(1.0), np.ones(2))
+    prob = CauchyProblem(op, measure, [np.zeros(2)], forcing, TimeGrid(1.0, 16))
+    with pytest.raises(DomainError, match="eigenvalue \\(-1\\+0j\\) lies outside"):
+        route(prob)
 
 
 def test_forced_repr_memory_on_wide_spectrum():
