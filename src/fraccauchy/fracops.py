@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gamma as sgamma, rgamma, roots_jacobi
 
 from .errors import (
     BlowupError,
@@ -34,6 +32,7 @@ from .profiles import (
     fd_weights,
     taylor_at_zero,
 )
+from .special import gamma, gauss_jacobi, rgamma
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +75,7 @@ def frac_integral_values(values: np.ndarray, beta: float, h: float) -> np.ndarra
 def _integral_path_power(f: Power, beta: float, grid: TimeGrid) -> np.ndarray:
     # exact moments of the singular monomial; its t = 0 sample is unbounded
     p = f.exponent
-    coef = f.scale * sgamma(p + 1) * rgamma(p + beta + 1)
+    coef = f.scale * gamma(p + 1) * rgamma(p + beta + 1)
     t = grid.nodes
     out = np.zeros(grid.n + 1, dtype=complex)
     out[1:] = coef * t[1:] ** (p + beta)
@@ -112,7 +111,7 @@ def _limit_at_zero_rl(f: FunctionSpec, alpha: float) -> complex:
     """Limit of the Riemann-Liouville derivative at t -> 0+, NaN if divergent."""
     m = math.ceil(alpha)
     if isinstance(f, Power):
-        coef = f.scale * sgamma(f.exponent + 1) * rgamma(f.exponent - alpha + 1)
+        coef = f.scale * gamma(f.exponent + 1) * rgamma(f.exponent - alpha + 1)
         if f.exponent > alpha:
             return 0.0
         if f.exponent == alpha:
@@ -125,7 +124,7 @@ def _limit_at_zero_rl(f: FunctionSpec, alpha: float) -> complex:
 
 
 def _rl_path_power(f: Power, alpha: float, grid: TimeGrid) -> np.ndarray:
-    coef = f.scale * sgamma(f.exponent + 1) * rgamma(f.exponent - alpha + 1)
+    coef = f.scale * gamma(f.exponent + 1) * rgamma(f.exponent - alpha + 1)
     out = np.zeros(grid.n + 1, dtype=complex)
     if coef != 0:
         out[1:] = coef * grid.nodes[1:] ** (f.exponent - alpha)
@@ -253,16 +252,7 @@ def solve_abel(h: FunctionSpec, alpha: float, grid: TimeGrid) -> ScalarPath:
 # ---------------------------------------------------------------------------
 # pointwise evaluation off the grid (continuous extensions)
 
-_JACOBI_CACHE: dict = {}
 _POINT_BLOCK = 8192  # evaluation points per block of caputo_derivative_at
-
-
-def jacobi_rule(npts: int, a: float, b: float):
-    """Cached Gauss-Jacobi rule for the weight (1 - x)^a (1 + x)^b on [-1, 1]."""
-    key = (npts, round(a, 14), round(b, 14))
-    if key not in _JACOBI_CACHE:
-        _JACOBI_CACHE[key] = roots_jacobi(npts, a, b)
-    return _JACOBI_CACHE[key]
 
 
 def caputo_derivative_at(
@@ -276,7 +266,7 @@ def caputo_derivative_at(
     if not 0 < alpha < 1:
         raise OrderDomainError(f"pointwise order must lie in (0, 1), got {alpha}")
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    x, w = jacobi_rule(npts, -alpha, 0.0)
+    x, w = gauss_jacobi(npts, -alpha)
     df = f.derivative(1)
     acc = np.empty(tau.shape, dtype=complex)
     # blocks of points bound the (points, npts) temporaries; a product of
@@ -286,8 +276,8 @@ def caputo_derivative_at(
     if len(starts) > 1 and tau.size - starts[-1] == 1:
         starts.pop()
     for lo, hi in zip(starts, starts[1:] + [tau.size]):
-        # s = tau (x + 1) / 2, kernel (tau - s)^(-alpha) = (tau/2)^(-alpha) (1-x)^(-alpha)
-        s = 0.5 * tau[lo:hi, None] * (x[None, :] + 1.0)
+        # s = tau (1 - x) / 2, kernel (tau - s)^(-alpha) = (tau/2)^(-alpha) (1+x)^(-alpha)
+        s = 0.5 * tau[lo:hi, None] * (1.0 - x[None, :])
         acc[lo:hi] = np.asarray(df.eval(s), dtype=complex) @ w
     out = (0.5 * tau) ** (1.0 - alpha) * acc * rgamma(1.0 - alpha)
     out[tau == 0] = 0.0
@@ -357,10 +347,12 @@ def numeric_laplace(
 ) -> complex:
     """Truncated Laplace transform int_0^t_trunc exp(-s t) f(t) dt.
 
-    Uses adaptive quadrature for analytic profiles and the exact transform of
-    the linear interpolant for sampled ones.  If |f(t)| <= C exp(g t) with
-    Re(s) > g, the truncation error is bounded by
-    C exp(-(Re(s) - g) t_trunc) / (Re(s) - g).
+    Uses scipy's adaptive `quad` for analytic profiles and the exact
+    transform of the linear interpolant for sampled ones.  If
+    |f(t)| <= C exp(g t) with Re(s) > g, the truncation error is bounded by
+    C exp(-(Re(s) - g) t_trunc) / (Re(s) - g).  No solve calls this, so
+    scipy is imported here, on the first analytic profile, and the solve
+    path needs numpy alone.
     """
     s = complex(s)
     if s.real <= 0:
@@ -369,6 +361,8 @@ def numeric_laplace(
         raise DomainError(f"truncation time must be positive, got {t_trunc}")
     if isinstance(f, Sampled):
         return _laplace_sampled(f, s, t_trunc)
+    from scipy.integrate import quad
+
     val, _ = quad(
         lambda t: np.exp(-s * t) * complex(np.asarray(f.eval(t)).reshape(-1)[0]),
         0.0,

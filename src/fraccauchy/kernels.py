@@ -40,10 +40,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rgamma
 
 from .errors import BlowupError, DomainError, InversionError, OrderDomainError
 from .ml import ml_array
+from .special import rgamma
 from .symbols import SymbolFunction
 
 __all__ = [

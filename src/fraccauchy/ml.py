@@ -46,9 +46,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import rgamma
 
 from .errors import DomainError
+from .special import rgamma
 
 _SERIES_CUT = 4.0  # largest x = |z|^(1/alpha) summed by the series
 _MAX_TERMS = 20000

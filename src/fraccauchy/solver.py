@@ -50,7 +50,6 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
-from scipy.special import rgamma
 
 from .errors import (
     BlowupError,
@@ -61,7 +60,7 @@ from .errors import (
     PreconditionError,
     StepSolveError,
 )
-from .fracops import caputo_derivative_at, frac_integral, jacobi_rule, rl_derivative_at
+from .fracops import caputo_derivative_at, frac_integral, rl_derivative_at
 from .grids import TimeGrid
 from .kernels import OrderMeasure, solution_symbol_path, symbol_values
 from .operators import FourierMultiplier, MatrixOperator
@@ -73,6 +72,7 @@ from .problems import (
     compare,
 )
 from .profiles import FunctionSpec, Power
+from .special import gauss_jacobi, rgamma
 
 __all__ = [
     "solve_homogeneous",
@@ -157,6 +157,9 @@ def _forcing_components(problem: CauchyProblem):
 
 
 def _zero_path(problem: CauchyProblem, method: str) -> SolutionPath:
+    """The solution of a route with nothing to integrate, once the spectrum
+    has passed the domain check every route runs."""
+    _spectrum(problem)
     grid = problem.grid
     return SolutionPath(
         grid, np.zeros((grid.n + 1, problem.dim), dtype=complex), method=method
@@ -243,7 +246,7 @@ def _cell_rule_weighted(a: float, b: float, gamma: float, npts: int):
     The algebraic factor is absorbed exactly: the returned weights apply to
     plain F values at interior nodes.
     """
-    x, w = jacobi_rule(npts, 0.0, -gamma)
+    x, w = gauss_jacobi(npts, -gamma)
     half = 0.5 * (b - a)
     tau = a + half * (x + 1.0)
     weights = w * half ** (1.0 - gamma) * (tau - a) ** gamma
@@ -559,38 +562,6 @@ _SOE_RATIO = 3.0
 _SOE_CUTOFF = 36.0
 
 
-@functools.lru_cache(maxsize=64)
-def _jacobi_nodes(npts: int, beta: float):
-    """Gauss rule for the weight (1 + x)^beta on [-1, 1], to about 1 ulp.
-
-    The nodes, eigenvalues of the Jacobi matrix, are refined by Newton
-    steps and the weights taken from the Christoffel function, both on the
-    recurrence of the orthonormal Jacobi polynomials in long double:
-    scipy's `roots_jacobi` weights are off by up to 1.4e-13 relative at
-    beta = -0.7.  Where long double is double, the weights keep about 1e-14.
-    """
-    b = np.longdouble(beta)
-    k = np.arange(1, npts + 1, dtype=np.longdouble)
-    s = 2 * k + b
-    diag = np.concatenate([[b / (b + 2)], b * b / (s[:-1] * (s[:-1] + 2))])
-    off = np.sqrt(4 * k * k * (k + b) ** 2 / (s * s * (s + 1) * (s - 1)))
-    band = off[:-1].astype(float)
-    matrix = np.diag(diag.astype(float)) + np.diag(band, 1) + np.diag(band, -1)
-    x = np.linalg.eigvalsh(matrix).astype(np.longdouble)
-    for _ in range(3):
-        p_prev, p = np.zeros_like(x), np.ones_like(x)
-        dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
-        christoffel = np.zeros_like(x)
-        for j in range(npts):
-            christoffel += p * p
-            lower = off[j - 1] if j else 0
-            p, p_prev = ((x - diag[j]) * p - lower * p_prev) / off[j], p
-            dp, dp_prev = ((x - diag[j]) * dp + p_prev - lower * dp_prev) / off[j], dp
-        x = x - p / dp
-    mass = np.longdouble(2) ** (b + 1) / (b + 1)
-    return x.astype(float), (mass / christoffel).astype(float)
-
-
 def _soe(kind: str, a: float, d0: int, n: int):
     """Exponents lam and weights w of sum_p w_p exp(-lam_p d), equal to the
     unscaled long weights at every distance D0 <= d <= n to within 2e-15
@@ -608,9 +579,12 @@ def _soe(kind: str, a: float, d0: int, n: int):
     Gauss-Jacobi takes s^beta on [0, 1/n], where s d <= 1; Gauss-Legendre
     the panels beyond it, up to s = 36 / D0 (36 / (D0 - a) for "gl", whose
     integrand decays like e^(-s (d - a))), past which it is below 3e-16.
+    Both rules are quadrature primitives the kernel routes use too
+    (`special.gauss_jacobi` is checked on its own against mpmath); the
+    sum itself is no transform of a kernel.
     """
     beta = -a if kind == "power" else a
-    x, w = _jacobi_nodes(_SOE_JACOBI, beta)
+    x, w = gauss_jacobi(_SOE_JACOBI, beta)
     s0 = 1.0 / n
     reach = d0 if kind == "power" else d0 - a  # the integrand decays like e^(-s reach)
     panels = max(1, math.ceil(math.log(_SOE_CUTOFF * n / reach, _SOE_RATIO)))

@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as sgamma, rgamma
 
 from .errors import DomainError
+from .special import gamma, rgamma
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +150,7 @@ class PowerSymbol(SymbolFunction):
 
     def derivative(self, order, z):
         p = self.exponent
-        coef = self.scale * sgamma(p + 1) * rgamma(p - order + 1)
+        coef = self.scale * gamma(p + 1) * rgamma(p - order + 1)
         if coef == 0:
             return 0.0 + 0.0j
         return complex(coef * np.power(complex(z), p - order))
@@ -160,7 +160,7 @@ class PowerSymbol(SymbolFunction):
         p = self.exponent
         out = np.empty(count, dtype=complex)
         for n in range(count):
-            binom = sgamma(p + 1) * rgamma(p - n + 1) * rgamma(n + 1)
+            binom = gamma(p + 1) * rgamma(p - n + 1) * rgamma(n + 1)
             out[n] = self.scale * binom * np.power(complex(center), p - n)
         return out
 

@@ -1,6 +1,10 @@
 """CLI contract: schema validation, exit codes, CSV output, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +210,14 @@ def test_eigenvalue_outside_symbol_domain_exits_3(tmp_path, capsys):
         assert main(["solve", "--problem", str(path), "--method", method, "--out", str(out)]) == 3
         assert "eigenvalue (-1+0j) lies outside the domain" in capsys.readouterr().err
         assert not out.exists()
+    # with zero data and no forcing the Duhamel routes check the spectrum too
+    doc["initial"] = [[0.0, 0.0]]
+    path = write_doc(tmp_path, doc, "unforced.json")
+    for method in ("duhamel", "duhamel-zero"):
+        out = tmp_path / f"{method}.csv"
+        assert main(["solve", "--problem", str(path), "--method", method, "--out", str(out)]) == 3
+        assert "eigenvalue (-1+0j) lies outside the domain" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_compare_gates_on_tolerance(tmp_path):
@@ -255,3 +267,37 @@ def test_kernel_subcommand(capsys):
 
 def test_ml_bad_argument_exits_2():
     assert main(["ml", "--alpha", "1", "--beta", "1", "--z", "nope"]) == 2
+
+
+# every route on every problem file in a fresh interpreter where scipy
+# cannot be imported; prints the runs made and the scipy modules loaded
+COLD_START = """
+import sys
+sys.modules["scipy"] = None
+from pathlib import Path
+from fraccauchy import cli
+from fraccauchy.errors import FracCauchyError
+from fraccauchy.solver import ROUTES
+runs = 0
+for path in sorted(Path(sys.argv[1]).glob("*.json")):
+    problem = cli.parse_problem(path)
+    for route in ROUTES.values():
+        try:
+            route(problem)
+        except FracCauchyError:
+            pass
+        runs += 1
+print(runs, sorted(m for m, v in sys.modules.items() if m.startswith("scipy") and v))
+"""
+
+
+def test_every_route_solves_without_scipy():
+    root = Path(__file__).resolve().parent.parent
+    problems = sorted((root / "problems").glob("*.json"))
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(root / "problems")],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(len(problems) * len(ROUTES)), "[]"]

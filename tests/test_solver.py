@@ -1111,19 +1111,34 @@ def test_batched_routes_name_the_first_failing_component(
     assert message in str(batched.value)
 
 
-@pytest.mark.parametrize("route", [solve_repr, duhamel_caputo, oracle_caputo])
+@pytest.mark.parametrize(
+    "route",
+    [
+        solve_repr,
+        duhamel_caputo,
+        duhamel_caputo_zero,
+        duhamel_integer,
+        duhamel_rl,
+        oracle_caputo,
+    ],
+)
 @pytest.mark.parametrize(
     "symbol", [PowerSymbol(0.5), RationalSymbol([1.0], [1.0, 1.0])], ids=["cut", "pole"]
 )
 def test_routes_reject_eigenvalue_outside_symbol_domain(route, symbol):
     # lambda = -1 lies on the cut of the square root and on the pole of
-    # 1 / (1 + z); kernel routes and oracle must raise, not answer
-    measure = OrderMeasure(0.5, (Atom(0.0, 1.0, symbol),))
+    # 1 / (1 + z); kernel routes and oracle must raise, not answer, also
+    # without forcing, where the Duhamel routes have nothing to integrate
+    mu = 1.0 if route is duhamel_integer else 0.5
+    flavor = RIEMANN_LIOUVILLE if route is duhamel_rl else "caputo"
+    measure = OrderMeasure(mu, (Atom(0.0, 1.0, symbol),))
     op = MatrixOperator(np.diag([-1.0, 2.0]))
-    forcing = Forcing(Constant(1.0), np.ones(2))
-    prob = CauchyProblem(op, measure, [np.zeros(2)], forcing, TimeGrid(1.0, 16))
-    with pytest.raises(DomainError, match="eigenvalue \\(-1\\+0j\\) lies outside"):
-        route(prob)
+    # h(0) = 0 suits duhamel_caputo_zero; the other routes take h = 1
+    profile = Polynomial([0.0, 1.0]) if route is duhamel_caputo_zero else Constant(1.0)
+    for forcing in (Forcing(profile, np.ones(2)), None):
+        prob = CauchyProblem(op, measure, [np.zeros(2)], forcing, TimeGrid(1.0, 16), flavor)
+        with pytest.raises(DomainError, match="eigenvalue \\(-1\\+0j\\) lies outside"):
+            route(prob)
 
 
 def test_forced_repr_memory_on_wide_spectrum():
