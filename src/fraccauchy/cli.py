@@ -2,7 +2,8 @@
 
 Problem files are JSON documents validated fail-closed (unknown keys are
 rejected, errors carry a JSON-pointer path).  Complex scalars are written
-as [re, im] pairs; plain numbers are taken as real.
+as [re, im] pairs; plain numbers are taken as real.  Every number must be
+finite: JSON's NaN and Infinity are rejected.
 
 Exit codes: 0 success, 1 comparison above tolerance, 2 invalid input,
 3 numeric/solver failure.
@@ -72,12 +73,14 @@ def _expect_mapping(obj, pointer: str, required: tuple, optional: tuple = ()):
 def _real(obj, pointer: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         _fail(pointer, f"expected a real number, got {obj!r}")
+    if not abs(obj) <= sys.float_info.max:  # NaN, +-inf, or an int past float range
+        _fail(pointer, f"expected a finite number, got {obj!r}")
     return float(obj)
 
 
 def _complex(obj, pointer: str) -> complex:
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return complex(obj)
+        return complex(_real(obj, pointer))
     if isinstance(obj, list) and len(obj) == 2:
         return complex(_real(obj[0], f"{pointer}/0"), _real(obj[1], f"{pointer}/1"))
     _fail(pointer, f"expected a number or [re, im] pair, got {obj!r}")
@@ -199,10 +202,21 @@ def _parse_operator(obj, pointer: str):
     if kind == "fourier":
         _expect_mapping(data, f"{pointer}/data", ("modes", "symbol"), ("length",))
         modes = _int(data["modes"], f"{pointer}/data/modes")
+        if modes < 2:
+            _fail(f"{pointer}/data/modes", f"need at least two modes, got {modes}")
         length = _real(data.get("length", 2 * np.pi), f"{pointer}/data/length")
+        if length <= 0:
+            _fail(f"{pointer}/data/length", f"length must be positive, got {length!r}")
         sym = _parse_symbol(data["symbol"], f"{pointer}/data/symbol")
         xi = FourierMultiplier.frequencies_static(modes, length)
-        vals = np.asarray(sym.eval(xi), dtype=complex)
+        with np.errstate(all="ignore"):  # a pole or overflow is caught below
+            vals = np.asarray(sym.eval(xi), dtype=complex)
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            _fail(
+                f"{pointer}/data/symbol",
+                f"symbol is not finite at frequency {xi[bad[0]]:.17g}",
+            )
         return FourierMultiplier(modes, length, vals)
     _fail(f"{pointer}/type", f"unknown operator type {kind!r}")
 

@@ -31,9 +31,6 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.t_end, self.n + 1)
 
-    def refine(self, factor: int = 2) -> "TimeGrid":
-        return TimeGrid(self.t_end, self.n * factor)
-
 
 @dataclass
 class ScalarPath:

@@ -8,14 +8,17 @@ component; the oracles discretize the fractional derivatives on the grid
 with product-integration weights and never touch the kernels, so route
 agreement is a genuine two-sided check.
 
-Both oracles run one blocked march.  Every term of a scheme convolves fixed
-weights with the states or their differences, so the steps after the first
-form a lower-triangular block-Toeplitz system.  It is marched in blocks of up
-to 64 steps, each solved with the inverse of its system, built once per grid,
-and refined once against the scheme's own residual.  The history before a
-block takes the last block of differences from a weight table; the long
-weights (L1, L2, Grunwald-Letnikov) reach all older differences through a
-sum of P exponentials, one history per exponential, moved on once per block.
+Both oracles run one blocked march in the operator's spectral coordinates,
+where every term of a scheme is diagonal: data, forcing and results pass
+through `to_spectral` / `from_spectral` only, as on the kernel routes.  Every
+term convolves fixed weights with the states or their differences, so per
+spectral component the steps after the first form a lower-triangular
+Toeplitz system.  It is marched in blocks of up to 64 steps, each solved with
+the inverse of its system, built once per grid, and refined once against the
+scheme's own residual.  The history before a block takes the last block of
+differences from a weight table; the long weights (L1, L2,
+Grunwald-Letnikov) reach all older differences through a sum of P
+exponentials, one history per exponential, moved on once per block.
 A march over n steps thus costs O(n P), P between about 80 and 150 for n up
 to 16384, where a product over the whole history per block cost O(n^2).
 
@@ -619,22 +622,11 @@ def _soe_tables(kind: str, a: float, size: int, n: int):
     return tables
 
 
-def _as_matrix(op: MatrixOperator, vals: np.ndarray) -> np.ndarray:
-    """P diag(vals) P^-1 in the operator's eigenbasis."""
-    _, p, pinv = op.eigensystem()
-    return p @ (vals[:, None] * pinv)
-
-
-def _term_operators(problem: CauchyProblem):
-    """Leading and atom operators as dense matrices or diagonal arrays."""
-    op = problem.operator
-    lam = _spectrum(problem)
-    g, weights = symbol_values(problem.measure, lam)
+def _term_operators(problem: CauchyProblem) -> list:
+    """(order, diagonal in spectral coordinates) of the leading and atom terms."""
+    g, weights = symbol_values(problem.measure, _spectrum(problem))
     terms = [(problem.measure.mu, g)]
-    terms += [(a.alpha, w) for a, w in zip(problem.measure.atoms, weights)]
-    if isinstance(op, FourierMultiplier):
-        return terms, False
-    return [(alpha, _as_matrix(op, vals)) for alpha, vals in terms], True
+    return terms + [(a.alpha, w) for a, w in zip(problem.measure.atoms, weights)]
 
 
 class _Term(NamedTuple):
@@ -649,7 +641,7 @@ class _Term(NamedTuple):
     weights w of `_soe`; short weights are all in v.
     """
 
-    op: np.ndarray  # dense matrix, or the diagonal in spectral coordinates
+    op: np.ndarray  # the operator's diagonal in spectral coordinates
     v: np.ndarray
     order: int
     first: float | None = None
@@ -691,11 +683,12 @@ def _gl_weights(alpha: float, n: int) -> np.ndarray:
     return g
 
 
-def _gl_terms(alpha: float, ident: np.ndarray, b_op: np.ndarray, grid: TimeGrid) -> list:
+def _gl_terms(alpha: float, b_op: np.ndarray, grid: TimeGrid) -> list:
     """Grunwald-Letnikov derivative h^-alpha sum_k g_k u_(n-k) plus B u,
     for states that start from u_0 = 0."""
     scale = grid.h ** (-alpha)
     v = scale * _gl_weights(alpha, min(grid.n, _HEAD))
+    ident = np.ones_like(b_op)
     return [_Term(ident, v, 0, tail=("gl", alpha, scale)), _Term(b_op, np.ones(1), 0)]
 
 
@@ -740,6 +733,13 @@ def _require_finite(values: np.ndarray, first_step: int, grid: TimeGrid) -> None
         )
 
 
+def _reciprocal(d: np.ndarray) -> np.ndarray:
+    """1 / d, raising LinAlgError at a zero as a singular inverse does."""
+    if not np.all(d):
+        raise np.linalg.LinAlgError("singular step matrix")
+    return 1.0 / d
+
+
 class _BlockSystem:
     """One scheme on one grid, evaluated and solved a block of steps at a time.
 
@@ -748,21 +748,20 @@ class _BlockSystem:
     multiply weights with differences, never with raw states, so their
     rounding stays that of the differences; long weights reach the
     differences more than one block back through their sum of exponentials
-    (`_soe`).  From step 2 on, the near part is linear in the block's states
-    with the lower-triangular block-Toeplitz matrix whose first block column
-    is A_j = sum_t a_t[j] F_t, a_t the weights of term t convolved with its
-    difference stencil; step 1 has its own matrix `start`.  Dense operators give one system of dimension dim
-    (p = 1, q = dim), diagonal ones dim scalar systems (p = dim, q = 1); the
-    block length keeps the (p, size q, size q) inverse within `_BLOCK_BYTES`.
+    (`_soe`).  Every term is diagonal in spectral coordinates, so the scheme
+    is one scalar system per spectral component.  From step 2 on, the near
+    part is linear in the block's states with a lower-triangular Toeplitz
+    matrix per component, whose first column `coeffs` (dim, size) is
+    sum_t a_t[j] F_t, a_t the weights of term t convolved with its
+    difference stencil; step 1 has its own diagonal `start` (dim,).  The
+    block length keeps the (dim, size, size) inverse within `_BLOCK_BYTES`.
     """
 
-    def __init__(self, terms: list, dense: bool, grid: TimeGrid, dim: int):
+    def __init__(self, terms: list, grid: TimeGrid):
         self.terms = terms
         self.grid = grid
-        self.dense = dense
-        self.shape = (1, dim) if dense else (dim, 1)
-        p, q = self.shape
-        cap = math.isqrt(_BLOCK_BYTES // (16 * p * q * q))
+        dim = terms[0].op.size
+        cap = math.isqrt(_BLOCK_BYTES // (16 * dim))
         self.size = size = max(1, min(_BLOCK, cap, grid.n - 1))
         self.tables = [_weight_table(t.v, size) for t in terms]
         # per long term: the exponents, [T | scale K], E, the decay (see
@@ -780,22 +779,18 @@ class _BlockSystem:
             self.soes.append(soe)
         self.cut = None
         self.start = 0.0
-        self.coeffs = np.zeros((p, size, q, q), dtype=complex)
+        self.coeffs = np.zeros((dim, size), dtype=complex)
         for t, table in zip(terms, self.tables):
-            f = t.op[None] if dense else t.op[:, None, None]
             # u_1 enters delta_0 once, or twice with the ghost start
-            self.start = self.start + (2.0 if t.order == 2 else 1.0) * _first(t) * f
+            self.start = self.start + (2.0 if t.order == 2 else 1.0) * _first(t) * t.op
             a = np.convolve(table[:, -size], _STENCILS[t.order])[:size]
-            self.coeffs += a[None, :, None, None] * f[:, None]
+            self.coeffs += a[None, :] * t.op[:, None]
         self.orders = {t.order for t in terms if t.order}
 
     @property
     def far_terms(self) -> list:
         """Number of exponentials in each term's far field (0: none)."""
         return [0 if soe is None else soe[0].size for soe in self.soes]
-
-    def _apply(self, t: _Term, v: np.ndarray) -> np.ndarray:
-        return v @ t.op.T if self.dense else v * t.op
 
     def _part(self, t: _Term, u: np.ndarray, deltas: dict, lo: int, hi: int):
         """Rows lo..hi-1 of the quantity term t convolves, as a real view."""
@@ -839,7 +834,7 @@ class _BlockSystem:
                 v = mat[:rows] @ x
                 hist *= decay
                 hist += lower @ window
-            acc += self._apply(t, v.view(complex))
+            acc += v.view(complex) * t.op
         self.cut = b0 - 1
         return acc
 
@@ -854,36 +849,30 @@ class _BlockSystem:
             else:
                 width = table.shape[1] - self.size
                 v = table[:rows, width : width + rows] @ part
-            acc += self._apply(t, v.view(complex))
+            acc += v.view(complex) * t.op
         return acc
 
     def inverse(self) -> np.ndarray:
-        """Inverse (p, size q, size q) of the block matrix, itself
-        lower-triangular block Toeplitz: its first block column X solves
-        sum_j A_(k-j) X_j = delta_k0, and block row i is X_i ... X_0."""
+        """Inverses (dim, size, size) of the block matrices, each itself
+        lower-triangular Toeplitz: its first column x solves
+        sum_j a_(k-j) x_j = delta_k0, and row i is x_i ... x_0."""
         a = self.coeffs
-        p, size, q, _ = a.shape
+        dim, size = a.shape
         x = np.empty_like(a)
-        x[:, 0] = np.linalg.inv(a[:, 0])
-        row = a.transpose(0, 2, 1, 3)  # [A_0 A_1 ...] side by side
-        for k in range(1, size):
-            acc = row[:, :, 1 : k + 1].reshape(p, q, k * q) @ x[:, k - 1 :: -1].reshape(
-                p, k * q, q
-            )
-            x[:, k] = -x[:, 0] @ acc
-        out = np.zeros((p, size, q, size, q), dtype=complex)
+        x[:, 0] = _reciprocal(a[:, 0])
+        for k in range(1, size):  # one batched dot product per k
+            dot = a[:, None, 1 : k + 1] @ x[:, k - 1 :: -1, None]
+            x[:, k] = -x[:, 0] * dot[:, 0, 0]
+        out = np.zeros((dim, size, size), dtype=complex)
         for i in range(size):
-            out[:, i, :, : i + 1] = x[:, i::-1].transpose(0, 2, 1, 3)
-        return out.reshape(p, size * q, size * q)
+            out[:, i, : i + 1] = x[:, i::-1]
+        return out
 
-    def product(self, mat: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Leading block of mat (p, m, m) times the states x (rows, dim)."""
+    @staticmethod
+    def product(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Leading block of mat (dim, m, m) times the states x (rows, dim)."""
         rows = x.shape[0]
-        p, q = self.shape
-        m = rows * q
-        y = x.reshape(rows, p, q).transpose(1, 0, 2).reshape(p, m, 1)
-        out = np.matmul(mat[:, :m, :m], y)
-        return out.reshape(p, rows, q).transpose(1, 0, 2).reshape(rows, p * q)
+        return np.matmul(mat[:, :rows, :rows], x.T[..., None])[..., 0].T
 
 
 def _march(
@@ -921,7 +910,7 @@ def _march(
         blocks = []
         try:
             if done == 0:
-                blocks.append((1, 2, np.linalg.inv(system.start)))
+                blocks.append((1, 2, _reciprocal(system.start)[:, None, None]))
                 done = 1
             inverse = system.inverse()
         except np.linalg.LinAlgError as exc:
@@ -957,26 +946,21 @@ def _warm_start(march, grid: TimeGrid, cells: int, refine: int):
 
 
 def _run_oracle(
-    problem: CauchyProblem,
-    dense: bool,
-    method: str,
-    terms_on,
-    u0: np.ndarray,
-    phi1: np.ndarray,
+    problem: CauchyProblem, method: str, terms_on, u0: np.ndarray, phi1: np.ndarray
 ) -> SolutionPath:
     """Run one oracle: forcing samples, warm start, march, back-transform.
 
-    ``terms_on(grid)`` gives the scheme's terms on a grid; dense schemes
-    march in state space, diagonal ones in spectral coordinates.  Grids of
-    32 cells or more start from a warm start on a refined subgrid.  The
-    diagnostics carry the warm-start size, the wall time of the warm start
-    and of the main march, and `far_terms`, the number of exponentials of
-    each term's far field on the main grid (0 for short weights).
+    ``terms_on(grid)`` gives the scheme's terms on a grid, and u0, phi1 the
+    data, all in the operator's spectral coordinates, where the march runs.
+    Grids of 32 cells or more start from a warm start on a refined subgrid.
+    The diagnostics carry the warm-start size, the wall time of the warm
+    start and of the main march, and `far_terms`, the number of exponentials
+    of each term's far field on the main grid (0 for short weights).
     """
     op = problem.operator
     forcing = problem.forcing_or_zero()
     if forcing is not None:
-        direction = forcing.direction if dense else op.to_spectral(forcing.direction)
+        direction = op.to_spectral(forcing.direction)
 
     def forcing_at(t: np.ndarray):
         """Right-hand side at the nodes t, a block at a time."""
@@ -985,7 +969,7 @@ def _run_oracle(
         return np.asarray(forcing.profile.eval(t), dtype=complex)[:, None] * direction
 
     def system_on(g: TimeGrid) -> _BlockSystem:
-        return _BlockSystem(terms_on(g), dense, g, problem.dim)
+        return _BlockSystem(terms_on(g), g)
 
     grid = problem.grid
     cells = refine = 0
@@ -1003,7 +987,7 @@ def _run_oracle(
     end = perf_counter()
     return SolutionPath(
         grid,
-        u if dense else op.from_spectral(u),
+        op.from_spectral(u),
         method=method,
         diagnostics={
             "warm_cells": cells,
@@ -1028,13 +1012,11 @@ def oracle_caputo(problem: CauchyProblem) -> SolutionPath:
     _require_caputo(problem, "oracle_caputo")
     if problem.measure.mu > 2:
         raise CapabilityError("oracle stepping covers leading orders up to 2")
-    terms, dense = _term_operators(problem)
-    phis = np.array(problem.initial, dtype=complex)
-    if not dense:
-        phis = problem.operator.to_spectral(phis)
+    terms = _term_operators(problem)
+    phis = problem.operator.to_spectral(np.array(problem.initial, dtype=complex))
     phi1 = phis[1] if len(phis) > 1 else np.zeros(problem.dim, dtype=complex)
     return _run_oracle(
-        problem, dense, "oracle-caputo", lambda g: _caputo_terms(terms, g), phis[0], phi1
+        problem, "oracle-caputo", lambda g: _caputo_terms(terms, g), phis[0], phi1
     )
 
 
@@ -1047,16 +1029,10 @@ def oracle_rl(problem: CauchyProblem) -> SolutionPath:
     alpha = problem.measure.mu
     if np.any(np.abs(problem.initial[0]) > 1e-12):
         raise PreconditionError("oracle_rl assumes a zero weighted datum")
-    op = problem.operator
     b_op = _atom_sum(problem.measure, _spectrum(problem))
-    ident = np.ones(problem.dim, dtype=complex)
-    dense = not isinstance(op, FourierMultiplier)
-    if dense:
-        b_op = _as_matrix(op, b_op)
-        ident = np.eye(problem.dim, dtype=complex)
     zero = np.zeros(problem.dim, dtype=complex)
     return _run_oracle(
-        problem, dense, "oracle-rl", lambda g: _gl_terms(alpha, ident, b_op, g), zero, zero
+        problem, "oracle-rl", lambda g: _gl_terms(alpha, b_op, g), zero, zero
     )
 
 
@@ -1074,14 +1050,13 @@ def operator_residual(problem: CauchyProblem, path: SolutionPath) -> np.ndarray:
     _require_caputo(problem, "operator_residual")
     grid = problem.grid
     n = grid.n
-    terms, dense = _term_operators(problem)
+    terms = _term_operators(problem)
     op = problem.operator
-    u = path.states if dense else op.to_spectral(path.states)
-    u = np.ascontiguousarray(u, dtype=complex)
+    u = np.ascontiguousarray(op.to_spectral(path.states), dtype=complex)
     phi1 = np.zeros(problem.dim, complex)
     if len(problem.initial) > 1:
-        phi1 = problem.initial[1] if dense else op.to_spectral(problem.initial[1])
-    system = _BlockSystem(_caputo_terms(terms, grid), dense, grid, problem.dim)
+        phi1 = op.to_spectral(problem.initial[1])
+    system = _BlockSystem(_caputo_terms(terms, grid), grid)
     deltas = {r: np.empty((n, problem.dim), dtype=complex) for r in system.orders}
     _fill_differences(deltas, u, 0, n, grid.h, phi1)
     res = np.empty((n, problem.dim), dtype=complex)
@@ -1091,9 +1066,8 @@ def operator_residual(problem: CauchyProblem, path: SolutionPath) -> np.ndarray:
             u, deltas, b0, b1
         )
     if problem.forcing_or_zero() is not None:
-        fv = problem.forcing.values(grid.nodes[1:])
-        res -= fv if dense else op.to_spectral(fv)
-    return res if dense else op.from_spectral(res)
+        res -= op.to_spectral(problem.forcing.values(grid.nodes[1:]))
+    return op.from_spectral(res)
 
 
 def _oracle_for_flavor(problem: CauchyProblem) -> SolutionPath:

@@ -178,6 +178,56 @@ def test_malformed_problem_exits_2(tmp_path):
     assert main(["solve", "--problem", str(worse), "--method", "repr", "--out", "x.csv"]) == 2
 
 
+def _solve_exits_2_at(tmp_path, capsys, doc, pointer):
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "u.csv"
+    assert main(["solve", "--problem", str(path), "--method", "oracle", "--out", str(out)]) == 2
+    assert f"input error: {pointer}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400])
+@pytest.mark.parametrize(
+    "keys",
+    [
+        ("initial", 0, 0),
+        ("initial", 0, 0, 1),  # the imaginary part of an [re, im] pair
+        ("operator", "data", "matrix", 0, 0),
+        ("measure", "mu"),
+        ("grid", "t_end"),
+    ],
+)
+def test_non_finite_number_exits_2(tmp_path, capsys, keys, value):
+    # json.loads takes NaN, Infinity and integers past the float range
+    doc = json.loads(json.dumps(RELAX_DOC))
+    doc["initial"] = [[[1.0, 0.0]]]
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    _solve_exits_2_at(tmp_path, capsys, doc, "/" + "/".join(map(str, keys)))
+
+
+@pytest.mark.parametrize(
+    "data, pointer",
+    [
+        ({"modes": 1}, "modes"),
+        ({"modes": 0}, "modes"),
+        ({"length": 0}, "length"),
+        ({"length": -1.0}, "length"),
+        # 1/z has a pole at the zero frequency
+        ({"symbol": {"kind": "rational", "numerator": [1], "denominator": [0, 1]}}, "symbol"),
+        ({"symbol": {"kind": "exponential", "rate": 400.0}}, "symbol"),
+    ],
+)
+def test_bad_fourier_operator_exits_2(tmp_path, capsys, data, pointer):
+    doc = json.loads(json.dumps(RELAX_DOC))
+    fourier = {"modes": 8, "symbol": {"kind": "polynomial", "coefficients": [1, 0, 1]}}
+    doc["operator"] = {"type": "fourier", "data": {**fourier, **data}}
+    doc["initial"] = [[0.0] * 8]
+    _solve_exits_2_at(tmp_path, capsys, doc, f"/operator/data/{pointer}")
+
+
 def test_numeric_error_exits_3(tmp_path):
     doc = json.loads(json.dumps(RELAX_DOC))
     # duhamel needs zero data, so this trips a solver precondition

@@ -604,7 +604,7 @@ def test_warm_start_diagnostics_present():
         # n = 256 reaches past one block: the long term (the leading order)
         # carries exponentials, the order-0 terms none
         far = path.diagnostics["far_terms"]
-        terms = len(solver._term_operators(prob)[0]) if oracle is oracle_caputo else 2
+        terms = len(solver._term_operators(prob)) if oracle is oracle_caputo else 2
         assert len(far) == terms and far[0] > 0
         assert all(isinstance(p, int) for p in far)
 
@@ -833,7 +833,16 @@ def test_long_blocked_march_matches_step_loop(case, inject):
     _check_march_against_loop(case, inject, blocks=16, start=solver._BLOCK + 40)
 
 
+def _dense(op, vals):
+    """P diag(vals) P^-1 in the eigenbasis of a matrix operator."""
+    _, p, pinv = op.eigensystem()
+    return p @ (vals[:, None] * pinv)
+
+
 def _check_march_against_loop(case, inject, blocks, start):
+    # the march runs in spectral coordinates: it must match the diagonal
+    # loop there, and on matrix operators its back-transform must match the
+    # loop in state space on the dense matrices
     from fraccauchy import solver
 
     n = blocks * solver._BLOCK + 5  # the last block is partial
@@ -845,36 +854,42 @@ def _check_march_against_loop(case, inject, blocks, start):
         op, measure, data = _MARCH_CASES[case]
         forcing = Forcing(Sine(2.0), np.linspace(1.0, 0.5, op.dimension))
         prob = CauchyProblem(op, measure, data, forcing, grid)
-    dense = isinstance(op, MatrixOperator)
+    matrix = isinstance(op, MatrixOperator)
 
     def forcing_at(t):
-        vals = prob.forcing.values(t)
-        return vals if dense else op.to_spectral(vals)
+        return op.to_spectral(prob.forcing.values(t))
 
-    fvals = forcing_at(grid.nodes)
+    fvals = prob.forcing.values(grid.nodes)
+    spec_fvals = op.to_spectral(fvals)
     if case.startswith("gl"):
         b_op = solver._atom_sum(prob.measure, op.spectrum())
-        ident = np.ones(op.dimension, complex)
-        if dense:
-            b_op, ident = solver._as_matrix(op, b_op), np.eye(op.dimension, dtype=complex)
-        loop = _loop_rl(b_op, dense, grid, fvals, 0.5)
+        loop = _loop_rl(b_op, False, grid, spec_fvals, 0.5)
         injected = 1.01 * loop[:start] if inject else None
-        ref = _loop_rl(b_op, dense, grid, fvals, 0.5, injected)
-        system = solver._BlockSystem(solver._gl_terms(0.5, ident, b_op, grid), dense, grid, op.dimension)
+        ref = _loop_rl(b_op, False, grid, spec_fvals, 0.5, injected)
+        if matrix:
+            state_injected = None if injected is None else op.from_spectral(injected)
+            state_ref = _loop_rl(_dense(op, b_op), True, grid, fvals, 0.5, state_injected)
+        system = solver._BlockSystem(solver._gl_terms(0.5, b_op, grid), grid)
         zero = np.zeros(op.dimension, complex)
         got = solver._march(system, zero, zero, forcing_at, injected)
     else:
-        terms, _ = solver._term_operators(prob)
-        phis = np.array(prob.initial, dtype=complex)
-        if not dense:
-            phis = op.to_spectral(phis)
+        terms = solver._term_operators(prob)
+        states = np.array(prob.initial, dtype=complex)
+        phis = op.to_spectral(states)
         phi1 = phis[1] if len(phis) > 1 else np.zeros(op.dimension, complex)
-        loop = _loop_caputo(terms, dense, grid, phis, fvals)
+        loop = _loop_caputo(terms, False, grid, phis, spec_fvals)
         injected = 1.01 * loop[:start] if inject else None
-        ref = _loop_caputo(terms, dense, grid, phis, fvals, injected)
-        system = solver._BlockSystem(solver._caputo_terms(terms, grid), dense, grid, op.dimension)
+        ref = _loop_caputo(terms, False, grid, phis, spec_fvals, injected)
+        if matrix:
+            state_injected = None if injected is None else op.from_spectral(injected)
+            dense = [(alpha, _dense(op, vals)) for alpha, vals in terms]
+            state_ref = _loop_caputo(dense, True, grid, states, fvals, state_injected)
+        system = solver._BlockSystem(solver._caputo_terms(terms, grid), grid)
         got = solver._march(system, phis[0], phi1, forcing_at, injected)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    if matrix:
+        back = op.from_spectral(got)
+        assert np.max(np.abs(back - state_ref)) <= 1e-12 * np.max(np.abs(state_ref))
 
 
 @pytest.mark.parametrize("case", ["l1", "l2_phi1"])
@@ -888,7 +903,7 @@ def test_operator_residual_matches_step_loop(case):
     rng = np.random.default_rng(3)
     u = rng.standard_normal((n + 1, op.dimension)) + 1j * rng.standard_normal((n + 1, op.dimension))
     got = operator_residual(prob, SolutionPath(grid, u))
-    terms, _ = solver._term_operators(prob)
+    terms = [(alpha, _dense(op, vals)) for alpha, vals in solver._term_operators(prob)]
     schemes = [_LoopScheme(alpha, grid.h, n) for alpha, _ in terms]
     phi1 = np.asarray(data[1], dtype=complex) if len(data) > 1 else np.zeros(op.dimension)
     d1 = u[1:] - u[:-1]
@@ -923,7 +938,7 @@ def test_sum_of_exponentials_matches_long_weights(scheme, n):
     worst = 0.0
     for alpha in alphas if scheme != "l2" else [1.0 + a for a in alphas]:
         if scheme == "gl":
-            term = solver._gl_terms(alpha, np.ones(1), np.ones(1), TimeGrid(float(n), n))[0]
+            term = solver._gl_terms(alpha, np.ones(1), TimeGrid(float(n), n))[0]
         else:
             term = solver._caputo_term(alpha, np.ones(1), 1.0, n)
         kind, a, scale = term.tail
