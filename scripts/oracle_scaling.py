@@ -8,9 +8,9 @@ Two problems from problems/:
   every mode is active, against solve_repr on the same grid.
 
 Each line gives the problem, n, the oracle's wall time (median of
---repeats solves; warm start and main march apart), its largest error
-relative to the peak of the reference, and the number of exponentials per
-term of the far field on the main grid.
+--repeats solves; warm start and main march apart), the steps the warm
+start marched, its largest error relative to the peak of the reference,
+and the number of exponentials per term of the far field on the main grid.
 
     PYTHONPATH=src python scripts/oracle_scaling.py
     PYTHONPATH=src python scripts/oracle_scaling.py --n 256 512 --diffusion-n 256 --repeats 1
@@ -45,7 +45,8 @@ def report(name: str, n: int, path, seconds: float, ref: np.ndarray) -> None:
     diag = path.diagnostics
     print(
         f"{name:18s} n = {n:6d}  {seconds:8.3f} s  (warm {diag['warm_s']:.3f}, "
-        f"main {diag['main_s']:.3f})  error {err:.2e}  far_terms {diag['far_terms']}",
+        f"main {diag['main_s']:.3f})  warm_steps {diag['warm_steps']:5d}  "
+        f"error {err:.2e}  far_terms {diag['far_terms']}",
         flush=True,
     )
 

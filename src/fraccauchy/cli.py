@@ -133,10 +133,10 @@ def _parse_symbol(obj, pointer: str):
         )
     if kind == "rational":
         _expect_mapping(obj, pointer, ("kind", "numerator", "denominator"))
-        return RationalSymbol(
-            _complex_list(obj["numerator"], f"{pointer}/numerator"),
-            _complex_list(obj["denominator"], f"{pointer}/denominator"),
-        )
+        den = _complex_list(obj["denominator"], f"{pointer}/denominator")
+        if not any(den):
+            _fail(pointer, "denominator must be nonzero")
+        return RationalSymbol(_complex_list(obj["numerator"], f"{pointer}/numerator"), den)
     _fail(f"{pointer}/kind", f"unknown symbol kind {kind!r}")
 
 
@@ -368,21 +368,29 @@ def _cmd_compare(args) -> int:
 
 def _cmd_ml(args) -> int:
     z = _parse_complex_arg(args.z)
-    val = mittag_leffler(args.alpha, args.beta, z)
+    val = mittag_leffler(_finite_arg(args, "alpha"), _finite_arg(args, "beta"), z)
     print(_format_complex(val))
     return 0
+
+
+def _finite_arg(args, name: str) -> float:
+    """The float option `name`, which must be finite."""
+    value = getattr(args, name)
+    if not np.isfinite(value):
+        raise SchemaError(f"/{name}", f"expected a finite number, got {value!r}")
+    return value
 
 
 def _parse_complex_arg(text: str) -> complex:
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]))
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        if len(parts) in (1, 2):
+            vals = [float(p) for p in parts]
+            if np.all(np.isfinite(vals)):
+                return complex(*vals)
     except ValueError:
         pass
-    raise SchemaError("/z", f"expected RE or RE,IM, got {text!r}")
+    raise SchemaError("/z", f"expected finite RE or RE,IM, got {text!r}")
 
 
 def _format_complex(v: complex) -> str:
@@ -406,15 +414,17 @@ def _parse_atoms_arg(text: str):
             alpha, weight = float(parts[0]), float(parts[1])
         except ValueError:
             raise SchemaError(f"/atoms/{i}", f"non-numeric atom {chunk!r}") from None
+        if not np.isfinite([alpha, weight]).all():
+            raise SchemaError(f"/atoms/{i}", f"non-finite atom {chunk!r}")
         atoms.append(Atom(alpha, weight, identity_symbol()))
     return atoms
 
 
 def _cmd_kernel(args) -> int:
     atoms = _parse_atoms_arg(args.atoms)
-    measure = OrderMeasure(args.mu, tuple(atoms))
+    measure = OrderMeasure(_finite_arg(args, "mu"), tuple(atoms))
     z = _parse_complex_arg(args.z)
-    val = c_beta(measure, args.beta, args.t, z)
+    val = c_beta(measure, _finite_arg(args, "beta"), _finite_arg(args, "t"), z)
     print(_format_complex(val))
     return 0
 

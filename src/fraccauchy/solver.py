@@ -21,6 +21,12 @@ Grunwald-Letnikov) reach all older differences through a sum of P
 exponentials, one history per exponential, moved on once per block.
 A march over n steps thus costs O(n P), P between about 80 and 150 for n up
 to 16384, where a product over the whole history per block cost O(n^2).
+The first 2 c nodes, c = clip(n / 16, 1, 128), come from a warm start: two
+chains of short subgrids, 4 c steps each, whose step halves from level to
+level toward t = 0, Richardson-extrapolated (`_warm_start`).  It marches
+(2 L + 1) 2 c steps, 2^L the refinement of its finest level: 3,840 at
+n = 4096.  Before it, a resolution check raises
+StepSolveError where step 1 cannot follow a growing component.
 
 Quadrature layout of the Duhamel integrals:
 
@@ -724,6 +730,12 @@ def _first(t: _Term) -> float:
     return t.v[0] if t.first is None else t.first
 
 
+def _start_part(t: _Term) -> np.ndarray:
+    """Weight of u_1 at step 1 in term t: u_1 enters delta_0 once, or twice
+    with the ghost start."""
+    return (2.0 if t.order == 2 else 1.0) * _first(t) * t.op
+
+
 def _require_finite(values: np.ndarray, first_step: int, grid: TimeGrid) -> None:
     finite = np.isfinite(values)
     if not finite.all():
@@ -738,6 +750,23 @@ def _reciprocal(d: np.ndarray) -> np.ndarray:
     if not np.all(d):
         raise np.linalg.LinAlgError("singular step matrix")
     return 1.0 / d
+
+
+def _block_inverses(a: np.ndarray) -> np.ndarray:
+    """Inverses (rows, size, size) of the lower-triangular Toeplitz matrices
+    with first columns a (rows, size), each itself lower-triangular
+    Toeplitz: its first column x solves sum_j a_(k-j) x_j = delta_k0, and
+    row i is x_i ... x_0."""
+    rows, size = a.shape
+    x = np.empty_like(a)
+    x[:, 0] = _reciprocal(a[:, 0])
+    for k in range(1, size):  # one batched dot product per k
+        dot = a[:, None, 1 : k + 1] @ x[:, k - 1 :: -1, None]
+        x[:, k] = -x[:, 0] * dot[:, 0, 0]
+    out = np.zeros((rows, size, size), dtype=complex)
+    for i in range(size):
+        out[:, i, : i + 1] = x[:, i::-1]
+    return out
 
 
 class _BlockSystem:
@@ -778,11 +807,9 @@ class _BlockSystem:
                 soe = (lam, mat, lower, np.repeat(decay, 2 * dim, axis=1), buffer)
             self.soes.append(soe)
         self.cut = None
-        self.start = 0.0
+        self.start = sum(_start_part(t) for t in terms)
         self.coeffs = np.zeros((dim, size), dtype=complex)
         for t, table in zip(terms, self.tables):
-            # u_1 enters delta_0 once, or twice with the ghost start
-            self.start = self.start + (2.0 if t.order == 2 else 1.0) * _first(t) * t.op
             a = np.convolve(table[:, -size], _STENCILS[t.order])[:size]
             self.coeffs += a[None, :] * t.op[:, None]
         self.orders = {t.order for t in terms if t.order}
@@ -852,22 +879,6 @@ class _BlockSystem:
             acc += v.view(complex) * t.op
         return acc
 
-    def inverse(self) -> np.ndarray:
-        """Inverses (dim, size, size) of the block matrices, each itself
-        lower-triangular Toeplitz: its first column x solves
-        sum_j a_(k-j) x_j = delta_k0, and row i is x_i ... x_0."""
-        a = self.coeffs
-        dim, size = a.shape
-        x = np.empty_like(a)
-        x[:, 0] = _reciprocal(a[:, 0])
-        for k in range(1, size):  # one batched dot product per k
-            dot = a[:, None, 1 : k + 1] @ x[:, k - 1 :: -1, None]
-            x[:, k] = -x[:, 0] * dot[:, 0, 0]
-        out = np.zeros((dim, size, size), dtype=complex)
-        for i in range(size):
-            out[:, i, : i + 1] = x[:, i::-1]
-        return out
-
     @staticmethod
     def product(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Leading block of mat (dim, m, m) times the states x (rows, dim)."""
@@ -881,6 +892,7 @@ def _march(
     phi1: np.ndarray,
     forcing,
     injected: np.ndarray | None = None,
+    inverse: np.ndarray | None = None,
 ) -> np.ndarray:
     """States of one scheme on its system's grid, from u0 or from injected
     start states.
@@ -888,8 +900,9 @@ def _march(
     ``forcing(t)`` gives the right-hand side at the nodes t.  Step 1 takes
     the scheme's start rule; the later steps go in blocks of
     `_BlockSystem.size`.  A block is solved from zero with the inverse of
-    its matrix and refined once against the residual of the scheme itself,
-    which keeps the rounding of a block at that of single steps.
+    its matrix (``inverse``, or `_block_inverses` of the system's `coeffs`)
+    and refined once against the residual of the scheme itself, which keeps
+    the rounding of a block at that of single steps.
     Floating-point warnings are silenced and every block is checked instead,
     so overflow raises StepSolveError naming the first non-finite step.
     """
@@ -906,13 +919,15 @@ def _march(
         done = injected.shape[0] - 1
         u[: done + 1] = injected
         _fill_differences(deltas, u, 0, done, grid.h, phi1)
+    system.cut = None  # the far field's history belongs to another march
     with np.errstate(over="ignore", invalid="ignore"):
         blocks = []
         try:
             if done == 0:
                 blocks.append((1, 2, _reciprocal(system.start)[:, None, None]))
                 done = 1
-            inverse = system.inverse()
+            if inverse is None:
+                inverse = _block_inverses(system.coeffs)
         except np.linalg.LinAlgError as exc:
             raise StepSolveError(
                 f"linear solve failed at step {done + 1}: singular step matrix"
@@ -932,30 +947,84 @@ def _march(
     return u
 
 
-def _warm_start(march, grid: TimeGrid, cells: int, refine: int):
-    """Startup states at coarse nodes 0..cells, Richardson-extrapolated.
+def _warm_start(systems: list, march):
+    """Start states at main-grid nodes 0..S/2 and the number of steps marched.
 
-    Two refined solves over the startup window cancel the leading 1/refine
-    error term, so the injected nodes stay well below the bulk error.
+    ``systems`` holds one system per level l = L..1, each S steps of
+    h / 2^l, and ``march(system, inverse, injected)`` marches one of them.
+    A chain of levels starts from u0 on its finest level, and each coarser
+    level takes every second state of the level below as its nodes 0..S/2,
+    so level 1 ends on main-grid nodes.  The chains of L and of L - 1
+    levels share every level but the finest, and 2A - B cancels the leading
+    error term of the finest step.  All block inverses come from one
+    recurrence over the stacked `coeffs` rows.
     """
-    fine = TimeGrid(cells * grid.h, cells * refine)
-    half = TimeGrid(cells * grid.h, cells * refine // 2)
-    u_fine = march(fine)[::refine].copy()
-    u_half = march(half)[:: refine // 2]
-    return 2.0 * u_fine - u_half
+    try:
+        inverses = _block_inverses(np.concatenate([s.coeffs for s in systems]))
+    except np.linalg.LinAlgError as exc:
+        raise StepSolveError("linear solve failed in the warm start: singular step matrix") from exc
+    inverses = np.split(inverses, len(systems))
+    chains = []
+    steps = 0
+    for first in (0, 1):
+        u = None
+        for system, inverse in zip(systems[first:], inverses[first:]):
+            steps += system.grid.n if u is None else system.grid.n // 2
+            u = march(system, inverse, u)[::2]
+        chains.append(u)
+    return 2.0 * chains[0] - chains[1], steps
+
+
+def _require_resolved(system: _BlockSystem, terms_on) -> None:
+    """Raise StepSolveError where step 1 of the system does not resolve a
+    spectral component.
+
+    Step 1 weighs u_1 by `_BlockSystem.start`, the sum of every term's part.
+    Where that sum over the leading term's part alone has real part <= 0,
+    the lower-order terms outweigh the derivative and the implicit step
+    amplifies the growth instead of resolving it.  The message names the
+    first such component and the first halved step that resolves it.
+    """
+
+    def ratio(terms: list) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return sum(_start_part(t) for t in terms) / _start_part(terms[0])
+
+    grid = system.grid
+    r = ratio(system.terms)
+    bad = np.flatnonzero(r.real <= 0)
+    if not bad.size:
+        return
+    j = int(bad[0])
+    hint = "no step down to h / 2^63 resolves it"
+    for k in range(1, 64):
+        finer = TimeGrid(grid.t_end, grid.n << k)
+        if ratio(terms_on(finer))[j].real > 0:
+            hint = f"it needs a step of at most {finer.h:.3g} (n = {finer.n})"
+            break
+    raise StepSolveError(
+        f"step 1 of {grid.n} does not resolve spectral component {j}: its step "
+        f"weight is {complex(r[j]):.3g} times the leading-order part; {hint}"
+    )
 
 
 def _run_oracle(
     problem: CauchyProblem, method: str, terms_on, u0: np.ndarray, phi1: np.ndarray
 ) -> SolutionPath:
-    """Run one oracle: forcing samples, warm start, march, back-transform.
+    """Run one oracle: resolution check, forcing samples, warm start, march,
+    back-transform.
 
     ``terms_on(grid)`` gives the scheme's terms on a grid, and u0, phi1 the
     data, all in the operator's spectral coordinates, where the march runs.
-    Grids of 32 cells or more start from a warm start on a refined subgrid.
-    The diagnostics carry the warm-start size, the wall time of the warm
-    start and of the main march, and `far_terms`, the number of exponentials
-    of each term's far field on the main grid (0 for short weights).
+    A step 1 that does not resolve a component raises StepSolveError
+    (`_require_resolved`).  Grids of 32 cells or more start from states at
+    nodes 0..2 cells, cells = clip(n / 16, 1, 128), from `_warm_start` on
+    L = floor(log2 clip(n / 8, 8, 128)) levels of 4 cells steps each.
+    The diagnostics carry the warm-start size (`warm_cells` nodes, the
+    finest level refining h by `warm_refine` = 2^L, `warm_steps` steps
+    marched), the wall time of the warm start and of the main march, and
+    `far_terms`, the number of exponentials of each term's far field on the
+    main grid (0 for short weights).
     """
     op = problem.operator
     forcing = problem.forcing_or_zero()
@@ -968,32 +1037,35 @@ def _run_oracle(
             return 0.0
         return np.asarray(forcing.profile.eval(t), dtype=complex)[:, None] * direction
 
-    def system_on(g: TimeGrid) -> _BlockSystem:
-        return _BlockSystem(terms_on(g), g)
+    def march(system: _BlockSystem, inverse=None, injected=None) -> np.ndarray:
+        return _march(system, u0, phi1, forcing_at, injected, inverse)
 
     grid = problem.grid
-    cells = refine = 0
-    injected = None
     start = perf_counter()
+    system = _BlockSystem(terms_on(grid), grid)
+    _require_resolved(system, terms_on)
+    refine = steps = 0
+    injected = None
+    warm_begin = perf_counter()
     if grid.n >= 32:
-        cells = int(np.clip(grid.n // 16, 1, 128))
-        refine = int(np.clip(grid.n // 8, 8, 128))
-        injected = _warm_start(
-            lambda g: _march(system_on(g), u0, phi1, forcing_at), grid, cells, refine
-        )
+        size = 4 * int(np.clip(grid.n // 16, 1, 128))
+        levels = int(np.clip(grid.n // 8, 8, 128)).bit_length() - 1
+        refine = 2**levels
+        grids = [TimeGrid(size * grid.h / 2**l, size) for l in range(levels, 0, -1)]
+        injected, steps = _warm_start([_BlockSystem(terms_on(g), g) for g in grids], march)
     warm_end = perf_counter()
-    system = system_on(grid)
-    u = _march(system, u0, phi1, forcing_at, injected)
+    u = march(system, injected=injected)
     end = perf_counter()
     return SolutionPath(
         grid,
         op.from_spectral(u),
         method=method,
         diagnostics={
-            "warm_cells": cells,
+            "warm_cells": 0 if injected is None else len(injected) - 1,
             "warm_refine": refine,
-            "warm_s": warm_end - start,
-            "main_s": end - warm_end,
+            "warm_steps": steps,
+            "warm_s": warm_end - warm_begin,
+            "main_s": (warm_begin - start) + (end - warm_end),
             "far_terms": system.far_terms,
         },
     )
@@ -1005,9 +1077,10 @@ def oracle_caputo(problem: CauchyProblem) -> SolutionPath:
     Orders in (0, 1) use piecewise-linear (L1-type) weights on the first
     derivative, orders in (1, 2) the second-difference analogue with a ghost
     start; integer orders use BDF2 and backward second differences.  Steps
-    march in blocks (see `_march`).  The first few cells are integrated on a
-    refined subgrid whose refinement factor grows with n, which keeps the
-    relative error of the startup nodes decreasing under grid refinement.
+    march in blocks (see `_march`).  The first 2 c nodes come from chains of
+    short subgrids refined geometrically toward t = 0, down to h / 2^L with
+    2^L growing with n (see `_run_oracle`), which keeps the relative error
+    of the startup nodes decreasing under grid refinement.
     """
     _require_caputo(problem, "oracle_caputo")
     if problem.measure.mu > 2:

@@ -217,6 +217,7 @@ def test_non_finite_number_exits_2(tmp_path, capsys, keys, value):
         ({"length": -1.0}, "length"),
         # 1/z has a pole at the zero frequency
         ({"symbol": {"kind": "rational", "numerator": [1], "denominator": [0, 1]}}, "symbol"),
+        ({"symbol": {"kind": "rational", "numerator": [1], "denominator": [0]}}, "symbol"),
         ({"symbol": {"kind": "exponential", "rate": 400.0}}, "symbol"),
     ],
 )
@@ -244,6 +245,20 @@ def test_kernel_overflow_exits_3(tmp_path, capsys):
     out = tmp_path / "z.csv"
     assert main(["solve", "--problem", str(path), "--method", "repr", "--out", str(out)]) == 3
     assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("lam", [-30.0, -60.0, -200.0])
+def test_oracle_growth_spectrum_exits_3(tmp_path, capsys, lam, n):
+    # the solution overflows on [0, 1]: a typed error, not a finite CSV
+    doc = json.loads(json.dumps(RELAX_DOC))
+    doc["operator"]["data"]["matrix"] = [[lam]]
+    doc["grid"] = {"t_end": 1.0, "n": n}
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "g.csv"
+    assert main(["solve", "--problem", str(path), "--method", "oracle", "--out", str(out)]) == 3
+    assert "numeric error: " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -317,6 +332,32 @@ def test_kernel_subcommand(capsys):
 
 def test_ml_bad_argument_exits_2():
     assert main(["ml", "--alpha", "1", "--beta", "1", "--z", "nope"]) == 2
+
+
+ML_ARGS = {"--alpha": "0.5", "--beta": "1", "--z": "1"}
+KERNEL_ARGS = {"--mu": "0.5", "--atoms": "0:1", "--beta": "-0.5", "--t": "1", "--z": "1"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command, defaults, option, text",
+    [
+        ("ml", ML_ARGS, "--alpha", "{}"),
+        ("ml", ML_ARGS, "--beta", "{}"),
+        ("ml", ML_ARGS, "--z", "{}"),
+        ("ml", ML_ARGS, "--z", "1,{}"),
+        ("kernel", KERNEL_ARGS, "--mu", "{}"),
+        ("kernel", KERNEL_ARGS, "--beta", "{}"),
+        ("kernel", KERNEL_ARGS, "--t", "{}"),
+        ("kernel", KERNEL_ARGS, "--z", "{}"),
+        ("kernel", KERNEL_ARGS, "--atoms", "0:{}"),
+    ],
+)
+def test_non_finite_argument_exits_2(capsys, command, defaults, option, text, value):
+    args = {**defaults, option: text.format(value)}
+    argv = [command] + [f"{k}={v}" for k, v in args.items()]
+    assert main(argv) == 2
+    assert f"input error: /{option[2:]}" in capsys.readouterr().err
 
 
 # every route on every problem file in a fresh interpreter where scipy

@@ -598,6 +598,7 @@ def test_warm_start_diagnostics_present():
         path = oracle(prob)
         assert path.diagnostics["warm_cells"] > 0
         assert path.diagnostics["warm_refine"] > 0
+        assert path.diagnostics["warm_steps"] > 0
         assert path.diagnostics["warm_s"] > 0.0
         assert path.diagnostics["main_s"] > 0.0
         assert path.method == method
@@ -607,6 +608,44 @@ def test_warm_start_diagnostics_present():
         terms = len(solver._term_operators(prob)) if oracle is oracle_caputo else 2
         assert len(far) == terms and far[0] > 0
         assert all(isinstance(p, int) for p in far)
+
+
+@pytest.mark.parametrize("n, bound", [(1024, 3.52e-5), (4096, 9.83e-6)])
+def test_relaxation_oracle_error_over_whole_path(n, bound):
+    # D^(1/2) u + u = 0 on [0, 2] against e^t erfc(sqrt t) at every node,
+    # relative to the peak; the bounds are the errors of the former start on
+    # two refined subgrids of cells * refine and half as many steps
+    grid = TimeGrid(2.0, n)
+    path = oracle_caputo(CauchyProblem(SCALAR_ONE, RELAX, [np.array([1.0])], None, grid))
+    exact = relax_exact(grid.nodes)
+    assert np.max(np.abs(path.states[:, 0] - exact)) <= bound * np.max(np.abs(exact))
+    # (2 L + 1) S / 2 start steps: L = 7 levels of S = 512, against 24,576
+    assert path.diagnostics["warm_steps"] <= 4000
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("lam", [-30.0, -60.0, -200.0])
+def test_oracle_on_growth_spectrum_raises(lam, n):
+    # the exact solution grows like exp(lam^2 t) and overflows on [0, 1]:
+    # an unresolved first step or the overflow itself raises, where the
+    # march used to return finite wrong values such as -0.0028
+    prob = CauchyProblem(
+        MatrixOperator(np.array([[lam]])), RELAX, [np.array([1.0])], None, TimeGrid(1.0, n)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepSolveError, match=r"step \d+ of"):
+            oracle_caputo(prob)
+
+
+def test_unresolved_first_step_names_component_and_step():
+    # step 1 weighs u_1 by h^-1/2 / Gamma(3/2) + lambda, positive only for
+    # h < 3.18e-5: n = 32768 is the first doubling of 256 that resolves it
+    prob = CauchyProblem(
+        MatrixOperator(np.array([[-200.0]])), RELAX, [np.array([1.0])], None, TimeGrid(1.0, 256)
+    )
+    with pytest.raises(StepSolveError, match=r"step 1 of 256 .* component 0: .* \(n = 32768\)"):
+        oracle_caputo(prob)
 
 
 def test_duhamel_rejects_discontinuous_forcing():
