@@ -1,38 +1,32 @@
 """Solvers for distributed-order fractional Cauchy problems.
 
-The package provides fractional calculus on uniform grids, an operator
-calculus f(A) for matrices and Fourier multipliers, Mittag-Leffler and
-Talbot-contour solution kernels, and several independent solution routes
-for Cauchy problems driven by a leading fractional order plus a finite
-atomic measure of lower orders.
+The problems are driven by a leading fractional order plus a finite atomic
+measure of lower orders, with matrix or Fourier-multiplier operators.  The
+package provides several independent solution routes for them: the
+representation formula and the Duhamel variants on Mittag-Leffler and
+Talbot-contour solution kernels, and two time-stepping oracles.  Beside them
+sit the fractional integrals and derivatives the routes need, the kernels
+and the Mittag-Leffler function themselves, and the problem-file CLI.
 """
 
 from .errors import (
     BlowupError,
     CapabilityError,
-    ContourError,
     DomainError,
     FlavorError,
     FracCauchyError,
     GridMismatchError,
     InversionError,
-    LocalityError,
     OrderDomainError,
     PreconditionError,
     SchemaError,
     StepSolveError,
 )
 from .fracops import (
-    caputo_derivative,
     caputo_derivative_at,
-    duhamel_kth_derivative,
     frac_integral,
     frac_integral_values,
-    numeric_laplace,
-    rl_caputo_gap,
-    rl_derivative,
     rl_derivative_at,
-    solve_abel,
 )
 from .grids import ScalarPath, TimeGrid
 from .kernels import (
@@ -41,18 +35,10 @@ from .kernels import (
     c_beta,
     c_beta_path,
     char_eval,
-    solution_symbol,
     solution_symbol_path,
 )
 from .ml import mittag_leffler, ml_array
-from .operators import (
-    FourierMultiplier,
-    MatrixOperator,
-    SpectralOperator,
-    apply_symbol_contour,
-    apply_symbol_spectral,
-    apply_symbol_taylor,
-)
+from .operators import FourierMultiplier, MatrixOperator, SpectralOperator
 from .problems import (
     CAPUTO,
     RIEMANN_LIOUVILLE,
@@ -89,7 +75,6 @@ from .symbols import (
     PowerSymbol,
     RationalSymbol,
     SymbolFunction,
-    constant_symbol,
     identity_symbol,
 )
 
@@ -108,27 +93,17 @@ __all__ = [
     "FunctionSpec",
     "frac_integral",
     "frac_integral_values",
-    "rl_derivative",
-    "caputo_derivative",
-    "rl_caputo_gap",
-    "solve_abel",
     "rl_derivative_at",
     "caputo_derivative_at",
-    "duhamel_kth_derivative",
-    "numeric_laplace",
     "SymbolFunction",
     "PolynomialSymbol",
     "PowerSymbol",
     "ExponentialSymbol",
     "RationalSymbol",
     "identity_symbol",
-    "constant_symbol",
     "SpectralOperator",
     "MatrixOperator",
     "FourierMultiplier",
-    "apply_symbol_spectral",
-    "apply_symbol_taylor",
-    "apply_symbol_contour",
     "mittag_leffler",
     "ml_array",
     "Atom",
@@ -136,7 +111,6 @@ __all__ = [
     "char_eval",
     "c_beta",
     "c_beta_path",
-    "solution_symbol",
     "solution_symbol_path",
     "CAPUTO",
     "RIEMANN_LIOUVILLE",
@@ -160,8 +134,6 @@ __all__ = [
     "CapabilityError",
     "BlowupError",
     "DomainError",
-    "LocalityError",
-    "ContourError",
     "InversionError",
     "FlavorError",
     "PreconditionError",

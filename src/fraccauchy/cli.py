@@ -368,7 +368,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_ml(args) -> int:
     z = _parse_complex_arg(args.z)
-    val = mittag_leffler(_finite_arg(args, "alpha"), _finite_arg(args, "beta"), z)
+    val = mittag_leffler(_positive_arg(args, "alpha"), _finite_arg(args, "beta"), z)
     print(_format_complex(val))
     return 0
 
@@ -378,6 +378,14 @@ def _finite_arg(args, name: str) -> float:
     value = getattr(args, name)
     if not np.isfinite(value):
         raise SchemaError(f"/{name}", f"expected a finite number, got {value!r}")
+    return value
+
+
+def _positive_arg(args, name: str) -> float:
+    """The float option `name`, which must be finite and positive."""
+    value = _finite_arg(args, name)
+    if value <= 0:
+        raise SchemaError(f"/{name}", f"expected a positive number, got {value!r}")
     return value
 
 
@@ -400,7 +408,8 @@ def _format_complex(v: complex) -> str:
 
 
 def _parse_atoms_arg(text: str):
-    """Atoms as 'alpha:weight[,alpha:weight...]'; symbols default to f(z)=z."""
+    """Atoms as 'alpha:weight[,alpha:weight...]', as problem-file entries
+    for `_parse_measure`; symbols default to f(z)=z."""
     atoms = []
     if not text.strip():
         return atoms
@@ -416,15 +425,18 @@ def _parse_atoms_arg(text: str):
             raise SchemaError(f"/atoms/{i}", f"non-numeric atom {chunk!r}") from None
         if not np.isfinite([alpha, weight]).all():
             raise SchemaError(f"/atoms/{i}", f"non-finite atom {chunk!r}")
-        atoms.append(Atom(alpha, weight, identity_symbol()))
+        atoms.append({"alpha": alpha, "weight": weight, "symbol": {"kind": "identity"}})
     return atoms
 
 
 def _cmd_kernel(args) -> int:
     atoms = _parse_atoms_arg(args.atoms)
-    measure = OrderMeasure(_finite_arg(args, "mu"), tuple(atoms))
+    measure = _parse_measure({"mu": _finite_arg(args, "mu"), "atoms": atoms}, "")
+    beta = _finite_arg(args, "beta")
+    if beta >= measure.mu:
+        _fail("/beta", f"kernel exponent must lie below the leading order {measure.mu}")
     z = _parse_complex_arg(args.z)
-    val = c_beta(measure, _finite_arg(args, "beta"), _finite_arg(args, "t"), z)
+    val = c_beta(measure, beta, _positive_arg(args, "t"), z)
     print(_format_complex(val))
     return 0
 

@@ -32,14 +32,6 @@ class DomainError(FracCauchyError):
     """An argument lies outside the analyticity or transform domain."""
 
 
-class LocalityError(FracCauchyError):
-    """A local Taylor series failed to truncate (vector not in the root lineal)."""
-
-
-class ContourError(FracCauchyError):
-    """An eigenvalue sits too close to the integration contour."""
-
-
 class InversionError(FracCauchyError):
     """The Laplace inversion contour is unreliable (characteristic zero nearby).
 

@@ -52,7 +52,6 @@ __all__ = [
     "char_eval",
     "c_beta",
     "c_beta_path",
-    "solution_symbol",
     "solution_symbol_path",
     "symbol_values",
 ]
@@ -270,6 +269,11 @@ def solution_symbol_path(
 ) -> np.ndarray:
     """S_k(t, z) on positive times t and spectral points z.
 
+    S_k is the scalar symbol of the operator mapping the k-th datum into the
+    solution: S_k(t, z) = g(z) c_{mu-k-1}(t, z) plus, over atoms with
+    alpha_j > k, c_j f_j(z) c_{alpha_j-k-1}(t, z); atoms exactly at the
+    integer k feed only lower data indices.
+
     z is a scalar or an array that broadcasts against t, as in
     `c_beta_path`; the result has the broadcast shape.  Raises BlowupError
     where the symbol is not finite (growth spectra overflow the kernel),
@@ -308,18 +312,3 @@ def solution_symbol_path(
         exc.z = zb
         raise exc
     return acc
-
-
-def solution_symbol(
-    measure: OrderMeasure,
-    k: int,
-    t: float,
-    z: complex,
-) -> complex:
-    """Scalar symbol of the operator mapping the k-th datum into the solution.
-
-    S_k(t, z) = g(z) c_{mu-k-1}(t, z) + sum over atoms with alpha_j > k of
-    c_j f_j(z) c_{alpha_j-k-1}(t, z); atoms exactly at the integer k feed
-    only lower data indices.
-    """
-    return complex(solution_symbol_path(measure, k, np.array([t]), z)[0])

@@ -1,10 +1,9 @@
-"""Concrete operators and three routes for evaluating f(A).
+"""Concrete operators: dense matrices and Fourier multipliers.
 
 Matrices are applied through their eigensystem (with a conditioning check on
 the eigenvector basis), Fourier multipliers act mode-wise on periodic grids.
-f(A) can be formed spectrally, by a local Taylor series around one
-eigenvalue, or by a resolvent contour integral; the three routes are meant
-to cross-check each other.
+Both map batches of states into and out of their spectral coordinates, where
+the solution routes act on each eigenvalue alone.
 """
 
 from __future__ import annotations
@@ -13,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapabilityError, ContourError, DomainError, LocalityError, PreconditionError
-from .symbols import SymbolFunction
+from .errors import CapabilityError, DomainError
 
 
 class SpectralOperator:
@@ -180,124 +178,8 @@ class FourierMultiplier(SpectralOperator):
         return np.fft.ifft(self.check_states(w))
 
 
-# ---------------------------------------------------------------------------
-# the three evaluation routes
-
-
-def _checked_values(f: SymbolFunction, spectrum: np.ndarray) -> np.ndarray:
-    out = np.empty(len(spectrum), dtype=complex)
-    for i, lam in enumerate(spectrum):
-        if not f.domain.contains(lam):
-            raise DomainError(
-                f"eigenvalue {lam} lies outside the symbol domain {f.domain}"
-            )
-        out[i] = f.eval(lam)
-    return out
-
-
-def apply_symbol_spectral(
-    f: SymbolFunction, op: SpectralOperator, v: np.ndarray
-) -> np.ndarray:
-    """f(A) v through the eigendecomposition (or mode-wise for multipliers)."""
-    if isinstance(op, FourierMultiplier):
-        fa = _checked_values(f, op.symbol_values)
-        return np.fft.ifft(fa * np.fft.fft(op.check_vector(v)))
-    lam, p, pinv = op.eigensystem()
-    fa = _checked_values(f, lam)
-    return p @ (fa * (pinv @ op.check_vector(v)))
-
-
-def apply_symbol_taylor(
-    f: SymbolFunction,
-    op: MatrixOperator,
-    u: np.ndarray,
-    lam: complex,
-    n_max: int,
-) -> np.ndarray:
-    """Local series sum_n f^(n)(lam)/n! (A - lam I)^n u.
-
-    Valid when u lies in the root lineal of the eigenvalue lam, where the
-    series truncates after at most the Jordan block size; a growing tail is
-    reported as a locality violation.
-    """
-    if not isinstance(op, MatrixOperator):
-        raise CapabilityError("the Taylor route needs a matrix operator")
-    d = op.dimension
-    if n_max < d:
-        raise PreconditionError(f"n_max must be at least the dimension {d}")
-    u = op.check_vector(u)
-    coeffs = f.taylor_coefficients(lam, n_max + 1)
-    shifted = op.matrix - lam * np.eye(d)
-    acc = coeffs[0] * u
-    w = u
-    prev_norm = np.linalg.norm(u)
-    grow_count = 0
-    for n in range(1, n_max + 1):
-        w = shifted @ w
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            break
-        if n > d:
-            if norm > prev_norm:
-                grow_count += 1
-                if grow_count >= 2:
-                    raise LocalityError(
-                        f"series term norms grow past n = {n}; "
-                        f"vector is not local to eigenvalue {lam}"
-                    )
-            else:
-                grow_count = 0
-        acc = acc + coeffs[n] * w
-        prev_norm = norm
-    return acc
-
-
-def apply_symbol_contour(
-    f: SymbolFunction,
-    op: MatrixOperator,
-    v: np.ndarray,
-    center: complex = 0.0,
-    radius: float = 1.0,
-    n_nodes: int = 64,
-) -> np.ndarray:
-    """f(A) v as the resolvent contour integral over a circle.
-
-    Trapezoid quadrature on circles converges geometrically for analytic
-    integrands; the circle must enclose the spectrum and stay inside the
-    symbol domain.
-    """
-    if not isinstance(op, MatrixOperator):
-        raise CapabilityError("the contour route needs a matrix operator")
-    v = op.check_vector(v)
-    lam = op.spectrum()
-    dist = np.abs(np.abs(lam - center) - radius)
-    if np.any(np.abs(lam - center) >= radius):
-        raise ContourError(
-            "contour does not enclose the spectrum: "
-            f"eigenvalue {lam[np.argmax(np.abs(lam - center))]} outside"
-        )
-    if np.any(dist < 1e-6 * radius):
-        raise ContourError(
-            f"eigenvalue {lam[np.argmin(dist)]} lies within 1e-6 radius "
-            "of the contour"
-        )
-    theta = 2 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
-    zeta = center + radius * np.exp(1j * theta)
-    d = op.dimension
-    acc = np.zeros(d, dtype=complex)
-    eye = np.eye(d)
-    for zj, th in zip(zeta, theta):
-        f.domain.check(zj, "contour point")
-        resolvent_v = np.linalg.solve(zj * eye - op.matrix, v)
-        acc += np.exp(1j * th) * complex(f.eval(zj)) * resolvent_v
-    return acc * radius / n_nodes
-
-
 __all__ = [
     "SpectralOperator",
     "MatrixOperator",
     "FourierMultiplier",
-    "apply_symbol_spectral",
-    "apply_symbol_taylor",
-    "apply_symbol_contour",
 ]

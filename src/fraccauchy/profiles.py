@@ -266,22 +266,6 @@ def fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
     return c[:, order]
 
 
-def taylor_at_zero(f: FunctionSpec, count: int) -> np.ndarray:
-    """Derivatives f^(k)(0) for k = 0..count-1; requires finite values."""
-    out = np.empty(count, dtype=complex)
-    g = f
-    for k in range(count):
-        v = np.asarray(g.eval(0.0)).reshape(-1)[0]
-        if not np.isfinite(v):
-            raise CapabilityError(
-                f"derivative {k} of {type(f).__name__} is not finite at t = 0"
-            )
-        out[k] = v
-        if k + 1 < count:
-            g = g.diff()
-    return out
-
-
 __all__ = [
     "FunctionSpec",
     "Constant",
@@ -293,5 +277,4 @@ __all__ = [
     "Sampled",
     "fd_derivative",
     "fd_weights",
-    "taylor_at_zero",
 ]

@@ -1,9 +1,9 @@
 """Scalar gamma functions and the package's one Gauss-Jacobi rule, on numpy
-and the math module alone, so that no solve imports scipy.
+and the math module alone, so that the package needs numpy alone.
 
-`gamma` and `rgamma` keep the edge values of `scipy.special.gamma` and
-`rgamma`: 1/Gamma is exactly 0.0 at the poles, and past the overflow limits
-the functions go to inf or 0.
+`gamma` and `rgamma` keep the usual special-function edge values: 1/Gamma
+is exactly 0.0 at the poles, and past the overflow limits the functions go
+to inf or 0.
 """
 
 from __future__ import annotations
@@ -48,8 +48,9 @@ def gauss_jacobi(npts: int, beta: float):
     The nodes, eigenvalues of the Jacobi matrix, are refined by Newton
     steps and the weights taken from the Christoffel function, both on the
     recurrence of the orthonormal Jacobi polynomials in long double
-    (scipy's `roots_jacobi` weights are off by up to 1.4e-13 relative at
-    beta = -0.7).  Where long double is double, the weights keep about 1e-14.
+    (a double-precision Golub-Welsch rule with one Newton step leaves
+    weights off by up to 1.4e-13 relative at beta = -0.7).  Where long
+    double is double, the weights keep about 1e-14.
 
     The oracles' far field (`solver._soe`) and the kernel routes' weakly
     singular quadratures (`fracops.caputo_derivative_at`,

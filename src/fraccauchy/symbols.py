@@ -281,10 +281,6 @@ def identity_symbol() -> PolynomialSymbol:
     return PolynomialSymbol((0.0, 1.0))
 
 
-def constant_symbol(value: complex = 1.0) -> PolynomialSymbol:
-    return PolynomialSymbol((value,))
-
-
 __all__ = [
     "Domain",
     "WholePlane",
@@ -296,5 +292,4 @@ __all__ = [
     "ExponentialSymbol",
     "RationalSymbol",
     "identity_symbol",
-    "constant_symbol",
 ]

@@ -1,0 +1,237 @@
+"""Operator and transform calculus that the tests check the package with.
+
+No route needs these, so they live beside the tests: the truncated Laplace
+transform of a profile (acceptance criterion 8), d^k/dt^k of a Duhamel
+integral, and three evaluations of f(A) for a symbol f and an operator A,
+spectral, local Taylor series and resolvent contour, which cross-check one
+another (criterion 9).
+"""
+
+import numpy as np
+from scipy.integrate import quad
+
+from fraccauchy.errors import (
+    CapabilityError,
+    DomainError,
+    FracCauchyError,
+    OrderDomainError,
+    PreconditionError,
+)
+from fraccauchy.grids import ScalarPath, TimeGrid
+from fraccauchy.operators import FourierMultiplier, MatrixOperator, SpectralOperator
+from fraccauchy.profiles import FunctionSpec, Sampled, fd_derivative, fd_weights
+from fraccauchy.symbols import SymbolFunction
+
+
+class LocalityError(FracCauchyError):
+    """A local Taylor series failed to truncate (vector not in the root lineal)."""
+
+
+class ContourError(FracCauchyError):
+    """An eigenvalue sits too close to the integration contour."""
+
+
+# ---------------------------------------------------------------------------
+# truncated Laplace transform and Duhamel integral differentiation
+
+
+def numeric_laplace(
+    f: FunctionSpec, s: complex, t_trunc: float, epsabs: float = 1e-12
+) -> complex:
+    """Truncated Laplace transform int_0^t_trunc exp(-s t) f(t) dt.
+
+    Uses scipy's adaptive `quad` for analytic profiles and the exact
+    transform of the linear interpolant for sampled ones.  If
+    |f(t)| <= C exp(g t) with Re(s) > g, the truncation error is bounded by
+    C exp(-(Re(s) - g) t_trunc) / (Re(s) - g).
+    """
+    s = complex(s)
+    if s.real <= 0:
+        raise DomainError(f"Laplace abscissa must have positive real part, got {s}")
+    if t_trunc <= 0:
+        raise DomainError(f"truncation time must be positive, got {t_trunc}")
+    if isinstance(f, Sampled):
+        return _laplace_sampled(f, s, t_trunc)
+    val, _ = quad(
+        lambda t: np.exp(-s * t) * complex(np.asarray(f.eval(t)).reshape(-1)[0]),
+        0.0,
+        t_trunc,
+        epsabs=epsabs,
+        limit=400,
+        complex_func=True,
+    )
+    return complex(val)
+
+
+def _laplace_sampled(f: Sampled, s: complex, t_trunc: float) -> complex:
+    grid = f.path.grid
+    if t_trunc > grid.t_end * (1 + 1e-12):
+        raise DomainError("truncation time exceeds the sampled support")
+    t = grid.nodes
+    u = f.path.values
+    mask = t <= t_trunc + 1e-15
+    t = t[mask]
+    u = u[mask]
+    # exact integral of exp(-s t) (a + b t) per cell
+    t0, t1 = t[:-1], t[1:]
+    u0, u1 = u[:-1], u[1:]
+    b = (u1 - u0) / (t1 - t0)
+    a = u0 - b * t0
+    e0 = np.exp(-s * t0)
+    e1 = np.exp(-s * t1)
+    term_const = a * (e0 - e1) / s
+    term_lin = b * ((t0 * e0 - t1 * e1) / s + (e0 - e1) / s**2)
+    return complex(np.sum(term_const + term_lin))
+
+
+def duhamel_kth_derivative(V, k: int, grid: TimeGrid) -> ScalarPath:
+    """d^k/dt^k of u(t) = int_0^t V(t, tau) dtau by the diagonal-trace formula.
+
+    The derivative splits into traces of t-derivatives of V on the diagonal
+    tau = t plus the integral of the k-th t-derivative.  Partial derivatives
+    of V use forward difference stencils with step h (so evaluation points
+    never cross t < tau); the kernel must evaluate for t up to
+    t_end + (k + 2) h.
+    """
+    if k < 1:
+        raise OrderDomainError(f"derivative count must be >= 1, got {k}")
+    h = grid.h
+    t = grid.nodes
+    n = grid.n
+
+    def dt_V(order, tt, tau):
+        # forward-biased stencil keeps evaluation points at t >= tau
+        if order == 0:
+            return np.asarray(V(tt, tau), dtype=complex)
+        offs = np.arange(0.0, order + 3.0)
+        w = fd_weights(offs, order)
+        acc = np.zeros(np.broadcast(tt, tau).shape, dtype=complex)
+        for j, wj in enumerate(w):
+            acc += wj * np.asarray(V(tt + j * h, tau), dtype=complex)
+        return acc / h**order
+
+    # traces W_i(t) = d_t^i V(t, tau) | tau = t, for i = 0..k-1
+    traces = [dt_V(i, t, t) for i in range(k)]
+    total = np.zeros(n + 1, dtype=complex)
+    for j in range(k):
+        w_trace = traces[k - 1 - j]
+        total += fd_derivative(w_trace, h, j) if j > 0 else w_trace
+
+    # integral of the k-th derivative, composite trapezoid on tau <= t_i
+    integral = np.zeros(n + 1, dtype=complex)
+    for i in range(1, n + 1):
+        integral[i] = np.trapezoid(dt_V(k, t[i], t[: i + 1]), dx=h)
+    return ScalarPath(grid, total + integral)
+
+
+# ---------------------------------------------------------------------------
+# f(A) three ways
+
+
+def _checked_values(f: SymbolFunction, spectrum: np.ndarray) -> np.ndarray:
+    out = np.empty(len(spectrum), dtype=complex)
+    for i, lam in enumerate(spectrum):
+        if not f.domain.contains(lam):
+            raise DomainError(
+                f"eigenvalue {lam} lies outside the symbol domain {f.domain}"
+            )
+        out[i] = f.eval(lam)
+    return out
+
+
+def apply_symbol_spectral(
+    f: SymbolFunction, op: SpectralOperator, v: np.ndarray
+) -> np.ndarray:
+    """f(A) v through the eigendecomposition (or mode-wise for multipliers)."""
+    if isinstance(op, FourierMultiplier):
+        fa = _checked_values(f, op.symbol_values)
+        return np.fft.ifft(fa * np.fft.fft(op.check_vector(v)))
+    lam, p, pinv = op.eigensystem()
+    fa = _checked_values(f, lam)
+    return p @ (fa * (pinv @ op.check_vector(v)))
+
+
+def apply_symbol_taylor(
+    f: SymbolFunction,
+    op: MatrixOperator,
+    u: np.ndarray,
+    lam: complex,
+    n_max: int,
+) -> np.ndarray:
+    """Local series sum_n f^(n)(lam)/n! (A - lam I)^n u.
+
+    Valid when u lies in the root lineal of the eigenvalue lam, where the
+    series truncates after at most the Jordan block size; a growing tail is
+    reported as a locality violation.
+    """
+    if not isinstance(op, MatrixOperator):
+        raise CapabilityError("the Taylor route needs a matrix operator")
+    d = op.dimension
+    if n_max < d:
+        raise PreconditionError(f"n_max must be at least the dimension {d}")
+    u = op.check_vector(u)
+    coeffs = f.taylor_coefficients(lam, n_max + 1)
+    shifted = op.matrix - lam * np.eye(d)
+    acc = coeffs[0] * u
+    w = u
+    prev_norm = np.linalg.norm(u)
+    grow_count = 0
+    for n in range(1, n_max + 1):
+        w = shifted @ w
+        norm = np.linalg.norm(w)
+        if norm == 0.0:
+            break
+        if n > d:
+            if norm > prev_norm:
+                grow_count += 1
+                if grow_count >= 2:
+                    raise LocalityError(
+                        f"series term norms grow past n = {n}; "
+                        f"vector is not local to eigenvalue {lam}"
+                    )
+            else:
+                grow_count = 0
+        acc = acc + coeffs[n] * w
+        prev_norm = norm
+    return acc
+
+
+def apply_symbol_contour(
+    f: SymbolFunction,
+    op: MatrixOperator,
+    v: np.ndarray,
+    center: complex = 0.0,
+    radius: float = 1.0,
+    n_nodes: int = 64,
+) -> np.ndarray:
+    """f(A) v as the resolvent contour integral over a circle.
+
+    Trapezoid quadrature on circles converges geometrically for analytic
+    integrands; the circle must enclose the spectrum and stay inside the
+    symbol domain.
+    """
+    if not isinstance(op, MatrixOperator):
+        raise CapabilityError("the contour route needs a matrix operator")
+    v = op.check_vector(v)
+    lam = op.spectrum()
+    dist = np.abs(np.abs(lam - center) - radius)
+    if np.any(np.abs(lam - center) >= radius):
+        raise ContourError(
+            "contour does not enclose the spectrum: "
+            f"eigenvalue {lam[np.argmax(np.abs(lam - center))]} outside"
+        )
+    if np.any(dist < 1e-6 * radius):
+        raise ContourError(
+            f"eigenvalue {lam[np.argmin(dist)]} lies within 1e-6 radius "
+            "of the contour"
+        )
+    theta = 2 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
+    zeta = center + radius * np.exp(1j * theta)
+    d = op.dimension
+    acc = np.zeros(d, dtype=complex)
+    eye = np.eye(d)
+    for zj, th in zip(zeta, theta):
+        f.domain.check(zj, "contour point")
+        resolvent_v = np.linalg.solve(zj * eye - op.matrix, v)
+        acc += np.exp(1j * th) * complex(f.eval(zj)) * resolvent_v
+    return acc * radius / n_nodes

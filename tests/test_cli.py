@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -360,12 +361,33 @@ def test_non_finite_argument_exits_2(capsys, command, defaults, option, text, va
     assert f"input error: /{option[2:]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, defaults, args, option",
+    [
+        ("kernel", KERNEL_ARGS, {"--mu": "0"}, "mu"),
+        ("kernel", KERNEL_ARGS, {"--t": "0"}, "t"),
+        ("kernel", KERNEL_ARGS, {"--atoms": "0:-1"}, "atoms"),
+        ("kernel", KERNEL_ARGS, {"--beta": "0.7", "--mu": "0.5"}, "beta"),
+        ("ml", ML_ARGS, {"--alpha": "0"}, "alpha"),
+    ],
+    ids=["kernel-mu", "kernel-t", "kernel-atoms", "kernel-beta", "ml-alpha"],
+)
+def test_out_of_range_argument_exits_2(capsys, command, defaults, args, option):
+    argv = [command] + [f"{k}={v}" for k, v in {**defaults, **args}.items()]
+    assert main(argv) == 2
+    assert f"input error: /{option}" in capsys.readouterr().err
+
+
 # every route on every problem file in a fresh interpreter where scipy
-# cannot be imported; prints the runs made and the scipy modules loaded
+# cannot be imported, then every module of the package and every name it
+# exports; prints the runs made and the scipy modules loaded
 COLD_START = """
+import importlib
+import pkgutil
 import sys
 sys.modules["scipy"] = None
 from pathlib import Path
+import fraccauchy
 from fraccauchy import cli
 from fraccauchy.errors import FracCauchyError
 from fraccauchy.solver import ROUTES
@@ -378,6 +400,10 @@ for path in sorted(Path(sys.argv[1]).glob("*.json")):
         except FracCauchyError:
             pass
         runs += 1
+for info in pkgutil.iter_modules(fraccauchy.__path__):
+    importlib.import_module(f"fraccauchy.{info.name}")
+for name in fraccauchy.__all__:
+    getattr(fraccauchy, name)
 print(runs, sorted(m for m, v in sys.modules.items() if m.startswith("scipy") and v))
 """
 
@@ -392,3 +418,11 @@ def test_every_route_solves_without_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [str(len(problems) * len(ROUTES)), "[]"]
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    root = Path(__file__).resolve().parent.parent
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in project["dependencies"]]
+    assert names == ["numpy"]

@@ -16,7 +16,7 @@ from fraccauchy import (
     Sine,
     TimeGrid,
 )
-from fraccauchy.profiles import fd_derivative, fd_weights, taylor_at_zero
+from fraccauchy.profiles import fd_derivative, fd_weights
 
 
 def test_grid_nodes_uniform():
@@ -92,14 +92,6 @@ def test_sampled_profile_limits():
         d2.diff()
     mid = np.asarray(f.eval(0.5))
     assert abs(mid - np.sin(0.5)) < 1e-3
-
-
-def test_taylor_at_zero():
-    f = Polynomial([1.0, 2.0, 3.0])
-    d = taylor_at_zero(f, 3)
-    assert d == pytest.approx([1.0, 2.0, 6.0])
-    with pytest.raises(CapabilityError):
-        taylor_at_zero(Power(-0.5), 1)
 
 
 def test_fornberg_weights_classic_stencils():

@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import erfc, rgamma
 
+from calculus import numeric_laplace
 from fraccauchy import kernels
 from fraccauchy import (
     Atom,
@@ -32,8 +33,6 @@ from fraccauchy import (
     char_eval,
     identity_symbol,
     mittag_leffler,
-    numeric_laplace,
-    solution_symbol,
     solution_symbol_path,
 )
 
@@ -310,16 +309,16 @@ def test_split_atom_contour_agrees_with_mittag_leffler_or_raises(ml_series):
 def test_solution_symbol_relaxation_initial_value():
     # S_0(t, z) = E_alpha(-z t^alpha) heads to 1 like t^alpha / Gamma(1+alpha),
     # which is 1.13e-3 at t = 1e-6 for alpha = 1/2
-    assert abs(solution_symbol(RELAX, 0, 1e-6, 1.0) - 1.0) < 2e-3
-    assert abs(solution_symbol(RELAX, 0, 1e-8, 1.0) - 1.0) < 2e-4
-    assert abs(solution_symbol(RELAX, 0, 1.0, 1.0) - np.e * erfc(1.0)) < 1e-12
+    assert abs(solution_symbol_path(RELAX, 0, [1e-6], 1.0)[0] - 1.0) < 2e-3
+    assert abs(solution_symbol_path(RELAX, 0, [1e-8], 1.0)[0] - 1.0) < 2e-4
+    assert abs(solution_symbol_path(RELAX, 0, [1.0], 1.0)[0] - np.e * erfc(1.0)) < 1e-12
 
 
 def test_solution_symbol_datum_indices():
     t, z = 0.8, 1.3
-    s1 = solution_symbol(TWO_TERM, 1, t, z)
+    s1 = solution_symbol_path(TWO_TERM, 1, [t], z)[0]
     assert abs(s1 - c_beta(TWO_TERM, -0.5, t, z)) == 0.0
-    s0 = solution_symbol(TWO_TERM, 0, t, z)
+    s0 = solution_symbol_path(TWO_TERM, 0, [t], z)[0]
     expect = c_beta(TWO_TERM, 0.5, t, z) + 0.5 * z * c_beta(TWO_TERM, -0.5, t, z)
     assert abs(s0 - expect) == 0.0
 
@@ -345,8 +344,8 @@ def test_solution_symbol_laplace_algebra():
 
 def test_initial_values_of_solution_symbols():
     t0 = 1e-6
-    assert abs(solution_symbol(TWO_TERM, 0, t0, 1.0) - 1.0) < 1e-3
-    assert abs(solution_symbol(TWO_TERM, 1, t0, 1.0)) < 1e-3
+    assert abs(solution_symbol_path(TWO_TERM, 0, [t0], 1.0)[0] - 1.0) < 1e-3
+    assert abs(solution_symbol_path(TWO_TERM, 1, [t0], 1.0)[0]) < 1e-3
 
 
 def test_integer_atom_contributes_only_to_lower_data_indices():
@@ -371,8 +370,8 @@ def test_integer_leading_order_reduces_to_classical():
     m = OrderMeasure(2.0, (Atom(0.0, 1.0, identity_symbol()),))
     z = 1.0
     for t in (0.3, 1.0, 2.5):
-        assert abs(solution_symbol(m, 0, t, z) - np.cos(t)) < 1e-11
-        assert abs(solution_symbol(m, 1, t, z) - np.sin(t)) < 1e-11
+        assert abs(solution_symbol_path(m, 0, [t], z)[0] - np.cos(t)) < 1e-11
+        assert abs(solution_symbol_path(m, 1, [t], z)[0] - np.sin(t)) < 1e-11
 
 
 # Scalar-z values of c_{mu-1}(2.9, z) and S_1(2.9, z), z = 0.3+0.7j,
@@ -424,7 +423,7 @@ def test_scalar_kernels_with_inexact_symbols_match_stored_values(name):
     got = []
     for z in (0.3 + 0.7j, 1.5 - 0.4j, 0.05 + 3.1j):
         got.append(c_beta(measure, measure.mu - 1.0, 2.9, z))
-        got.append(solution_symbol(measure, 1, 2.9, z))
+        got.append(solution_symbol_path(measure, 1, [2.9], z)[0])
     stored = np.array(_STORED_SCALAR_VALUES[name])
     eps = np.finfo(float).eps
     assert np.all(np.abs(np.array(got) - stored) <= 8 * eps * np.maximum(1.0, np.abs(stored)))
@@ -458,7 +457,7 @@ def test_contour_kernels_match_stored_values():
     for t in (0.4, 2.9):
         for z in (0.3, 40.0, 2.0 + 1.0j):
             got.append(c_beta(measure, measure.mu - 1.0, t, z))
-            got.append(solution_symbol(measure, 0, t, z))
+            got.append(solution_symbol_path(measure, 0, [t], z)[0])
     stored = np.array(_STORED_CONTOUR_VALUES)
     eps = np.finfo(float).eps
     assert np.all(np.abs(np.array(got) - stored) <= 8 * eps * np.maximum(1.0, np.abs(stored)))
@@ -473,7 +472,7 @@ def test_leading_symbol_scales_kernel():
     expect = 0.5 * mittag_leffler(0.5, 1.0, -0.5 * 1.0)
     assert abs(got - expect) < 1e-12
     # S_0 keeps its unit initial value under the leading factor
-    assert abs(solution_symbol(m_lead, 0, 1e-6, 1.0) - 1.0) < 1e-3
+    assert abs(solution_symbol_path(m_lead, 0, [1e-6], 1.0)[0] - 1.0) < 1e-3
 
 
 def test_zero_leading_symbol_rejected():

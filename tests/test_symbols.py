@@ -8,7 +8,6 @@ from fraccauchy import (
     PolynomialSymbol,
     PowerSymbol,
     RationalSymbol,
-    constant_symbol,
     identity_symbol,
 )
 
@@ -93,7 +92,7 @@ def test_power_taylor_sqrt_at_one():
 
 def test_helpers():
     assert identity_symbol().eval(3.0 + 1j) == 3.0 + 1j
-    assert constant_symbol(2.5).eval(9.0) == 2.5
+    assert PolynomialSymbol((2.5,)).eval(9.0) == 2.5
 
 
 @given(z=finite_complex)
