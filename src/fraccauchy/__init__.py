@@ -5,8 +5,8 @@ measure of lower orders, with matrix or Fourier-multiplier operators.  The
 package provides several independent solution routes for them: the
 representation formula and the Duhamel variants on Mittag-Leffler and
 Talbot-contour solution kernels, and two time-stepping oracles.  Beside them
-sit the fractional integrals and derivatives the routes need, the kernels
-and the Mittag-Leffler function themselves, and the problem-file CLI.
+sit the fractional derivatives the routes need, the kernels and the
+Mittag-Leffler function themselves, and the problem-file CLI.
 """
 
 from .errors import (
@@ -22,12 +22,7 @@ from .errors import (
     SchemaError,
     StepSolveError,
 )
-from .fracops import (
-    caputo_derivative_at,
-    frac_integral,
-    frac_integral_values,
-    rl_derivative_at,
-)
+from .fracops import caputo_derivative_at, rl_derivative_at
 from .grids import ScalarPath, TimeGrid
 from .kernels import (
     Atom,
@@ -91,8 +86,6 @@ __all__ = [
     "Cosine",
     "Sampled",
     "FunctionSpec",
-    "frac_integral",
-    "frac_integral_values",
     "rl_derivative_at",
     "caputo_derivative_at",
     "SymbolFunction",

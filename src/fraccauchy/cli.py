@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FracCauchyError, SchemaError
+from .errors import BlowupError, FracCauchyError, SchemaError
 from .grids import ScalarPath, TimeGrid
 from .kernels import Atom, OrderMeasure, c_beta
 from .ml import mittag_leffler
@@ -369,8 +369,15 @@ def _cmd_compare(args) -> int:
 def _cmd_ml(args) -> int:
     z = _parse_complex_arg(args.z)
     val = mittag_leffler(_positive_arg(args, "alpha"), _finite_arg(args, "beta"), z)
-    print(_format_complex(val))
+    _print_value(val, "E_{alpha,beta}(z)")
     return 0
+
+
+def _print_value(val: complex, name: str) -> None:
+    """Print a scalar result; one that overflowed is a numeric error."""
+    if not np.isfinite(val):
+        raise BlowupError(f"{name} is not finite: the value overflows")
+    print(_format_complex(val))
 
 
 def _finite_arg(args, name: str) -> float:
@@ -437,7 +444,7 @@ def _cmd_kernel(args) -> int:
         _fail("/beta", f"kernel exponent must lie below the leading order {measure.mu}")
     z = _parse_complex_arg(args.z)
     val = c_beta(measure, beta, _positive_arg(args, "t"), z)
-    print(_format_complex(val))
+    _print_value(val, "c_beta(t, z)")
     return 0
 
 

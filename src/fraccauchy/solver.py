@@ -44,7 +44,8 @@ call per datum index, over all active spectral components at once (the
 components on the leading axis, the route's kernel times after it).  Runs
 of components split the call only where it would pass `_POINT_BUDGET`
 points, so no temporary outgrows max(one component's points, the budget).
-Only the trapezoid convolutions still loop over components.  A failure
+`duhamel_rl` takes its two kernel moments the same way, one `c_beta_path`
+call each.  Only the convolutions still loop over components.  A failure
 names the point the per-component loop met first: the first failing
 component, and for it the first datum index and time.
 """
@@ -69,9 +70,9 @@ from .errors import (
     PreconditionError,
     StepSolveError,
 )
-from .fracops import caputo_derivative_at, frac_integral, rl_derivative_at
+from .fracops import caputo_derivative_at, rl_derivative_at
 from .grids import TimeGrid
-from .kernels import OrderMeasure, solution_symbol_path, symbol_values
+from .kernels import Atom, OrderMeasure, c_beta_path, solution_symbol_path, symbol_values
 from .operators import FourierMultiplier, MatrixOperator
 from .problems import (
     CAPUTO,
@@ -82,6 +83,7 @@ from .problems import (
 )
 from .profiles import FunctionSpec, Power
 from .special import gauss_jacobi, rgamma
+from .symbols import identity_symbol
 
 __all__ = [
     "solve_homogeneous",
@@ -99,9 +101,6 @@ __all__ = [
 
 _ACTIVE_TOL = 1e-14
 _POINT_BUDGET = 2**15  # kernel points per call, unless one component has more
-_EPS = float(np.finfo(float).eps)
-# largest accepted error bound of duhamel_rl's series, relative to its peak
-_SERIES_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -473,16 +472,24 @@ def duhamel_integer(problem: CauchyProblem) -> SolutionPath:
 def duhamel_rl(problem: CauchyProblem) -> SolutionPath:
     """Single fractional term with the Riemann-Liouville derivative.
 
-    The kernel (t-tau)^(alpha-1) E_{alpha,alpha}(-b (t-tau)^alpha) applied to
-    h is integrated by expanding the kernel and using the exact
-    product-integration moments of every power, which sums to the Neumann
-    series u = sum_k (-b)^k J^(alpha (k+1)) h per spectral component.
+    Per spectral component u = K * h, with the relaxation kernel
+    K(s) = s^(alpha-1) E_{alpha,alpha}(-b s^alpha), b the component's
+    eigenvalue of B.  The piecewise-linear interpolant of h is integrated
+    against K exactly through the kernel moments
 
-    Once |b| t^alpha is large the terms rise far above the result before
-    they decay, and the sum cancels.  The rounding bound eps sum_k |term_k|
-    plus the last term kept estimates the error of each component; the
-    route raises BlowupError when that passes 1e-6 of the component's peak,
-    or when the terms overflow.
+        K1(s) = int_0^s K = s^alpha E_{alpha,alpha+1}(-b s^alpha),
+        K2(s) = int_0^s K1 = s^(alpha+1) E_{alpha,alpha+2}(-b s^alpha),
+
+    which are c_{-1} and c_{-2} of the one-atom measure at order 0 with
+    z = b, evaluated at the lags p h (both vanish at lag 0):
+
+        u_i = sum_p A(p) h_{i-p} + B(p) h_{i-p+1},
+        A(p) = K1(p h) - D(p),  B(p) = D(p) - K1((p-1) h),
+        D(p) = (K2(p h) - K2((p-1) h)) / h.
+
+    The result is exact for piecewise-linear h at every b and second order
+    in h for smooth h.  Where a growth spectrum overflows the moments the
+    route raises BlowupError on the first such component.
     """
     if problem.flavor != RIEMANN_LIOUVILLE:
         raise FlavorError("duhamel_rl requires the riemann_liouville flavor")
@@ -497,56 +504,39 @@ def duhamel_rl(problem: CauchyProblem) -> SolutionPath:
     forcing = problem.forcing_or_zero()
     if forcing is None:
         return _zero_path(problem, "duhamel-rl")
+    if isinstance(forcing.profile, Power) and forcing.profile.singular_at_zero:
+        raise CapabilityError("forcing profile must be continuous at t = 0")
+    values = forcing.profile.eval_nodes(grid)
+    if not np.all(np.isfinite(values)):
+        raise BlowupError("profile samples are not finite on the grid")
     op = problem.operator
     b_vals = _atom_sum(problem.measure, _spectrum(problem))
     dir_spec = op.to_spectral(forcing.direction)
     n = grid.n
+    lags = grid.h * np.arange(1, n + 1)
+    # the atom sum as the one atom: a split atom stays on the closed form
+    relax = OrderMeasure(alpha, (Atom(0.0, 1.0, identity_symbol()),))
     u_spec = np.zeros((n + 1, problem.dim), dtype=complex)
-    active = _active(dir_spec)
-    if len(active):
-        j_paths = []
-        bmax = float(np.max(np.abs(b_vals[active])))
-        scale = None
-        k = 0
-        while True:
-            path = frac_integral(forcing.profile, alpha * (k + 1), grid).values
-            j_paths.append(path)
-            try:
-                bound = bmax**k * float(np.max(np.abs(path)))
-            except OverflowError as exc:
-                raise BlowupError(
-                    "duhamel_rl kernel series overflows; use oracle_rl here"
-                ) from exc
-            if scale is None:
-                scale = max(1e-300, bound)
-            if k >= 2 and bound < 1e-16 * scale:
-                break
-            if k > 300:
-                raise StepSolveError("kernel series for duhamel_rl did not converge")
-            k += 1
-        for js in _chunks(active, n + 1):
-            b = b_vals[js]
-            acc = np.zeros((n + 1, len(js)), dtype=complex)
-            size = np.zeros((n + 1, len(js)))
-            for kk, path in enumerate(j_paths):
-                # np.power rounds each power as the scalar b^kk does; ** squares
-                # by another rule
-                acc += np.power(-b, kk) * path[:, None]
-                size += np.abs(b) ** kk * np.abs(path)[:, None]
-            # a term that underflows to zero can stop the loop before the
-            # series converges, so the term before it stands for the rest
-            cut = np.abs(b) ** (len(j_paths) - 2) * np.max(np.abs(j_paths[-2]))
-            error = _EPS * np.max(size, axis=0) + cut
-            peak = np.max(np.abs(acc), axis=0)
-            lost = np.flatnonzero(~(error <= _SERIES_TOL * peak))
-            if lost.size:
-                i = lost[0]
-                raise BlowupError(
-                    f"duhamel_rl kernel series is lost for b = "
-                    f"{complex(b[i]):.4g} (error bound {error[i]:.2e}, result "
-                    f"peak {peak[i]:.2e}); use oracle_rl for this spectrum"
-                )
-            u_spec[:, js] = dir_spec[js] * acc
+    for js in _chunks(_active(dir_spec), 2 * n):
+        z = b_vals[js, None]
+        moments = np.zeros((len(js), 2, n + 1), dtype=complex)
+        moments[:, 0, 1:] = c_beta_path(relax, -1.0, lags, z)
+        moments[:, 1, 1:] = c_beta_path(relax, -2.0, lags, z)
+        bad = np.flatnonzero(~np.isfinite(moments))
+        if bad.size:  # the first failure in component-major order
+            c, k, p = np.unravel_index(bad[0], moments.shape)
+            raise BlowupError(
+                f"duhamel_rl kernel moment K{k + 1}(t) is not finite at t = "
+                f"{float(lags[p - 1])} for b = {complex(z[c, 0])}; the kernel "
+                "overflows on this spectrum"
+            )
+        k1 = moments[:, 0]
+        d = np.diff(moments[:, 1], axis=1) / grid.h
+        wa = k1[:, 1:] - d
+        wb = d - k1[:, :-1]
+        for c, j in enumerate(js):
+            conv = np.convolve(values, wa[c])[:n] + np.convolve(values[1:], wb[c])[:n]
+            u_spec[1:, j] = dir_spec[j] * conv
     states = op.from_spectral(u_spec)
     states[0] = 0.0
     return SolutionPath(grid, states, method="duhamel-rl")

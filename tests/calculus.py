@@ -1,16 +1,19 @@
 """Operator and transform calculus that the tests check the package with.
 
-No route needs these, so they live beside the tests: the truncated Laplace
-transform of a profile (acceptance criterion 8), d^k/dt^k of a Duhamel
-integral, and three evaluations of f(A) for a symbol f and an operator A,
-spectral, local Taylor series and resolvent contour, which cross-check one
-another (criterion 9).
+No route needs these, so they live beside the tests: the product-integration
+fractional integral J^beta on a grid (the Abel round trip of acceptance
+criterion 7, and a weighted-datum check of the single-order route), the
+truncated Laplace transform of a profile (criterion 8), d^k/dt^k of a
+Duhamel integral, and three evaluations of f(A) for a symbol f and an
+operator A, spectral, local Taylor series and resolvent contour, which
+cross-check one another (criterion 9).
 """
 
 import numpy as np
 from scipy.integrate import quad
 
 from fraccauchy.errors import (
+    BlowupError,
     CapabilityError,
     DomainError,
     FracCauchyError,
@@ -19,7 +22,8 @@ from fraccauchy.errors import (
 )
 from fraccauchy.grids import ScalarPath, TimeGrid
 from fraccauchy.operators import FourierMultiplier, MatrixOperator, SpectralOperator
-from fraccauchy.profiles import FunctionSpec, Sampled, fd_derivative, fd_weights
+from fraccauchy.profiles import FunctionSpec, Power, Sampled, fd_derivative, fd_weights
+from fraccauchy.special import gamma, rgamma
 from fraccauchy.symbols import SymbolFunction
 
 
@@ -29,6 +33,76 @@ class LocalityError(FracCauchyError):
 
 class ContourError(FracCauchyError):
     """An eigenvalue sits too close to the integration contour."""
+
+
+# ---------------------------------------------------------------------------
+# fractional integrals on uniform grids: product integration with
+# piecewise-linear interpolation of the integrand against (t - s)**(beta - 1),
+# exact on linear data and well defined for 0 < beta < 1
+
+
+def _linear_weights(beta: float, n: int):
+    """Per-lag weights A(p), B(p) of the piecewise-linear product rule.
+
+    J^beta f(t_n) = h**beta / Gamma(beta) * sum_p A(p) f_{n-p} + B(p) f_{n-p+1}.
+    """
+    p = np.arange(1, n + 1, dtype=float)
+    q = p - 1.0
+    pb = p**beta
+    qb = q**beta
+    pb1 = p ** (beta + 1)
+    qb1 = q ** (beta + 1)
+    a = (pb1 - qb1) / (beta + 1) - q * (pb - qb) / beta
+    b = p * (pb - qb) / beta - (pb1 - qb1) / (beta + 1)
+    return a, b
+
+
+def frac_integral_values(values: np.ndarray, beta: float, h: float) -> np.ndarray:
+    """Product-integration J^beta of node samples; node 0 maps to 0."""
+    if beta < 0:
+        raise OrderDomainError(f"integral order must be >= 0, got {beta}")
+    u = np.asarray(values, dtype=complex)
+    if beta == 0:
+        return u.copy()
+    n = len(u) - 1
+    a, b = _linear_weights(beta, n)
+    conv_a = np.convolve(u, a)
+    conv_b = np.convolve(u[1:], b)
+    out = np.zeros_like(u)
+    out[1:] = conv_a[: n] + conv_b[: n]
+    out *= h**beta * rgamma(beta)
+    return out
+
+
+def _integral_path_power(f: Power, beta: float, grid: TimeGrid) -> np.ndarray:
+    # exact moments of the singular monomial; its t = 0 sample is unbounded
+    p = f.exponent
+    coef = f.scale * gamma(p + 1) * rgamma(p + beta + 1)
+    t = grid.nodes
+    out = np.zeros(grid.n + 1, dtype=complex)
+    out[1:] = coef * t[1:] ** (p + beta)
+    q = p + beta
+    out[0] = 0.0 if q > 0 else (coef if q == 0 else np.inf)
+    return out
+
+
+def frac_integral(f: FunctionSpec, beta: float, grid: TimeGrid) -> ScalarPath:
+    """Fractional integral (J^beta f)(t_i) on every grid node.
+
+    beta = 0 returns the samples unchanged.  Power profiles with a negative
+    exponent bypass the linear weights through exact moment formulas, since
+    their t = 0 sample is infinite.
+    """
+    if beta < 0:
+        raise OrderDomainError(f"integral order must be >= 0, got {beta}")
+    if beta == 0:
+        return ScalarPath(grid, f.eval_nodes(grid))
+    if isinstance(f, Power) and f.singular_at_zero:
+        return ScalarPath(grid, _integral_path_power(f, beta, grid))
+    vals = f.eval_nodes(grid)
+    if not np.all(np.isfinite(vals)):
+        raise BlowupError("profile samples are not finite on the grid")
+    return ScalarPath(grid, frac_integral_values(vals, beta, grid.h))
 
 
 # ---------------------------------------------------------------------------

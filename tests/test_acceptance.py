@@ -14,6 +14,7 @@ from calculus import (
     apply_symbol_contour,
     apply_symbol_spectral,
     apply_symbol_taylor,
+    frac_integral_values,
     numeric_laplace,
 )
 from fraccauchy import (
@@ -39,7 +40,6 @@ from fraccauchy import (
     duhamel_caputo_zero,
     duhamel_integer,
     duhamel_rl,
-    frac_integral_values,
     identity_symbol,
     mittag_leffler,
     oracle_caputo,

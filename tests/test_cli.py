@@ -331,6 +331,23 @@ def test_kernel_subcommand(capsys):
     assert abs(float(out) - 0.4275835761558070) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["kernel", "--mu", "0.5", "--atoms", "0:1", "--beta", "-0.5", "--t", "1",
+          "--z", "-30"], "c_beta(t, z)"),
+        (["ml", "--alpha", "0.5", "--beta", "1", "--z", "1000"], "E_{alpha,beta}(z)"),
+    ],
+    ids=["kernel", "ml"],
+)
+def test_overflowing_value_exits_3(capsys, argv, name):
+    # E_{1/2}(30) and E_{1/2}(1000) overflow: a typed error, not "nan"
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"numeric error: {name} is not finite" in err
+
+
 def test_ml_bad_argument_exits_2():
     assert main(["ml", "--alpha", "1", "--beta", "1", "--z", "nope"]) == 2
 
@@ -380,7 +397,9 @@ def test_out_of_range_argument_exits_2(capsys, command, defaults, args, option):
 
 # every route on every problem file in a fresh interpreter where scipy
 # cannot be imported, then every module of the package and every name it
-# exports; prints the runs made and the scipy modules loaded
+# exports; prints the runs made and the scipy modules loaded.  A route may
+# refuse a problem it is not made for (flavor or precondition), but any
+# other error on a shipped problem fails the run
 COLD_START = """
 import importlib
 import pkgutil
@@ -389,7 +408,7 @@ sys.modules["scipy"] = None
 from pathlib import Path
 import fraccauchy
 from fraccauchy import cli
-from fraccauchy.errors import FracCauchyError
+from fraccauchy.errors import FlavorError, PreconditionError
 from fraccauchy.solver import ROUTES
 runs = 0
 for path in sorted(Path(sys.argv[1]).glob("*.json")):
@@ -397,7 +416,7 @@ for path in sorted(Path(sys.argv[1]).glob("*.json")):
     for route in ROUTES.values():
         try:
             route(problem)
-        except FracCauchyError:
+        except (FlavorError, PreconditionError):
             pass
         runs += 1
 for info in pkgutil.iter_modules(fraccauchy.__path__):

@@ -1,5 +1,6 @@
-"""Fractional integrals on grids and derivatives at points, checked against
-independent quadrature.
+"""Fractional integrals on grids (the test-side product rule of
+`calculus`) and derivatives at points, checked against independent
+quadrature.
 
 Derived reference values come from the power rule
 J^beta t^p = Gamma(p+1)/Gamma(p+beta+1) t^(p+beta) and from adaptive
@@ -14,7 +15,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma as G
 
-from calculus import duhamel_kth_derivative, numeric_laplace
+from calculus import (
+    duhamel_kth_derivative,
+    frac_integral,
+    frac_integral_values,
+    numeric_laplace,
+)
 from fraccauchy import (
     BlowupError,
     Constant,
@@ -29,8 +35,6 @@ from fraccauchy import (
     Sine,
     TimeGrid,
     caputo_derivative_at,
-    frac_integral,
-    frac_integral_values,
     rl_derivative_at,
 )
 
@@ -140,6 +144,21 @@ def test_rl_half_of_one():
 def test_rl_limit_at_zero():
     # D_+^0.5 t has the finite limit 0 at t -> 0+
     assert rl_derivative_at(Polynomial([0.0, 1.0]), 0.5, np.array([0.0]))[0] == 0.0
+
+
+def test_power_profiles_take_the_power_rule():
+    # f' = p t^(p-1) is unbounded at 0 for p < 1, which a Gauss-Jacobi rule
+    # on f' misses (0.876 and 0.823 below); D^p t^p = Gamma(p+1) on t > 0
+    taus = np.array([1e-3, 0.5, 1.0])
+    got = caputo_derivative_at(Power(0.5), 0.5, taus)
+    assert np.max(np.abs(got - 0.886226925452758)) < 1e-14  # Gamma(1.5)
+    got = rl_derivative_at(Power(0.3), 0.3, taus)
+    assert np.max(np.abs(got - 0.8974706963062772)) < 1e-14  # Gamma(1.3)
+    # other exponents and a complex scale, against the power rule
+    for p, alpha in ((0.2, 0.7), (1.5, 0.4), (2.0, 0.5)):
+        got = rl_derivative_at(Power(p, 2.0 - 1.0j), alpha, taus)
+        exact = (2.0 - 1.0j) * G(p + 1.0) / G(p + 1.0 - alpha) * taus ** (p - alpha)
+        assert np.max(np.abs(got - exact) / np.abs(exact)) < 1e-14
 
 
 def test_rl_sampled_capability():

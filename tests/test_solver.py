@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc, rgamma
 
+from calculus import frac_integral_values
 from fraccauchy import kernels, solver
 from fraccauchy import (
     Atom,
@@ -17,7 +18,6 @@ from fraccauchy import (
     Exponential,
     FlavorError,
     Forcing,
-    FracCauchyError,
     FourierMultiplier,
     MatrixOperator,
     OrderMeasure,
@@ -35,7 +35,6 @@ from fraccauchy import (
     duhamel_caputo_zero,
     duhamel_integer,
     duhamel_rl,
-    frac_integral_values,
     identity_symbol,
     mittag_leffler,
     operator_residual,
@@ -396,23 +395,90 @@ def test_rl_weighted_datum_vanishes_under_refinement():
     assert prev < 1e-3
 
 
+def _rl_unit_response(alpha, b):
+    """u(1) = E_{alpha,alpha+1}(-b), the solution of D_+^alpha u + b u = 1 at
+    t = 1 for b >= 0, in mpmath: (1 - E_alpha(-b)) / b with the
+    cancellation-free integral
+    E_alpha(-b) = sin(alpha pi) / (alpha pi)
+                  int_0^inf exp(-v^(1/alpha)) b / (b^2 + 2 b cos(alpha pi) v + v^2) dv.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        a = mp.mpf(alpha)
+        if b == 0:
+            return float(mp.rgamma(a + 1))
+        c = mp.cos(mp.pi * a)
+        e = mp.sin(mp.pi * a) / (mp.pi * a) * mp.quad(
+            lambda v: mp.exp(-(v ** (1 / a))) * b / (b**2 + 2 * b * c * v + v**2),
+            [0, 0.5, 1, 2, mp.inf],
+        )
+        return float((1 - e) / b)
+
+
 @pytest.mark.parametrize("b", [6.0, 10.0, 20.0])
 @pytest.mark.parametrize("n", [8, 256])
 def test_duhamel_rl_raises_when_series_cancels(b, n):
+    # b where a Neumann series in b cancels (the name is kept from when the
+    # route summed one and raised here): the path for alpha = 1/2 and h = 1
+    # is u(t) = (1 - e^(b^2 t) erfc(b sqrt t)) / b, met to 1e-12 relative
+    mp = pytest.importorskip("mpmath")
     prob = rl_problem(MatrixOperator(np.array([[b]])), n=n)
-    with pytest.raises(FracCauchyError):
-        duhamel_rl(prob)
+    u = duhamel_rl(prob).states[:, 0]
+    with mp.workdps(30):
+        exact = np.array(
+            [float((1 - mp.exp(b * b * t) * mp.erfc(b * mp.sqrt(t))) / b)
+             for t in map(mp.mpf, prob.grid.nodes)]
+        )
+    assert np.max(np.abs(u - exact) / np.maximum(np.abs(exact), 1e-300)) < 1e-12
 
 
-@pytest.mark.parametrize("b", [0.5, 2.0, 4.0])
+@pytest.mark.parametrize("b", [0.0, 0.5, 2.0, 4.0, 6.0, 10.0, 20.0, 100.0])
 @pytest.mark.parametrize("n", [8, 256])
 def test_duhamel_rl_matches_mittag_leffler_reference(b, n):
-    # u(1) = E_{1/2, 3/2}(-b) for D_+^(1/2) u + b u = 1
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(40):
-        exact = mp.nsum(lambda j: (-b) ** j / mp.gamma(0.5 * j + 1.5), [0, mp.inf])
-    path = duhamel_rl(rl_problem(MatrixOperator(np.array([[b]])), n=n))
-    assert abs(path.states[-1, 0] - complex(exact)) < 1e-8
+    # u(1) = E_{alpha, alpha+1}(-b) for D_+^alpha u + b u = 1: product
+    # integration on the kernel moments is exact for constant forcing
+    for alpha in (0.1, 0.25, 0.5, 0.9):
+        measure = OrderMeasure(alpha, (Atom(0.0, 1.0, identity_symbol()),))
+        prob = CauchyProblem(
+            MatrixOperator(np.array([[b]])), measure, [np.zeros(1)],
+            Forcing(Constant(1.0), np.ones(1)), TimeGrid(1.0, n), RIEMANN_LIOUVILLE,
+        )
+        exact = _rl_unit_response(alpha, b)
+        got = duhamel_rl(prob).states[-1, 0]
+        assert abs(got - exact) < 1e-12 * abs(exact), (alpha, got, exact)
+
+
+def test_duhamel_rl_converges_at_second_order():
+    # smooth forcing e^-t at b = 3: the linear interpolant of h costs O(h^2),
+    # so the change from n to 2n falls about fourfold
+    paths = [
+        duhamel_rl(rl_problem(MatrixOperator(np.array([[3.0]])), n=n,
+                              profile=Exponential(-1.0))).states[:, 0]
+        for n in (64, 128, 256, 512, 1024)
+    ]
+    steps = [np.max(np.abs(fine[:: 2 ** (k + 1)] - coarse[:: 2**k]))
+             for k, (coarse, fine) in enumerate(zip(paths, paths[1:]))]
+    ratios = np.array(steps[:-1]) / np.array(steps[1:])
+    assert np.all((3.6 < ratios) & (ratios < 4.4)), ratios
+
+
+def test_duhamel_rl_split_atom_is_one_atom():
+    # two half atoms at order 0 have the one atom's sum B: the route takes
+    # its closed-form moments on the sum and gives the same bits
+    op = MatrixOperator.from_eigensystem(
+        [0.7, 17.3, 2.0 + 1.5j, 2.0 - 1.5j, -0.5],
+        np.eye(5) + 0.3 * np.random.default_rng(5).standard_normal((5, 5)),
+    )
+    half = Atom(0.0, 0.5, identity_symbol())
+    paths = []
+    for measure in (RELAX, OrderMeasure(0.5, (half, half))):
+        prob = CauchyProblem(
+            op, measure, [np.zeros(5)], Forcing(Exponential(-1.0), np.arange(1.0, 6.0)),
+            TimeGrid(1.0, 128), RIEMANN_LIOUVILLE,
+        )
+        paths.append(duhamel_rl(prob).states)
+    assert np.max(np.abs(paths[0])) > 0
+    assert paths[0].tobytes() == paths[1].tobytes()
 
 
 def test_rl_flavor_guards():
@@ -648,6 +714,18 @@ def test_unresolved_first_step_names_component_and_step():
         oracle_caputo(prob)
 
 
+def test_repr_on_power_forcing_matches_oracle():
+    # h = t^0.5 has h' unbounded at 0; its datum D_+^0.5 h = Gamma(1.5)
+    # takes the power rule, so the route meets the oracle within the
+    # oracle's own error (1.3e-5 here; a Gauss-Jacobi rule on h' left 1.1e-2)
+    from fraccauchy import Power
+
+    prob = CauchyProblem(
+        SCALAR_ONE, RELAX, [np.zeros(1)], Forcing(Power(0.5), np.ones(1)), TimeGrid(1.0, 1024)
+    )
+    assert compare(solve_repr(prob), oracle_caputo(prob)).max_rel < 5e-5
+
+
 def test_duhamel_rejects_discontinuous_forcing():
     from fraccauchy import CapabilityError, Power
 
@@ -661,6 +739,11 @@ def test_duhamel_rejects_discontinuous_forcing():
     )
     with pytest.raises(CapabilityError):
         duhamel_caputo(prob)
+    prob_rl = CauchyProblem(
+        SCALAR_ONE, RELAX, [np.zeros(1)], prob.forcing, grid, RIEMANN_LIOUVILLE
+    )
+    with pytest.raises(CapabilityError):
+        duhamel_rl(prob_rl)
 
 
 def test_oracle_rejects_order_above_two():
@@ -1140,8 +1223,8 @@ def test_batched_routes_match_one_call_per_component(monkeypatch, kind, case):
         (solve_homogeneous, _MULTI, [1.0, -2000.0, -3000.0],
          [[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]],
          "S_1(t, z) is not finite at t = 0.71875 for z = (-2000+0j)"),
-        (duhamel_rl, RELAX, [1.0, 20.0, 25.0], None,
-         "duhamel_rl kernel series is lost for b = 20+0j (error bound 3.78e+103"),
+        (duhamel_rl, RELAX, [1.0, -30.0, -60.0], None,
+         "K1(t) is not finite at t = 0.8125 for b = (-30+0j)"),
     ],
 )
 def test_batched_routes_name_the_first_failing_component(
