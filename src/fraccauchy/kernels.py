@@ -17,14 +17,39 @@ s_k^a = (n/t)^a w_k^a.  The inversion over an array of times is therefore
 
     c_beta(t_i) = (n/t_i)^(beta+1) sum_k E_k / Delta_ik,
     E_k = exp(n w_k) w_k^beta w'_k / (i n),
-    Delta_ik = g (n/t_i)^mu w_k^mu + sum_j c_j f_j(z) (n/t_i)^(alpha_j) w_k^(alpha_j),
+    Delta_ik = g (n/t_i)^mu w_k^mu + sum_j c_j f_j(z) (n/t_i)^(alpha_j) w_k^(alpha_j).
 
-with every complex power and exponential taken once per node, each symbol
-weight c_j f_j(z) w_k^(alpha_j) once per run of points on one spectral
-point and then scaled by the real (n/t_i)^(alpha_j) row by row, and the node
-sum one matrix-vector product.  Points go through in blocks of
-`_TIME_BLOCK`, which bounds the size of each (points x nodes) temporary
-whatever the length of the call.
+The lower half of the contour mirrors the upper half: the node conj(s_k)
+carries conj(E_k), and Delta(conj s; c) = conj Delta(s; conj c) for the
+weights c = (g, c_j f_j(z)).  Over the n/2 upper nodes alone, then,
+
+    c_beta(t_i) = (n/t_i)^(beta+1) [A(c) + conj A(conj c)],
+    A(c) = sum_(upper k) E_k / Delta_ik(c),
+
+which is 2 Re A(c) where every weight is real.  A point of real weights
+takes one row of upper nodes and returns an imaginary part of exactly 0;
+any other point takes a second row with the conjugate weights, the work of
+the full contour.  Each point chooses by its own weights, so it keeps the
+bits of its own scalar call whatever else its call holds, and the |Delta|
+monitor over a point's rows covers the whole contour.  Delta is summed in
+real arithmetic over its leading power (n/t_i)^mu, which keeps |Delta|^2
+finite at small t, every complex power taken once per node: the rows of
+term factors c_j f_j(z) (n/t_i)^(alpha_j - mu) times the shape powers in
+one small matrix product, 1/Delta as conj(Delta) / |Delta|^2, and the node
+sums matrix-vector products.  Points go through in blocks of `_TIME_BLOCK`,
+which bounds the size of each (points x nodes) temporary whatever the
+length of the call.
+
+The shape w_k and the node factor exp(n w_k) w'_k / (i n) are computed once
+at import in long double and rounded once to double.  Taken in double, the
+exponential carries the rounding of w times n, which set a floor of about
+1e-12 of the kernel's peak.  The rule's own truncation error is smaller:
+summed in 40 digits it is within 2e-20 of a 96-node sum on the tested
+points of real weights, and 2.4e-15 at z = 2+1j, t = 2.9.  With the rounded
+table the kernels stay within 5e-13 of their peak over t in [0.01, 10]
+against the closed form, and within 2e-13 of max(1, |c_beta|) of a
+40-digit contour sum (`tests/test_kernels.py`).  Where long double is
+double, the table keeps that floor.
 
 The kernels take an array of spectral points z that broadcasts against the
 times and return the broadcast shape: one call evaluates every (t, z) of a
@@ -120,24 +145,32 @@ def char_eval(measure: OrderMeasure, s, z: complex):
     return acc
 
 
-_TALBOT_NODES = 48  # nodes of the modified Talbot contour
+_TALBOT_NODES = 48  # nodes of the modified Talbot contour, half above the real axis
 
 
-def _talbot_shape():
-    """Modified Talbot shape w(theta) and w'(theta) at `_TALBOT_NODES`
-    midpoint angles; the contour at time t has the nodes s = (n/t) w."""
+def _talbot_half():
+    """Upper half of the modified Talbot contour: the shape w(theta) and the
+    node factor exp(n w) w'(theta) / (i n) at the `_TALBOT_NODES` / 2
+    midpoint angles theta in (0, pi).  The contour at time t has the nodes
+    s = (n/t) w and their conjugates.
+
+    Both are computed in long double and rounded once to double, so the
+    exponential does not take the rounding of w times n.
+    """
+    ld = np.longdouble
     n = _TALBOT_NODES
-    theta = (np.arange(n) + 0.5) * (2 * np.pi / n) - np.pi
-    # optimized Talbot constants (sigma, mu, nu, b)
-    sg, mu_, nu_, b_ = 0.61220, 0.50174, 0.64070, 0.26450
+    pi = 4 * np.arctan(ld(1))
+    theta = (np.arange(n // 2, n, dtype=ld) + ld(0.5)) * (2 * pi / n) - pi
+    # optimized Talbot constants (sigma, mu, nu, b), exact decimals
+    sg, mu_, nu_, b_ = (ld(c) for c in ("0.61220", "0.50174", "0.64070", "0.26450"))
     nt = nu_ * theta
     cot = np.cos(nt) / np.sin(nt)
     w = -sg + mu_ * theta * cot + 1j * b_ * theta
     dw = mu_ * (cot - nt / np.sin(nt) ** 2) + 1j * b_
-    return w, dw
+    return w.astype(complex), (np.exp(n * w) * dw / (1j * n)).astype(complex)
 
 
-_TALBOT_W, _TALBOT_DW = _talbot_shape()
+_TALBOT_W, _TALBOT_E = _talbot_half()
 
 _TIME_BLOCK = 512  # times per (times x nodes) block of the contour inversion
 
@@ -162,6 +195,35 @@ def symbol_values(measure: OrderMeasure, z, atoms=None) -> tuple:
         for a in atoms
     ]
     return g, weights
+
+
+def _half_sums(p: np.ndarray, powers: np.ndarray, e: np.ndarray, imag: bool):
+    """A = sum_k E_k / Delta_ik over the upper nodes for rows of term
+    factors p (rows, terms), Delta_ik = sum_j p_ij w_k^(a_j) with the shape
+    powers (terms, nodes): the real part of A, its imaginary part (None
+    unless imag) and |Delta|^2 (rows, nodes).
+
+    Delta is summed in real arithmetic, and 1/Delta taken as
+    conj(Delta) / |Delta|^2.  Where every factor is real the products with
+    the zero imaginary parts are skipped: they would only add exact zeros,
+    so a row's bits do not depend on the other rows.
+    """
+    # einsum sums each row alike wherever it sits, so results do not
+    # depend on how the points are split into calls or blocks
+    d_re = np.einsum("ij,jk->ik", p.real, powers.real)
+    d_im = np.einsum("ij,jk->ik", p.real, powers.imag)
+    if np.any(p.imag):
+        d_re -= np.einsum("ij,jk->ik", p.imag, powers.imag)
+        d_im += np.einsum("ij,jk->ik", p.imag, powers.real)
+    m2 = d_re * d_re
+    m2 += d_im * d_im
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero the monitor reports
+        x, y = d_re / m2, d_im / m2
+    re = np.einsum("ik,k->i", x, e.real) + np.einsum("ik,k->i", y, e.imag)
+    im = None
+    if imag:
+        im = np.einsum("ik,k->i", x, e.imag) - np.einsum("ik,k->i", y, e.real)
+    return re, im, m2
 
 
 def c_beta_path(
@@ -201,48 +263,48 @@ def c_beta_path(
             e = np.full(shape, rgamma(mu - beta), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):  # growth spectra overflow e
             return t ** (mu - beta - 1.0) * e / g
-    n, w, dw = _TALBOT_NODES, _TALBOT_W, _TALBOT_DW
-    e = np.exp(n * w) * w**beta * dw / (1j * n)
-    # (order, symbol weight at each spectral point, power of the shape) per term
-    terms = [(mu, g.reshape(-1), w**mu)]
-    terms += [(a.alpha, c.reshape(-1), w**a.alpha) for a, c in zip(measure.atoms, weights)]
+    n, w = _TALBOT_NODES, _TALBOT_W
+    e = _TALBOT_E * w**beta
+    orders = np.array([mu] + [a.alpha for a in measure.atoms])
+    powers = w ** orders[:, None]
+    # symbol weights (spectral values, terms); values whose weights are all
+    # real take the upper half of the contour alone
+    coef = np.stack([g.reshape(-1)] + [c.reshape(-1) for c in weights], axis=1)
+    real_z = ~np.any(coef.imag, axis=1)
     flat_t = np.broadcast_to(t, shape).reshape(-1)
-    # each point's index into the spectral values, and the runs of points
-    # on one spectral value: each run's value index and each point's run
     zi = np.broadcast_to(np.arange(z.size).reshape(z.shape), shape).reshape(-1)
-    starts = np.diff(zi, prepend=-1) != 0
-    run_z = zi[starts]
-    run = np.cumsum(starts) - 1
     out = np.empty(flat_t.shape, dtype=complex)
     for start in range(0, flat_t.size, _TIME_BLOCK):
         rows = slice(start, start + _TIME_BLOCK)
-        tb, rb = flat_t[rows], run[rows]
-        zb = run_z[rb[0] : rb[-1] + 1]  # at most one run per row
-        rb = rb - rb[0]
+        tb, zb = flat_t[rows], zi[rows]
         scale = n / tb
-        delta = np.zeros((tb.size, n), dtype=complex)
-        for a, c, wa in terms:
-            # symbol times shape power once per run, then each row scaled on
-            # its real and imaginary parts, which rounds as the complex
-            # product with (n/t)^a + 0i does
-            cw = (c[zb, None] * wa)[rb]
-            parts = cw.view(float)
-            parts *= (scale**a)[:, None]
-            delta += cw
-        low = np.abs(delta).min(axis=1)
-        if np.any(low < 1e-8):
-            i = int(np.argmax(low < 1e-8))
+        # Delta over its leading power (n/t)^mu, so that |Delta|^2 stays
+        # finite at small t; the monitor's floor scales alike
+        p = coef[zb] * scale[:, None] ** (orders - mu)
+        # a point of real weights is its own mirror, A(c) + conj A(c) =
+        # 2 Re A(c); any other point adds a mirror row for A(conj c)
+        cx = np.flatnonzero(~real_z[zb])
+        mirror = np.arange(tb.size)
+        mirror[cx] = tb.size + np.arange(cx.size)
+        p = np.concatenate([p, np.conj(p[cx])])
+        re, im, m2 = _half_sums(p, powers, e, bool(cx.size))
+        floor = (1e-8 * scale**-mu) ** 2  # |Delta| < 1e-8 on a node
+        bad = m2 < np.concatenate([floor, floor[cx]])[:, None]
+        if np.any(bad):
+            bad = bad.any(axis=1)
+            i = int(np.argmax(bad[: tb.size] | bad[mirror]))
+            low = np.sqrt(min(m2[i].min(), m2[mirror[i]].min())) * scale[i] ** mu
             exc = InversionError(
-                f"characteristic function dips to |Delta| = {low[i]:.2e} on "
+                f"characteristic function dips to |Delta| = {low:.2e} on "
                 f"the inversion contour at t = {float(tb[i])}; a zero near or "
                 "right of the contour makes the result unreliable"
             )
-            exc.z = complex(z.reshape(-1)[zi[start + i]])
+            exc.z = complex(z.reshape(-1)[zb[i]])
             raise exc
-        # einsum sums each row alike wherever it sits, so results do not
-        # depend on how the points are split into calls or blocks
-        node_sum = np.einsum("ik,k->i", 1.0 / delta, e)
-        out[rows] = scale ** (beta + 1.0) * node_sum
+        node_sum = re[: tb.size] + re[mirror]
+        if cx.size:
+            node_sum = node_sum + 1j * (im[: tb.size] - im[mirror])
+        out[rows] = scale ** (beta + 1.0 - mu) * node_sum
     return out.reshape(shape)
 
 

@@ -26,7 +26,8 @@ chains of short subgrids, 4 c steps each, whose step halves from level to
 level toward t = 0, Richardson-extrapolated (`_warm_start`).  It marches
 (2 L + 1) 2 c steps, 2^L the refinement of its finest level: 3,840 at
 n = 4096.  Before it, a resolution check raises
-StepSolveError where step 1 cannot follow a growing component.
+StepSolveError where step 1 or the later steps cannot follow a growing
+component.
 
 Quadrature layout of the Duhamel integrals:
 
@@ -966,35 +967,46 @@ def _warm_start(systems: list, march):
 
 
 def _require_resolved(system: _BlockSystem, terms_on) -> None:
-    """Raise StepSolveError where step 1 of the system does not resolve a
-    spectral component.
+    """Raise StepSolveError where the step weights of the system do not
+    resolve a spectral component.
 
-    Step 1 weighs u_1 by `_BlockSystem.start`, the sum of every term's part.
-    Where that sum over the leading term's part alone has real part <= 0,
-    the lower-order terms outweigh the derivative and the implicit step
+    Step 1 weighs u_1 by `_BlockSystem.start`, the sum of every term's part,
+    and every later step weighs its own state by the block diagonal
+    `coeffs[:, 0]`, sum_t v_t[0] F_t.  The two differ only where the ghost
+    start of a term on second differences enters u_1 twice.  Where either
+    sum over the leading term's part alone has real part <= 0, the
+    lower-order terms outweigh the derivative and the implicit step
     amplifies the growth instead of resolving it.  The message names the
-    first such component and the first halved step that resolves it.
+    first such component, the first step whose weight fails and the first
+    halved step at which both weights resolve it.
     """
 
-    def ratio(terms: list) -> np.ndarray:
+    def ratios(terms: list) -> np.ndarray:
+        """Weights of step 1 and of the later steps over the leading
+        term's part, (2, components)."""
+        lead = terms[0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            return sum(_start_part(t) for t in terms) / _start_part(terms[0])
+            first = sum(_start_part(t) for t in terms) / _start_part(lead)
+            later = sum(t.v[0] * t.op for t in terms) / (lead.v[0] * lead.op)
+        return np.stack([first, later])
 
     grid = system.grid
-    r = ratio(system.terms)
-    bad = np.flatnonzero(r.real <= 0)
+    r = ratios(system.terms)
+    bad = np.flatnonzero(np.any(r.real <= 0, axis=0))
     if not bad.size:
         return
     j = int(bad[0])
+    step = 1 if r[0, j].real <= 0 else 2
     hint = "no step down to h / 2^63 resolves it"
     for k in range(1, 64):
         finer = TimeGrid(grid.t_end, grid.n << k)
-        if ratio(terms_on(finer))[j].real > 0:
+        if np.all(ratios(terms_on(finer))[:, j].real > 0):
             hint = f"it needs a step of at most {finer.h:.3g} (n = {finer.n})"
             break
     raise StepSolveError(
-        f"step 1 of {grid.n} does not resolve spectral component {j}: its step "
-        f"weight is {complex(r[j]):.3g} times the leading-order part; {hint}"
+        f"step {step} of {grid.n} does not resolve spectral component {j}: its "
+        f"step weight is {complex(r[step - 1, j]):.3g} times the leading-order "
+        f"part; {hint}"
     )
 
 
@@ -1006,7 +1018,7 @@ def _run_oracle(
 
     ``terms_on(grid)`` gives the scheme's terms on a grid, and u0, phi1 the
     data, all in the operator's spectral coordinates, where the march runs.
-    A step 1 that does not resolve a component raises StepSolveError
+    Step weights that do not resolve a component raise StepSolveError
     (`_require_resolved`).  Grids of 32 cells or more start from states at
     nodes 0..2 cells, cells = clip(n / 16, 1, 128), from `_warm_start` on
     L = floor(log2 clip(n / 8, 8, 128)) levels of 4 cells steps each.

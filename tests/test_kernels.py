@@ -176,10 +176,19 @@ def test_forward_laplace_smooth_case():
         assert abs(lhs - rhs) < 1e-6
 
 
+def _node(k: int, t: float = 1.0) -> complex:
+    """Node k of the full Talbot contour at time t, s = (n/t) w_k: the upper
+    half is `kernels._TALBOT_W`, the lower half its mirror image."""
+    n, w = kernels._TALBOT_NODES, kernels._TALBOT_W
+    return n / t * (w[k - n // 2] if k >= n // 2 else np.conj(w[n // 2 - 1 - k]))
+
+
 def test_inversion_guard_detects_contour_zero():
-    # place a characteristic zero exactly on a contour node, s = (n/t) w
+    # place a characteristic zero exactly on a contour node, s = (n/t) w;
+    # node 10 lies in the lower half, which the complex weight's mirror
+    # row sees as Delta(conj s; conj c) = conj Delta(s; c)
     t = 1.0
-    s0 = kernels._TALBOT_NODES / t * kernels._TALBOT_W[10]
+    s0 = _node(10, t)
     coef = -(s0**1.5) / s0**0.5
     bad = OrderMeasure(
         1.5,
@@ -195,7 +204,7 @@ def test_inversion_guard_detects_contour_zero():
 def test_inversion_guard_names_first_bad_time_across_blocks():
     # the zero of the test above, hit at t = 1 in the middle of the second
     # block and again, to within rounding, later in that block and the next
-    s0 = kernels._TALBOT_NODES * kernels._TALBOT_W[10]
+    s0 = _node(10)
     bad = OrderMeasure(
         1.5,
         (
@@ -212,6 +221,69 @@ def test_inversion_guard_names_first_bad_time_across_blocks():
         c_beta_path(bad, 0.0, t, 1.0)
     with pytest.raises(InversionError, match=r"at t = 0\.999999999999;"):
         c_beta_path(bad, 0.0, t[::-1], 1.0)
+
+
+def test_inversion_guard_sees_conjugate_zeros_of_real_weights():
+    # real weights give Delta conjugate pairs of zeros; a pair on upper node
+    # 37 and its mirror, node 10, at t = 1, placed as in the test above.
+    # The real point runs the upper half alone and must still raise there
+    s0 = _node(37)
+    # Delta = s^1.5 + c0 + c1 z s^0.5 with real c0, c1 vanishing at s0, z = 1
+    c1 = -(s0**1.5).imag / (s0**0.5).imag
+    c0 = -(s0**1.5).real - c1 * (s0**0.5).real
+    bad = OrderMeasure(
+        1.5,
+        (Atom(0.0, 1.0, PolynomialSymbol([c0])), Atom(0.5, 1.0, PolynomialSymbol([0.0, c1]))),
+    )
+    t = np.linspace(0.5, 3.0, 1600)
+    t[700] = 1.0
+    t[900] = 1.0 + 1e-12
+    t[1500] = 1.0 - 1e-12
+    assert np.all(c_beta_path(bad, 0.0, t[:600], 1.0).imag == 0)
+    with pytest.raises(InversionError, match=r"at t = 1\.0;"):
+        c_beta_path(bad, 0.0, t, 1.0)
+    with pytest.raises(InversionError, match=r"at t = 0\.999999999999;"):
+        c_beta_path(bad, 0.0, t[::-1], 1.0)
+    # after the points of a complex z, which run both halves and miss the zero
+    with pytest.raises(InversionError, match=r"at t = 1\.0;") as caught:
+        c_beta_path(bad, 0.0, t[600:], np.array([1.0 + 1e-3j, 1.0])[:, None])
+    assert caught.value.z == 1.0
+
+
+def test_real_weight_points_return_zero_imaginary_part():
+    # a point whose weights are all real is its own mirror: 2 Re A, whatever
+    # the other points of its call or block
+    t = np.geomspace(0.01, 10.0, 700)
+    zs = np.array([0.3, 2.0 + 1.0j, -2.0, 40.0])
+    c = c_beta_path(_TWO_ATOM_CONTOUR, 0.8, t, zs[:, None])
+    assert np.all(c[[0, 2, 3]].imag == 0)
+    assert np.all(c[1].imag != 0)
+    s0 = solution_symbol_path(_TWO_ATOM_CONTOUR, 0, t[:, None], zs)
+    assert np.all(s0[:, [0, 2, 3]].imag == 0)
+
+
+def test_contour_kernel_at_tiny_times():
+    # c_{mu-1}(t) -> 1 as t -> 0; Delta is summed over its leading power,
+    # so |Delta|^2 does not overflow where (n/t)^mu passes 1e154
+    t = np.array([1e-300, 1e-200, 1e-100, 1e-20])
+    c = c_beta_path(_TWO_ATOM_CONTOUR, 0.8, t, 0.3)
+    assert np.all(np.abs(c - 1.0) < 1e-12)
+
+
+def test_contour_accuracy_relative_to_peak():
+    # the kernels docstring's claim: within 5e-13 of the kernel's peak on
+    # 1,537 geometric times in [0.01, 10], against the closed form, also
+    # where the kernel itself decays below 1e-4 (mu = 1.5, z = 2, t > 5.8)
+    t = np.geomspace(0.01, 10.0, 1537)
+    for mu in (0.5, 1.5):
+        measure = OrderMeasure(mu, (Atom(0.0 if mu <= 1 else 0.5, 1.0, identity_symbol()),))
+        twin = split_atom(measure)
+        for z in (0.5, 1.0, 2.0):
+            for beta in (mu - 1.0, mu - 2.0):
+                fast = c_beta_path(measure, beta, t, z)
+                talbot = c_beta_path(twin, beta, t, z)
+                peak = np.max(np.abs(fast))
+                assert np.max(np.abs(talbot - fast)) <= 5e-13 * peak, (mu, z, beta)
 
 
 @pytest.mark.parametrize("mu", [0.5, 1.5])
@@ -374,10 +446,78 @@ def test_integer_leading_order_reduces_to_classical():
         assert abs(solution_symbol_path(m, 1, [t], z)[0] - np.sin(t)) < 1e-11
 
 
+def _mp_shape(nodes: int, k: int) -> tuple:
+    """w and w' of the modified Talbot shape at the midpoint angle k of
+    `nodes`, in mpmath at its working precision."""
+    mp = pytest.importorskip("mpmath")
+    sg, mu, nu, b = (mp.mpf(c) for c in ("0.61220", "0.50174", "0.64070", "0.26450"))
+    theta = (k + mp.mpf(0.5)) * 2 * mp.pi / nodes - mp.pi
+    cot = mp.cot(nu * theta)
+    w = -sg + mu * theta * cot + 1j * b * theta
+    dw = mu * (cot - nu * theta / mp.sin(nu * theta) ** 2) + 1j * b
+    return w, dw
+
+
+def _mp_kernel(measure: OrderMeasure, k, t: float, z: complex) -> complex:
+    """c_{mu-1}(t, z) (k None) or S_k(t, z) to about 20 digits: the Talbot
+    sum of `kernels` on 64 and on 96 nodes at 40 digits, which must agree,
+    with the double symbol values of z taken as exact.
+
+    An explicit sum, because mpmath's own `invertlaplace(method='talbot')`
+    misses the kernel at z = 2+1j.
+    """
+    mp = pytest.importorskip("mpmath")
+    g, weights = kernels.symbol_values(measure, z)
+    with mp.workdps(40):
+        g = mp.mpc(complex(g))
+        terms = [(mp.mpc(complex(c)), mp.mpf(a.alpha)) for a, c in zip(measure.atoms, weights)]
+        mu = mp.mpf(measure.mu)
+        if k is None:
+            numerator = [(1, mu - 1)]
+        else:
+            numerator = [(g, mu - k - 1)] + [(c, a - k - 1) for c, a in terms if a > k]
+
+        def transform(s):
+            delta = g * s**mu + sum(c * s**a for c, a in terms)
+            return sum(c * s**p for c, p in numerator) / delta
+
+        sums = []
+        for nodes in (64, 96):
+            total = 0
+            for j in range(nodes):
+                w, dw = _mp_shape(nodes, j)
+                s = nodes / mp.mpf(t) * w
+                total += mp.exp(s * t) * transform(s) * dw
+            sums.append(total / (1j * t))
+        assert abs(sums[0] - sums[1]) < 1e-20 * max(1, abs(sums[1]))
+        return complex(sums[1])
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="long double is double here: the table keeps the rounding of w times n",
+)
+def test_talbot_table_within_two_ulps_of_mpmath():
+    mp = pytest.importorskip("mpmath")
+    n = kernels._TALBOT_NODES
+    assert kernels._TALBOT_W.shape == kernels._TALBOT_E.shape == (n // 2,)
+    with mp.workdps(40):
+        for k, (w, e) in enumerate(zip(kernels._TALBOT_W, kernels._TALBOT_E)):
+            ref_w, ref_dw = _mp_shape(n, n // 2 + k)
+            assert ref_w.imag > 0
+            ref_e = mp.exp(n * ref_w) * ref_dw / (1j * n)
+            for got, ref in ((w, ref_w), (e, ref_e)):
+                for part, exact in ((got.real, ref.real), (got.imag, ref.imag)):
+                    ulp = np.spacing(abs(float(exact)))
+                    assert abs(mp.mpf(float(part)) - exact) <= 2 * ulp, (k, got)
+
+
 # Scalar-z values of c_{mu-1}(2.9, z) and S_1(2.9, z), z = 0.3+0.7j,
 # 1.5-0.4j, 0.05+3.1j, from the per-component code before kernels took
-# arrays of z.  Symbols that round (a square root, an exponential, non-unit
-# weights) go through the same arithmetic for a scalar z as for a batch.
+# arrays of z; the two-atom measure's Talbot values are checked against the
+# mpmath contour sum instead.  Symbols that round (a square root, an
+# exponential, non-unit weights) go through the same arithmetic for a
+# scalar z as for a batch.
 _INEXACT_SYMBOL_MEASURES = {
     "power": OrderMeasure(1.8, (Atom(0.3, 0.7, PowerSymbol(0.5)),)),
     "exponential": OrderMeasure(
@@ -404,63 +544,45 @@ _STORED_SCALAR_VALUES = {
         0.28768452414962675 + 0.8087148105148119j,
         2.1510174313649184 + 1.1461042024617591j,
     ],
-    "two_atom": [
-        -0.005154467676344002 - 0.08115935394740116j,
-        0.9360730758533967 - 0.26140917303719996j,
-        -0.03663948820347354 + 0.012448492799224239j,
-        0.7574560733303731 + 0.06136389031834365j,
-        -0.1268904871015436 - 0.06058599397427308j,
-        0.6193353710858381 - 0.3904082032647923j,
-    ],
 }
 
 
-@pytest.mark.parametrize("name", sorted(_STORED_SCALAR_VALUES))
+@pytest.mark.parametrize("name", sorted(_INEXACT_SYMBOL_MEASURES))
 def test_scalar_kernels_with_inexact_symbols_match_stored_values(name):
     # the one-atom values move by at most 8 eps of max(1, |value|): the
-    # length-1 Mittag-Leffler series no longer rounds its products in place
+    # length-1 Mittag-Leffler series no longer rounds its products in place;
+    # the Talbot values stay within 2e-13 of max(1, |value|) of mpmath
     measure = _INEXACT_SYMBOL_MEASURES[name]
-    got = []
+    got, ref = [], []
     for z in (0.3 + 0.7j, 1.5 - 0.4j, 0.05 + 3.1j):
         got.append(c_beta(measure, measure.mu - 1.0, 2.9, z))
         got.append(solution_symbol_path(measure, 1, [2.9], z)[0])
-    stored = np.array(_STORED_SCALAR_VALUES[name])
-    eps = np.finfo(float).eps
-    assert np.all(np.abs(np.array(got) - stored) <= 8 * eps * np.maximum(1.0, np.abs(stored)))
+        if name not in _STORED_SCALAR_VALUES:
+            ref += [_mp_kernel(measure, None, 2.9, z), _mp_kernel(measure, 1, 2.9, z)]
+    ref = np.array(_STORED_SCALAR_VALUES.get(name, ref))
+    bound = 8 * np.finfo(float).eps if name in _STORED_SCALAR_VALUES else 2e-13
+    assert np.all(np.abs(np.array(got) - ref) <= bound * np.maximum(1.0, np.abs(ref)))
 
 
-# Talbot-branch values of c_{mu-1}(t, z) and S_0(t, z) for the two-atom
-# measure of the contour benchmark, at t = 0.4 and 2.9 for z = 0.3, 40 and
-# 2+1j in turn; real z keep the contour's ~1e-13 imaginary rounding
+# The two-atom measure of the contour benchmark: c_{mu-1}(t, z) and S_0(t, z)
+# at t = 0.4 and 2.9 for z = 0.3, 40 and 2+1j, once pinned at 8 eps to
+# stored Talbot values, now checked against the 40-digit contour sum
 _TWO_ATOM_CONTOUR = OrderMeasure(
     1.8, (Atom(0.0, 0.7, identity_symbol()), Atom(0.7, 0.4, identity_symbol()))
 )
-_STORED_CONTOUR_VALUES = [
-    0.9356334420465331 - 3.5351416702604424e-13j,
-    0.9763770722527052 - 3.5566163339325026e-13j,
-    -0.07788618868787199 - 1.5874060563325921e-13j,
-    0.40879601271281707 - 3.138448686474309e-13j,
-    0.6113494237334873 - 0.15801023866048536j,
-    0.854249037471496 - 0.06209961504053525j,
-    0.13200095542002685 - 2.956157020341506e-13j,
-    0.36679060440098943 - 3.120124383729418e-13j,
-    -0.0014964899662047013 - 7.831311777415973e-15j,
-    0.10745217632642799 - 1.724537698114928e-13j,
-    -0.07032229649560594 + 0.2506281408773711j,
-    -0.03576945350375108 + 0.16480320377496888j,
-]
 
 
 def test_contour_kernels_match_stored_values():
     measure = _TWO_ATOM_CONTOUR
-    got = []
+    got, ref = [], []
     for t in (0.4, 2.9):
         for z in (0.3, 40.0, 2.0 + 1.0j):
             got.append(c_beta(measure, measure.mu - 1.0, t, z))
             got.append(solution_symbol_path(measure, 0, [t], z)[0])
-    stored = np.array(_STORED_CONTOUR_VALUES)
-    eps = np.finfo(float).eps
-    assert np.all(np.abs(np.array(got) - stored) <= 8 * eps * np.maximum(1.0, np.abs(stored)))
+            ref += [_mp_kernel(measure, None, t, z), _mp_kernel(measure, 0, t, z)]
+    got, ref = np.array(got), np.array(ref)
+    assert np.all(np.abs(got - ref) <= 2e-13 * np.maximum(1.0, np.abs(ref)))
+    assert np.all(got[[0, 1, 2, 3, 6, 7, 8, 9]].imag == 0)
 
 
 def test_leading_symbol_scales_kernel():

@@ -714,6 +714,25 @@ def test_unresolved_first_step_names_component_and_step():
         oracle_caputo(prob)
 
 
+@pytest.mark.parametrize("n", [64, 256])
+def test_unresolved_later_steps_raise_on_l2(n):
+    # mu = 3/2 with lambda = -1.5 c, c = h^-1.5 / Gamma(1.5): step 1 weighs
+    # u_1 by 2 c + lambda (ratio 0.25 to its leading part) and later steps
+    # u_n by c + lambda (ratio -0.5); the oracle used to return 1.93e36 at
+    # n = 64 and 3.07e146 at n = 256, against 1.99e39 and 5.32e157
+    h = 1.0 / n
+    lam = -1.5 * h**-1.5 * rgamma(1.5)
+    prob = CauchyProblem(
+        MatrixOperator(np.array([[lam]])),
+        OrderMeasure(1.5, (Atom(0.0, 1.0, identity_symbol()),)),
+        [np.array([1.0]), np.array([0.0])],
+        None,
+        TimeGrid(1.0, n),
+    )
+    with pytest.raises(StepSolveError, match=rf"step 2 of {n} .* component 0: .* -0\.5\+0j times"):
+        oracle_caputo(prob)
+
+
 def test_repr_on_power_forcing_matches_oracle():
     # h = t^0.5 has h' unbounded at 0; its datum D_+^0.5 h = Gamma(1.5)
     # takes the power rule, so the route meets the oracle within the
