@@ -6,8 +6,9 @@ Riemann-Liouville derivative adds the closed-form term
 f(0) tau**(-alpha) / Gamma(1 - alpha).  Power profiles, whose first
 derivative the rule cannot follow where it is unbounded at 0, take the
 power rule D^alpha t^p = Gamma(p+1) / Gamma(p+1-alpha) t^(p-alpha) instead.
-The fractional Duhamel routes take their datum D_+^(m-mu) h at the
-quadrature points of the Duhamel integral from this pair.
+The representation route takes its datum D_+^(m-mu) h at its quadrature
+points from `rl_derivative_at`; the fractional Duhamel routes take the C^1
+remainder of their datum at the grid nodes from `caputo_derivative_at`.
 """
 
 from __future__ import annotations

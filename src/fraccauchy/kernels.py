@@ -328,13 +328,16 @@ def solution_symbol_path(
     k: int,
     t: np.ndarray,
     z,
+    shift: float = 0.0,
 ) -> np.ndarray:
-    """S_k(t, z) on positive times t and spectral points z.
+    """J^shift S_k(t, z) on positive times t and spectral points z.
 
     S_k is the scalar symbol of the operator mapping the k-th datum into the
     solution: S_k(t, z) = g(z) c_{mu-k-1}(t, z) plus, over atoms with
     alpha_j > k, c_j f_j(z) c_{alpha_j-k-1}(t, z); atoms exactly at the
-    integer k feed only lower data indices.
+    integer k feed only lower data indices.  J^q, the Riemann-Liouville
+    integral of order q, divides the transforms by s^q, so J^shift S_k is
+    the same sum with every kernel exponent lowered by shift.
 
     z is a scalar or an array that broadcasts against t, as in
     `c_beta_path`; the result has the broadcast shape.  Raises BlowupError
@@ -354,20 +357,21 @@ def solution_symbol_path(
     # atoms exactly at the integer k feed only lower data indices
     included = [a for a in measure.atoms if a.alpha > k]
     g, weights = symbol_values(measure, z, included)
-    c = c_beta_path(measure, measure.mu - k - 1.0, t, z)
+    c = c_beta_path(measure, measure.mu - k - 1.0 - shift, t, z)
     # non-finite kernels are reported below, whichever point of the call has them
     with np.errstate(over="ignore", invalid="ignore"):
         acc = g * c
         for a, w in zip(included, weights):
             if not np.any(w):  # where c_j f_j(z) = 0 the atom adds nothing
                 continue
-            c = c_beta_path(measure, a.alpha - k - 1.0, t, z)
+            c = c_beta_path(measure, a.alpha - k - 1.0 - shift, t, z)
             acc = np.where(w == 0, acc, acc + w * c)
     bad = np.flatnonzero(~np.isfinite(acc))
     if bad.size:
         zb = complex(np.broadcast_to(z, shape).flat[bad[0]])
+        name = f"J^{shift:g} S_{k}" if shift else f"S_{k}"
         exc = BlowupError(
-            f"solution symbol S_{k}(t, z) is not finite at t = "
+            f"solution symbol {name}(t, z) is not finite at t = "
             f"{float(t.flat[bad[0]])} for z = {zb}; the kernel "
             "overflows on this spectrum"
         )

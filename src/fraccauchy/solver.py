@@ -35,20 +35,24 @@ Quadrature layout of the Duhamel integrals:
   endpoints (the datum may blow up like tau^(mu-m) at 0, the kernel has
   fractional derivatives at tau = t), with the first panel carrying the
   algebraic endpoint weight exactly;
-* the Duhamel-principle routes resolve a graded boundary layer of width
-  ~ sqrt(n) cells near tau = 0 and walk the remaining cells of the time
-  grid itself with trapezoid weights, so their error is grid-driven and
-  shrinks as the grid refines.
+* the four Duhamel-principle routes run one product-integration engine
+  (`_duhamel`).  Each integrates its datum against a kernel J^b S_k, J^q
+  the Riemann-Liouville integral of order q.  The singular part of the
+  datum (h(0) tau^(-gamma), h'(0) tau^(1-gamma), or a whole power profile)
+  convolves exactly into the kernels J^(b+q) S_k; the C^1 remainder
+  is interpolated piecewise-linearly on the grid and integrated exactly
+  against the moments J^(b+1) S_k and J^(b+2) S_k, so these routes are
+  second order in h.
 
 Every route evaluates its solution symbols in one `solution_symbol_path`
-call per datum index, over all active spectral components at once (the
-components on the leading axis, the route's kernel times after it).  Runs
-of components split the call only where it would pass `_POINT_BUDGET`
-points, so no temporary outgrows max(one component's points, the budget).
-`duhamel_rl` takes its two kernel moments the same way, one `c_beta_path`
-call each.  Only the convolutions still loop over components.  A failure
-names the point the per-component loop met first: the first failing
-component, and for it the first datum index and time.
+call per datum index, or per kernel J^q S_k on the Duhamel routes, over all
+active spectral components at once (the components on the leading axis,
+the route's kernel times after it).  Runs of components split the call
+only where it would pass `_POINT_BUDGET` points, so no temporary outgrows
+max(one component's points, the budget).  Only the convolutions still loop
+over components.  A failure names the point the per-component loop met
+first: the first failing component, and for it the first datum index or
+kernel and time.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ from .errors import (
 )
 from .fracops import caputo_derivative_at, rl_derivative_at
 from .grids import TimeGrid
-from .kernels import Atom, OrderMeasure, c_beta_path, solution_symbol_path, symbol_values
+from .kernels import Atom, OrderMeasure, solution_symbol_path, symbol_values
 from .operators import FourierMultiplier, MatrixOperator
 from .problems import (
     CAPUTO,
@@ -156,13 +160,31 @@ def _chunks(components: np.ndarray, points: int) -> list:
     return [components[i : i + step] for i in range(0, len(components), step)]
 
 
+def _symbol_rows(measure: OrderMeasure, t: np.ndarray, z: np.ndarray, calls) -> list:
+    """`solution_symbol_path(measure, k, t, z[js, None], shift=shift)` for
+    each (k, shift, js) of calls.
+
+    A failing call does not stop the others.  Of all failures, the one
+    raised is the one a loop over single components meets first: on the
+    first failing component, its first failing call.
+    """
+    rows, failures = [], []
+    for i, (k, shift, js) in enumerate(calls):
+        try:
+            rows.append(solution_symbol_path(measure, k, t, z[js, None], shift=shift))
+        except (BlowupError, InversionError) as exc:
+            failures.append((js[np.argmax(z[js] == exc.z)], i, exc))
+    if failures:
+        raise min(failures, key=lambda f: f[:2])[2]
+    return rows
+
+
 def _forcing_components(problem: CauchyProblem):
-    """Eigenvalues, the forcing direction over the leading symbol in spectral
-    coordinates, and the indices of its active components."""
+    """Eigenvalues and the forcing direction over the leading symbol in
+    spectral coordinates."""
     lam = _spectrum(problem)
     g_lead = _leading_values(problem.measure, lam)
-    dir_spec = problem.operator.to_spectral(problem.forcing.direction) / g_lead
-    return lam, dir_spec, _active(dir_spec)
+    return lam, problem.operator.to_spectral(problem.forcing.direction) / g_lead
 
 
 def _zero_path(problem: CauchyProblem, method: str) -> SolutionPath:
@@ -206,21 +228,12 @@ def solve_homogeneous(problem: CauchyProblem) -> SolutionPath:
     u_spec[0] = phis[0]
     t_pos = grid.nodes[1:]
     for js in _chunks(_active(phis), grid.n):
+        live = phis[:, js] != 0  # a vanishing datum is not evaluated
+        ks = [k for k in range(problem.measure.m) if live[k].any()]
+        calls = [(k, 0.0, js[live[k]]) for k in ks]
         acc = np.zeros((len(js), grid.n), dtype=complex)
-        failures = []
-        for k in range(problem.measure.m):
-            live = phis[k, js] != 0  # a vanishing datum is not evaluated
-            if not live.any():
-                continue
-            try:
-                s = solution_symbol_path(problem.measure, k, t_pos, lam[js[live], None])
-            except (BlowupError, InversionError) as exc:
-                j = js[live][np.argmax(lam[js[live]] == exc.z)]
-                failures.append((j, k, exc))
-                continue
-            acc[live] += phis[k, js[live], None] * s
-        if failures:  # the first failure in component-major order
-            raise min(failures, key=lambda f: f[:2])[2]
+        for k, s in zip(ks, _symbol_rows(problem.measure, t_pos, lam, calls)):
+            acc[live[k]] += phis[k, js[live[k]], None] * s
         u_spec[1:, js] = acc.T
     return SolutionPath(grid, op.from_spectral(u_spec), method="homogeneous")
 
@@ -229,15 +242,9 @@ def solve_homogeneous(problem: CauchyProblem) -> SolutionPath:
 # forcing data
 
 
-def _datum_function(profile: FunctionSpec, gamma: float, variant: str):
-    """Pointwise Duhamel datum of order gamma in [0, 1) applied to h."""
+def _require_continuous(profile: FunctionSpec) -> None:
     if isinstance(profile, Power) and profile.singular_at_zero:
         raise CapabilityError("forcing profile must be continuous at t = 0")
-    if gamma == 0.0:
-        return lambda tau: np.asarray(profile.eval(tau), dtype=complex)
-    if variant == "rl":
-        return lambda tau: rl_derivative_at(profile, gamma, tau)
-    return lambda tau: caputo_derivative_at(profile, gamma, tau)
 
 
 def _profile_at_zero(profile: FunctionSpec) -> complex:
@@ -249,47 +256,38 @@ def _gauss(npts: int):
     return leggauss(npts)
 
 
-def _cell_rule_weighted(a: float, b: float, gamma: float, npts: int):
-    """Nodes/weights integrating F over [a, b] with F ~ (tau - a)^(-gamma).
-
-    The algebraic factor is absorbed exactly: the returned weights apply to
-    plain F values at interior nodes.
-    """
-    x, w = gauss_jacobi(npts, -gamma)
-    half = 0.5 * (b - a)
-    tau = a + half * (x + 1.0)
-    weights = w * half ** (1.0 - gamma) * (tau - a) ** gamma
-    return tau, weights
-
-
-def _unit_graded_rule(gamma: float, panels: int, grade: float, npts: int = 5):
+def _unit_graded_rule(gamma: float, panels: int):
     """Composite rule on the unit interval, graded toward both endpoints.
 
-    The first panel carries the tau^(-gamma) endpoint weight exactly; all
-    others use Gauss-Legendre.  The rule rescales to [0, t] by multiplying
-    nodes and weights with t (the algebraic factor is part of the integrand,
-    so the scaling stays uniform).
+    Panel breaks grade as (j / panels)^3 toward each end.  The first panel
+    carries the tau^(-gamma) endpoint weight exactly with a 10-point
+    Gauss-Jacobi rule, the others take 5-point Gauss-Legendre.  The rule
+    rescales to [0, t] by multiplying nodes and weights with t (the
+    algebraic factor is part of the integrand, so the scaling stays
+    uniform).
     """
     j = np.arange(panels + 1, dtype=float)
-    left = 0.5 * (j / panels) ** grade
+    left = 0.5 * (j / panels) ** 3
     breaks = np.concatenate([left, (1.0 - left[::-1])[1:]])
-    taus = []
-    weights = []
-    first_tau, first_w = _cell_rule_weighted(0.0, breaks[1], gamma, max(npts + 4, 10))
-    taus.append(first_tau)
-    weights.append(first_w)
-    x, w = _gauss(npts)
+    # first panel: weights for plain integrand values, the factor absorbed
+    x, w = gauss_jacobi(10, -gamma)
+    half = 0.5 * breaks[1]
+    tau = half * (x + 1.0)
+    taus = [tau]
+    weights = [w * half ** (1.0 - gamma) * tau**gamma]
+    x, w = _gauss(5)
     for a, b in zip(breaks[1:-1], breaks[2:]):
-        halfp = 0.5 * (b - a)
-        taus.append(a + halfp * (x + 1.0))
-        weights.append(w * halfp)
+        half = 0.5 * (b - a)
+        taus.append(a + half * (x + 1.0))
+        weights.append(w * half)
     return np.concatenate(taus), np.concatenate(weights)
 
 
 def _forced_convolution(
-    problem: CauchyProblem, variant: str, unit_tau: np.ndarray, unit_w: np.ndarray
+    problem: CauchyProblem, unit_tau: np.ndarray, unit_w: np.ndarray
 ) -> np.ndarray:
-    """States of int_0^t S_{m-1}(t - tau, A) datum(tau) dtau on all nodes.
+    """States of int_0^t S_{m-1}(t - tau, A) D_+^(m-mu) h(tau) dtau on all
+    nodes.
 
     The quadrature pattern is one graded unit rule rescaled per node, so the
     kernel evaluations of all components batch into one vectorized call.
@@ -298,15 +296,21 @@ def _forced_convolution(
     measure = problem.measure
     m = measure.m
     gamma = m - measure.mu
-    lam, dir_spec, active = _forcing_components(problem)
-    datum = _datum_function(problem.forcing.profile, gamma, variant)
+    profile = problem.forcing.profile
+    _require_continuous(profile)
+    lam, dir_spec = _forcing_components(problem)
     t_pos = grid.nodes[1:]
     tau_mat = t_pos[:, None] * unit_tau[None, :]
     w_mat = t_pos[:, None] * unit_w[None, :]
-    gvals = datum(tau_mat.reshape(-1)).reshape(tau_mat.shape)
+    tau = tau_mat.reshape(-1)
+    if gamma:
+        gvals = rl_derivative_at(profile, gamma, tau)
+    else:
+        gvals = np.asarray(profile.eval(tau), dtype=complex)
+    gvals = gvals.reshape(tau_mat.shape)
     sig = t_pos[:, None] - tau_mat
     u_spec = np.zeros((grid.n + 1, problem.dim), dtype=complex)
-    for js in _chunks(active, sig.size):
+    for js in _chunks(_active(dir_spec), sig.size):
         svals = solution_symbol_path(measure, m - 1, sig, lam[js, None, None])
         u_spec[1:, js] = (dir_spec[js, None] * np.sum(w_mat * svals * gvals, axis=-1)).T
     return problem.operator.from_spectral(u_spec)
@@ -328,79 +332,102 @@ def solve_repr(problem: CauchyProblem) -> SolutionPath:
         # map stays exactly linear in the data
         gamma = problem.measure.m - problem.measure.mu
         panels = int(np.clip(grid.n // 128, 8, 32))
-        unit_tau, unit_w = _unit_graded_rule(gamma, panels, 3.0, npts=5)
-        states = states + _forced_convolution(problem, "rl", unit_tau, unit_w)
+        unit_tau, unit_w = _unit_graded_rule(gamma, panels)
+        states = states + _forced_convolution(problem, unit_tau, unit_w)
     return SolutionPath(grid, states, method="repr")
 
 
 # ---------------------------------------------------------------------------
-# Duhamel-principle routes (grid-driven quadrature)
+# Duhamel-principle routes: one product-integration engine
 
 
-def _duhamel_convolution(problem: CauchyProblem, variant: str) -> SolutionPath:
-    """Duhamel integral on the grid: graded boundary layer plus trapezoid.
+def _duhamel(
+    problem: CauchyProblem,
+    method: str,
+    gamma: float,
+    kernel: tuple,
+    rl_datum: bool = False,
+) -> SolutionPath:
+    """u(t) = int_0^t K(t - tau) d(tau) dtau per spectral component, from
+    the datum d = D^gamma h of the forcing profile h (d = h at gamma = 0).
 
-    The datum is non-smooth at tau = 0 (singular when h(0) != 0, a
-    fractional power otherwise), so the first W ~ sqrt(n) cells integrate on
-    a graded pattern with the endpoint weight taken exactly; the remaining
-    cells walk the grid with trapezoid weights.  Both parts refine with n.
+    ``kernel`` is (measure, k, b, z, direction): component j integrates
+    K = J^b S_k(., z_j) and scales the result by direction_j.  The datum is
+    the Riemann-Liouville derivative where ``rl_datum`` is set, the Caputo
+    derivative otherwise.  It splits into terms c tau^(q-1) / Gamma(q),
+    whose convolutions with K are the kernels c J^(b+q) S_k, and a C^1
+    remainder r:
+
+    * a power profile s t^p is one term, c = s Gamma(p+1), q = p + 1 - gamma;
+    * otherwise the Riemann-Liouville datum has h(0) at q = 1 - gamma, and a
+      datum with gamma > 0 has h'(0) at q = 2 - gamma; r is the Caputo
+      derivative minus h'(0) t^(1-gamma) / Gamma(2-gamma), or h itself at
+      gamma = 0.
+
+    The piecewise-linear interpolant of r on the grid is integrated against
+    K exactly, through the moments K1 = J^(b+1) S_k and K2 = J^(b+2) S_k at
+    the lags p h (both vanish at lag 0):
+
+        u_i = sum_p A(p) r_(i-p) + B(p) r_(i-p+1),
+        A(p) = K1(p h) - D(p),  B(p) = D(p) - K1((p-1) h),
+        D(p) = (K2(p h) - K2((p-1) h)) / h,
+
+    two convolutions per component.  The result is exact where r is linear
+    and second order in h for smooth r.  Every kernel is one
+    `solution_symbol_path` call per run of components.
     """
+    measure, k, b, z, direction = kernel
+    profile = problem.forcing.profile
+    _require_continuous(profile)
     grid = problem.grid
-    measure = problem.measure
-    m = measure.m
-    gamma = m - measure.mu
-    if problem.forcing_or_zero() is None:
-        return _zero_path(problem, f"duhamel-{variant}")
-    lam, dir_spec, active = _forcing_components(problem)
-    datum = _datum_function(problem.forcing.profile, gamma, variant)
-    h = grid.h
-    n = grid.n
-    t = grid.nodes
-    layer = int(np.clip(int(np.sqrt(n)), 1, min(64, n // 2 + 1)))
-    grade = max(3.0, 2.0 / (1.0 - gamma)) if gamma > 0 else 2.0
-    unit_tau, unit_w = _unit_graded_rule(gamma, 8, grade, npts=4)
-
-    g_grid = datum(t[1:])  # datum at tau_1..tau_n
-    # full graded rule for nodes inside the layer, scaled per node
-    t_lay = t[1 : layer + 1]
-    tau_in = t_lay[:, None] * unit_tau[None, :]
-    w_in = t_lay[:, None] * unit_w[None, :]
-    g_in = datum(tau_in.reshape(-1)).reshape(tau_in.shape)
-    # fixed boundary-layer rule on [0, layer h] for the nodes beyond it
-    tau_b = (layer * h) * unit_tau
-    w_b = (layer * h) * unit_w
-    g_b = datum(tau_b)
-    s0 = 1.0 if m == 1 else 0.0  # S_{m-1}(0+)
-    # one kernel call per run of components: grid nodes, layer rule, boundary rule
-    sig_in = t_lay[:, None] - tau_in
-    sig_b = t[layer + 1 :, None] - tau_b[None, :]
-    times = np.concatenate([t[1:], sig_in.reshape(-1), sig_b.reshape(-1)])
-
+    n, t = grid.n, grid.nodes
+    if isinstance(profile, Power):
+        p = profile.exponent
+        terms, r = [(complex(profile.scale) * math.gamma(p + 1.0), p + 1.0 - gamma)], None
+    elif gamma == 0:
+        terms, r = [], np.asarray(profile.eval(t), dtype=complex)
+    else:
+        d1 = _profile_at_zero(profile.derivative(1))
+        terms = [(_profile_at_zero(profile), 1.0 - gamma)] if rl_datum else []
+        terms.append((d1, 2.0 - gamma))
+        r = caputo_derivative_at(profile, gamma, t)
+        r -= d1 * rgamma(2.0 - gamma) * t ** (1.0 - gamma)
+    if r is not None and not np.all(np.isfinite(r)):
+        raise BlowupError("the forcing datum is not finite on the grid")
+    terms = [(c, b + q) for c, q in terms if c != 0]
+    if r is not None and not r.any():
+        r = None
+    shifts = [shift for _, shift in terms] + ([b + 1.0, b + 2.0] if r is not None else [])
     u_spec = np.zeros((n + 1, problem.dim), dtype=complex)
-    for js in _chunks(active, times.size):
-        s = solution_symbol_path(measure, m - 1, times, lam[js, None])
-        s_grid = s[:, :n]
-        s_in = s[:, n : n + sig_in.size].reshape(len(js), *sig_in.shape)
-        s_b = s[:, n + sig_in.size :].reshape(len(js), *sig_b.shape)
-        u_spec[1 : layer + 1, js] = (
-            dir_spec[js, None] * np.sum(w_in * s_in * g_in, axis=-1)
-        ).T
-        if layer >= n:
-            continue
-        boundary = s_b @ (w_b * g_b)
-        # trapezoid over grid nodes j = layer..i, for the nodes i beyond the layer
-        tail = np.empty((len(js), n - layer), dtype=complex)
-        for c, row in enumerate(s_grid):
-            tail[c] = np.convolve(g_grid, row)[layer - 1 : n - 1]
-            if layer >= 2:
-                tail[c] -= np.convolve(g_grid[: layer - 1], row)[layer - 1 : n - 1]
-        f_w = s_grid[:, : n - layer] * g_grid[layer - 1]
-        f_i = s0 * g_grid[layer:]
-        trap = h * (tail + f_i - 0.5 * f_w - 0.5 * f_i)
-        u_spec[layer + 1 :, js] = (dir_spec[js, None] * (boundary + trap)).T
-    return SolutionPath(
-        grid, problem.operator.from_spectral(u_spec), method=f"duhamel-{variant}"
-    )
+    for js in _chunks(_active(direction), len(shifts) * n):
+        kernels = _symbol_rows(measure, t[1:], z, [(k, shift, js) for shift in shifts])
+        acc = np.zeros((len(js), n), dtype=complex)
+        if r is not None:
+            k1 = np.pad(kernels[-2], ((0, 0), (1, 0)))
+            d = np.diff(kernels[-1], axis=1, prepend=0.0) / grid.h
+            wa = k1[:, 1:] - d
+            wb = d - k1[:, :-1]
+            for c in range(len(js)):
+                acc[c] = np.convolve(r, wa[c])[:n] + np.convolve(r[1:], wb[c])[:n]
+        for (c, _), kv in zip(terms, kernels):
+            acc += c * kv
+        u_spec[1:, js] = (direction[js, None] * acc).T
+    states = problem.operator.from_spectral(u_spec)
+    states[0] = 0.0
+    return SolutionPath(grid, states, method=method)
+
+
+def _duhamel_caputo(
+    problem: CauchyProblem, method: str, rl_datum: bool = False
+) -> SolutionPath:
+    """The Caputo routes: K = S_(m-1) on the problem's spectrum, the datum
+    of order m - mu, the forcing direction over the leading symbol."""
+    if problem.forcing_or_zero() is None:
+        return _zero_path(problem, method)
+    measure = problem.measure
+    lam, dir_spec = _forcing_components(problem)
+    kernel = (measure, measure.m - 1, 0.0, lam, dir_spec)
+    return _duhamel(problem, method, measure.m - measure.mu, kernel, rl_datum)
 
 
 def duhamel_caputo(problem: CauchyProblem) -> SolutionPath:
@@ -413,7 +440,7 @@ def duhamel_caputo(problem: CauchyProblem) -> SolutionPath:
             "integer leading order: use duhamel_integer for this problem"
         )
     _require_zero_data(problem, "duhamel_caputo")
-    return _duhamel_convolution(problem, "rl")
+    return _duhamel_caputo(problem, "duhamel", rl_datum=True)
 
 
 def duhamel_caputo_zero(problem: CauchyProblem) -> SolutionPath:
@@ -431,11 +458,11 @@ def duhamel_caputo_zero(problem: CauchyProblem) -> SolutionPath:
             "this route requires h(0) = 0; the regularized datum only matches "
             "the unregularized one for forcing vanishing at t = 0"
         )
-    return _duhamel_convolution(problem, "caputo")
+    return _duhamel_caputo(problem, "duhamel-zero")
 
 
 def duhamel_integer(problem: CauchyProblem) -> SolutionPath:
-    """Classical Duhamel integral for integer leading order."""
+    """Classical Duhamel integral for integer leading order (datum h)."""
     _require_caputo(problem, "duhamel_integer")
     mu = problem.measure.mu
     if mu != round(mu):
@@ -446,28 +473,7 @@ def duhamel_integer(problem: CauchyProblem) -> SolutionPath:
                 f"duhamel_integer needs integer atom orders, got {a.alpha}"
             )
     _require_zero_data(problem, "duhamel_integer")
-    if problem.forcing_or_zero() is None:
-        return _zero_path(problem, "duhamel-integer")
-    grid = problem.grid
-    measure = problem.measure
-    m = measure.m
-    lam, dir_spec, active = _forcing_components(problem)
-    n = grid.n
-    t = grid.nodes
-    g_grid = np.asarray(problem.forcing.profile.eval(t), dtype=complex)
-    s0 = 1.0 if m == 1 else 0.0
-    u_spec = np.zeros((n + 1, problem.dim), dtype=complex)
-    for js in _chunks(active, n):
-        s = solution_symbol_path(measure, m - 1, t[1:], lam[js, None])
-        full = np.empty_like(s)
-        for c, row in enumerate(s):  # sum_{j=0..i} S_{i-j} g_j
-            full[c] = np.convolve(g_grid, np.concatenate([[s0], row]))[1 : n + 1]
-        u_spec[1:, js] = (
-            dir_spec[js, None] * grid.h * (full - 0.5 * s * g_grid[0] - 0.5 * s0 * g_grid[1:])
-        ).T
-    return SolutionPath(
-        grid, problem.operator.from_spectral(u_spec), method="duhamel-integer"
-    )
+    return _duhamel_caputo(problem, "duhamel-integer")
 
 
 def duhamel_rl(problem: CauchyProblem) -> SolutionPath:
@@ -475,22 +481,10 @@ def duhamel_rl(problem: CauchyProblem) -> SolutionPath:
 
     Per spectral component u = K * h, with the relaxation kernel
     K(s) = s^(alpha-1) E_{alpha,alpha}(-b s^alpha), b the component's
-    eigenvalue of B.  The piecewise-linear interpolant of h is integrated
-    against K exactly through the kernel moments
-
-        K1(s) = int_0^s K = s^alpha E_{alpha,alpha+1}(-b s^alpha),
-        K2(s) = int_0^s K1 = s^(alpha+1) E_{alpha,alpha+2}(-b s^alpha),
-
-    which are c_{-1} and c_{-2} of the one-atom measure at order 0 with
-    z = b, evaluated at the lags p h (both vanish at lag 0):
-
-        u_i = sum_p A(p) h_{i-p} + B(p) h_{i-p+1},
-        A(p) = K1(p h) - D(p),  B(p) = D(p) - K1((p-1) h),
-        D(p) = (K2(p h) - K2((p-1) h)) / h.
-
-    The result is exact for piecewise-linear h at every b and second order
-    in h for smooth h.  Where a growth spectrum overflows the moments the
-    route raises BlowupError on the first such component.
+    eigenvalue of B.  K is J^(alpha-1) S_0 of the one-atom measure at
+    order 0 with z = b, the atom sum, so a split atom takes the closed form
+    too; its moments are s^alpha E_{alpha,alpha+1}(-b s^alpha) and
+    s^(alpha+1) E_{alpha,alpha+2}(-b s^alpha).
     """
     if problem.flavor != RIEMANN_LIOUVILLE:
         raise FlavorError("duhamel_rl requires the riemann_liouville flavor")
@@ -501,46 +495,13 @@ def duhamel_rl(problem: CauchyProblem) -> SolutionPath:
         raise PreconditionError(
             "duhamel_rl solves the homogeneous weighted-datum case only"
         )
-    grid = problem.grid
     forcing = problem.forcing_or_zero()
     if forcing is None:
         return _zero_path(problem, "duhamel-rl")
-    if isinstance(forcing.profile, Power) and forcing.profile.singular_at_zero:
-        raise CapabilityError("forcing profile must be continuous at t = 0")
-    values = forcing.profile.eval_nodes(grid)
-    if not np.all(np.isfinite(values)):
-        raise BlowupError("profile samples are not finite on the grid")
-    op = problem.operator
     b_vals = _atom_sum(problem.measure, _spectrum(problem))
-    dir_spec = op.to_spectral(forcing.direction)
-    n = grid.n
-    lags = grid.h * np.arange(1, n + 1)
-    # the atom sum as the one atom: a split atom stays on the closed form
     relax = OrderMeasure(alpha, (Atom(0.0, 1.0, identity_symbol()),))
-    u_spec = np.zeros((n + 1, problem.dim), dtype=complex)
-    for js in _chunks(_active(dir_spec), 2 * n):
-        z = b_vals[js, None]
-        moments = np.zeros((len(js), 2, n + 1), dtype=complex)
-        moments[:, 0, 1:] = c_beta_path(relax, -1.0, lags, z)
-        moments[:, 1, 1:] = c_beta_path(relax, -2.0, lags, z)
-        bad = np.flatnonzero(~np.isfinite(moments))
-        if bad.size:  # the first failure in component-major order
-            c, k, p = np.unravel_index(bad[0], moments.shape)
-            raise BlowupError(
-                f"duhamel_rl kernel moment K{k + 1}(t) is not finite at t = "
-                f"{float(lags[p - 1])} for b = {complex(z[c, 0])}; the kernel "
-                "overflows on this spectrum"
-            )
-        k1 = moments[:, 0]
-        d = np.diff(moments[:, 1], axis=1) / grid.h
-        wa = k1[:, 1:] - d
-        wb = d - k1[:, :-1]
-        for c, j in enumerate(js):
-            conv = np.convolve(values, wa[c])[:n] + np.convolve(values[1:], wb[c])[:n]
-            u_spec[1:, j] = dir_spec[j] * conv
-    states = op.from_spectral(u_spec)
-    states[0] = 0.0
-    return SolutionPath(grid, states, method="duhamel-rl")
+    kernel = (relax, 0, alpha - 1.0, b_vals, problem.operator.to_spectral(forcing.direction))
+    return _duhamel(problem, "duhamel-rl", 0.0, kernel)
 
 
 # ---------------------------------------------------------------------------

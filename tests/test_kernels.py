@@ -17,6 +17,7 @@ from calculus import numeric_laplace
 from fraccauchy import kernels
 from fraccauchy import (
     Atom,
+    BlowupError,
     DomainError,
     ExponentialSymbol,
     FracCauchyError,
@@ -393,6 +394,38 @@ def test_solution_symbol_datum_indices():
     s0 = solution_symbol_path(TWO_TERM, 0, [t], z)[0]
     expect = c_beta(TWO_TERM, 0.5, t, z) + 0.5 * z * c_beta(TWO_TERM, -0.5, t, z)
     assert abs(s0 - expect) == 0.0
+
+
+def test_shifted_solution_symbol_lowers_every_exponent():
+    t, z = 0.8, 1.3
+    s1 = solution_symbol_path(TWO_TERM, 1, [t], z, shift=0.7)[0]
+    assert abs(s1 - c_beta(TWO_TERM, -1.2, t, z)) == 0.0
+    s0 = solution_symbol_path(TWO_TERM, 0, [t], z, shift=0.7)[0]
+    expect = c_beta(TWO_TERM, -0.2, t, z) + 0.5 * z * c_beta(TWO_TERM, -1.2, t, z)
+    assert abs(s0 - expect) == 0.0
+
+
+@pytest.mark.parametrize("measure", [TWO_TERM, split_atom(TWO_TERM)], ids=["closed", "contour"])
+def test_shifted_solution_symbol_is_the_running_integral(measure):
+    # J^1 S_k(t) = int_0^t S_k, J^2 S_k(t) = int_0^t J^1 S_k, against the
+    # trapezoid rule on 2^15 cells (error about 1e-10 here)
+    grid = TimeGrid(2.0, 2**15)
+    t = grid.nodes[1:]
+    z = 1.3
+    for k, start in ((0, 1.0), (1, 0.0)):
+        for shift in (1.0, 2.0):
+            f = solution_symbol_path(measure, k, t, z, shift=shift - 1.0)
+            f0 = start if shift == 1.0 else 0.0
+            running = np.cumsum(0.5 * grid.h * (f + np.concatenate([[f0], f[:-1]])))
+            got = solution_symbol_path(measure, k, t, z, shift=shift)
+            assert np.max(np.abs(got - running)) < 1e-9 * np.max(np.abs(got)), (k, shift)
+
+
+def test_shifted_solution_symbol_names_itself_when_not_finite():
+    with pytest.raises(BlowupError, match=r"symbol J\^1 S_0\(t, z\) is not finite at t = 1.0 "):
+        solution_symbol_path(RELAX, 0, np.array([0.5, 1.0]), -30.0, shift=1.0)
+    with pytest.raises(BlowupError, match=r"symbol J\^0.5 S_0\(t, z\) is not finite"):
+        solution_symbol_path(RELAX, 0, np.array([1.0]), -30.0, shift=0.5)
 
 
 def test_solution_symbol_laplace_algebra():

@@ -14,6 +14,7 @@ from fraccauchy import (
     BlowupError,
     CauchyProblem,
     Constant,
+    Cosine,
     DomainError,
     Exponential,
     FlavorError,
@@ -1162,9 +1163,9 @@ def _one_component_at_a_time(mp):
     component in its own run, its kernels by a scalar-z
     `solution_symbol_path` call (test-only reference)."""
 
-    def scalar_calls(measure, k, t, z):
+    def scalar_calls(measure, k, t, z, **kw):
         return np.stack(
-            [kernels.solution_symbol_path(measure, k, t, complex(zc.flat[0]))
+            [kernels.solution_symbol_path(measure, k, t, complex(zc.flat[0]), **kw)
              for zc in np.asarray(z)]
         )
 
@@ -1243,7 +1244,7 @@ def test_batched_routes_match_one_call_per_component(monkeypatch, kind, case):
          [[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]],
          "S_1(t, z) is not finite at t = 0.71875 for z = (-2000+0j)"),
         (duhamel_rl, RELAX, [1.0, -30.0, -60.0], None,
-         "K1(t) is not finite at t = 0.8125 for b = (-30+0j)"),
+         "S_0(t, z) is not finite at t = 0.8125 for z = (-30+0j)"),
     ],
 )
 def test_batched_routes_name_the_first_failing_component(
@@ -1318,3 +1319,85 @@ def test_forced_repr_memory_on_wide_spectrum():
     finally:
         tracemalloc.stop()
     assert peak < 1.1 * 13.75 * 2**20, peak
+
+
+# ---------------------------------------------------------------------------
+# Duhamel engine: observed order and the split of the datum
+
+
+_FIRST_ORDER = OrderMeasure(1.0, (Atom(0.0, 1.0, identity_symbol()),))
+
+
+def _forced(op, measure, profile, n, flavor="caputo"):
+    return CauchyProblem(
+        op, measure, [np.zeros(op.dimension)] * measure.m,
+        Forcing(profile, np.ones(op.dimension)), TimeGrid(1.0, n), flavor,
+    )
+
+
+# route, measures, forcing profiles (e^t and cos 3t; sin 3t where h(0) = 0)
+_ORDER_CASES = {
+    "duhamel": (duhamel_caputo, [RELAX, _TWO_ATOM], [Exponential(1.0), Cosine(3.0)]),
+    "duhamel-zero": (duhamel_caputo_zero, [_MULTI, _TWO_ATOM], [Sine(3.0)]),
+    "duhamel-integer": (duhamel_integer, [_FIRST_ORDER, CLASSICAL2],
+                        [Exponential(1.0), Cosine(3.0)]),
+    "duhamel-rl": (duhamel_rl, [RELAX], [Exponential(1.0), Cosine(3.0)]),
+}
+
+
+@pytest.mark.parametrize("route", list(_ORDER_CASES))
+def test_duhamel_routes_converge_at_second_order(route):
+    # the change from n to 2n, relative to the peak, falls fourfold: the
+    # singular part of the datum is integrated exactly, its C^1 remainder
+    # by the piecewise-linear product rule
+    fn, measures, profiles = _ORDER_CASES[route]
+    op = MatrixOperator(np.diag([0.3, 3.0]))
+    flavor = RIEMANN_LIOUVILLE if fn is duhamel_rl else "caputo"
+    for measure in measures:
+        for profile in profiles:
+            paths = [fn(_forced(op, measure, profile, n, flavor=flavor)).states
+                     for n in (256, 512, 1024, 2048)]
+            peak = np.max(np.abs(paths[-1]))
+            steps = [np.max(np.abs(coarse - fine[::2])) / peak
+                     for coarse, fine in zip(paths, paths[1:])]
+            orders = np.log2(np.array(steps[:-1]) / np.array(steps[1:]))
+            assert np.all((1.8 <= orders) & (orders <= 2.2)), (measure.mu, profile, orders)
+
+
+@pytest.mark.parametrize("measure", [RELAX, _MULTI, _TWO_ATOM], ids=["relax", "multi", "talbot"])
+def test_duhamel_power_forcing_matches_repr(measure):
+    # h = t^0.5 has h'(0) infinite: its datum splits off whole into one
+    # exact kernel, so only repr's quadrature error is left
+    from fraccauchy import Power
+
+    prob = _forced(MatrixOperator(np.diag([0.3, 3.0])), measure, Power(0.5), 1024)
+    ref = solve_repr(prob).states
+    for route in (duhamel_caputo, duhamel_caputo_zero):
+        got = route(prob).states
+        assert np.max(np.abs(got - ref)) < 2e-5 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("measure", [RELAX, _MULTI, _TWO_ATOM], ids=["relax", "multi", "talbot"])
+def test_duhamel_on_growth_spectrum_matches_repr(measure):
+    prob = _forced(MatrixOperator(np.diag([-2.0, -5.0])), measure, Exponential(1.0), 1024)
+    ref = solve_repr(prob).states
+    got = duhamel_caputo(prob).states
+    assert np.max(np.abs(got - ref)) < 1e-4 * np.max(np.abs(ref))
+
+
+def test_duhamel_sampled_forcing_matches_exponential():
+    # a sampled e^t takes h'(0) and the Caputo datum from finite
+    # differences of its samples; the route follows the exact profile
+    # within their O(h^2) error
+    from fraccauchy import Sampled, ScalarPath
+
+    op = MatrixOperator(np.diag([0.3, 3.0]))
+    gaps = []
+    for n in (256, 512):
+        exact = _forced(op, RELAX, Exponential(1.0), n)
+        nodes = exact.grid.nodes
+        sampled = _forced(op, RELAX, Sampled(ScalarPath(exact.grid, np.exp(nodes) + 0j)), n)
+        ref = duhamel_caputo(exact).states
+        gaps.append(np.max(np.abs(duhamel_caputo(sampled).states - ref)) / np.max(np.abs(ref)))
+    assert gaps[0] < 2.5e-6
+    assert gaps[1] < gaps[0] / 3.5
