@@ -3,9 +3,10 @@
 The Caputo derivative integrates the exact first derivative of the profile
 with a Gauss-Jacobi rule for the weight (tau - s)**(-alpha), and the
 Riemann-Liouville derivative adds the closed-form term
-f(0) tau**(-alpha) / Gamma(1 - alpha).  Power profiles, whose first
-derivative the rule cannot follow where it is unbounded at 0, take the
-power rule D^alpha t^p = Gamma(p+1) / Gamma(p+1-alpha) t^(p-alpha) instead.
+f(0) tau**(-alpha) / Gamma(1 - alpha).  Constant, polynomial and power
+profiles take the power rule D^alpha t^p = Gamma(p+1) / Gamma(p+1-alpha)
+t^(p-alpha) per monomial instead: it is exact, and for t^p with p < 1 the
+rule could not follow the first derivative where it is unbounded at 0.
 The representation route takes its datum D_+^(m-mu) h at its quadrature
 points from `rl_derivative_at`; the fractional Duhamel routes take the C^1
 remainder of their datum at the grid nodes from `caputo_derivative_at`.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OrderDomainError
-from .profiles import FunctionSpec, Power
+from .profiles import Constant, FunctionSpec, Polynomial, Power
 from .special import gamma, gauss_jacobi, rgamma
 
 _POINT_BLOCK = 8192  # evaluation points per block of caputo_derivative_at
@@ -28,18 +29,19 @@ def caputo_derivative_at(
     """Caputo derivative of order alpha in (0, 1) at arbitrary points.
 
     Gauss-Jacobi quadrature with weight (tau - s)**(-alpha) applied to the
-    exact first derivative; exact for polynomial profiles of modest degree.
-    Power profiles scale t^p, p > 0, take the power rule, exact for every p.
+    exact first derivative.  Constants, polynomials and powers scale t^p,
+    p > 0, take the power rule per monomial, exact for every p.
     """
     if not 0 < alpha < 1:
         raise OrderDomainError(f"pointwise order must lie in (0, 1), got {alpha}")
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    if isinstance(f, Power) and f.exponent > 0:
-        # the rule would miss f' = p t^(p-1), unbounded at 0 for p < 1
-        p = f.exponent
-        coef = complex(f.scale) * gamma(p + 1.0) * rgamma(p + 1.0 - alpha)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = coef * tau ** (p - alpha)
+    terms = _monomials(f)
+    if terms is not None:
+        out = np.zeros(tau.shape, dtype=complex)
+        for scale, p in terms:
+            coef = complex(scale) * gamma(p + 1.0) * rgamma(p + 1.0 - alpha)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = out + coef * tau ** (p - alpha)
         out[tau == 0] = 0.0
         return out
     x, w = gauss_jacobi(npts, -alpha)
@@ -58,6 +60,19 @@ def caputo_derivative_at(
     out = (0.5 * tau) ** (1.0 - alpha) * acc * rgamma(1.0 - alpha)
     out[tau == 0] = 0.0
     return out
+
+
+def _monomials(f: FunctionSpec):
+    """f as (scale, p) terms scale t^p with p > 0, its constant dropped, or
+    None if f is no sum of such powers."""
+    if isinstance(f, Power) and f.exponent > 0:
+        # the rule would miss f' = p t^(p-1), unbounded at 0 for p < 1
+        return [(f.scale, f.exponent)]
+    if isinstance(f, Polynomial):
+        return [(c, float(k)) for k, c in enumerate(f.coefficients) if k and c]
+    if isinstance(f, Constant):
+        return []
+    return None
 
 
 def rl_derivative_at(

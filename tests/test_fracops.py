@@ -27,6 +27,7 @@ from fraccauchy import (
     Cosine,
     DomainError,
     Exponential,
+    FunctionSpec,
     OrderDomainError,
     Polynomial,
     Power,
@@ -300,7 +301,35 @@ def test_pointwise_caputo_power_rule():
     assert np.max(np.abs(got - exact)) < 1e-12
 
 
-@pytest.mark.parametrize("profile", [Polynomial([0.3, 1.0, -0.5, 0.25]), Sine(2.0)])
+class _Opaque(FunctionSpec):
+    """A profile the closed forms do not recognise: the rule takes it."""
+
+    def __init__(self, profile):
+        self.profile = profile
+
+    def eval(self, t):
+        return self.profile.eval(t)
+
+    def diff(self):
+        return _Opaque(self.profile.diff())
+
+
+@pytest.mark.parametrize(
+    "profile", [Constant(2.0 - 0.5j), Polynomial([0.3, 1.0, -0.5, 0.25])], ids=["one", "cubic"]
+)
+def test_closed_form_datum_matches_the_rule(profile):
+    # constants and polynomials take the power rule per monomial; the
+    # Gauss-Jacobi rule is exact on their derivatives up to rounding
+    taus = np.geomspace(1e-6, 4.0, 200)
+    for alpha in (0.2, 0.5, 0.9):
+        for derivative in (caputo_derivative_at, rl_derivative_at):
+            got = derivative(profile, alpha, taus)
+            rule = derivative(_Opaque(profile), alpha, taus)
+            scale = np.maximum(1.0, np.abs(rule))
+            assert np.max(np.abs(got - rule) / scale) < 1e-13, (alpha, derivative)
+
+
+@pytest.mark.parametrize("profile", [Cosine(3.0, 0.3 - 1.0j), Sine(2.0)])
 @pytest.mark.parametrize("blocks, rest", [(0, 1), (0, 2), (0, 5000), (2, 1), (2, 77)])
 def test_pointwise_caputo_blocks_match_one_call(monkeypatch, profile, blocks, rest):
     # the points go in blocks; each value keeps the bits of one product
@@ -321,10 +350,11 @@ def test_pointwise_derivative_memory_is_bounded_by_its_blocks():
     import tracemalloc
 
     taus = np.linspace(0.01, 2.0, 87_040)
-    rl_derivative_at(Polynomial([0.3, 1.0, -0.5, 0.25]), 0.5, taus)
+    profile = Cosine(3.0, 0.3)  # polynomials take the closed form, not the rule
+    rl_derivative_at(profile, 0.5, taus)
     tracemalloc.start()
     try:
-        rl_derivative_at(Polynomial([0.3, 1.0, -0.5, 0.25]), 0.5, taus)
+        rl_derivative_at(profile, 0.5, taus)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

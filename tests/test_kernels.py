@@ -375,6 +375,35 @@ def test_split_atom_contour_agrees_with_mittag_leffler_or_raises(ml_series):
     assert not missed, f"silent wrong answers (mu, z, relative error): {missed}"
 
 
+# S_1's kernel c_-0.2(t, -5) of mu = 1.8 with atoms (0, 0.7) and (0.7, 0.4),
+# whose Delta = s^1.8 - 2 s^0.7 - 3.5 has a real zero near s = 3.18; frozen
+# from mpmath.invertlaplace at 30 digits by Talbot's method and by de Hoog's,
+# which agree to 1e-22 relative
+GROWTH_KERNEL = [(2.5, 622.75326903588706705), (3.0, 3041.7169272685262162)]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="past t = 2 the contour crosses the real axis (at 8.2 / t) near "
+    "or left of the real zero of Delta and misses it without raising; "
+    "needs a pole-aware inversion",
+)
+def test_growth_kernel_past_the_real_zero_agrees_or_raises():
+    measure = OrderMeasure(
+        1.8, (Atom(0.0, 0.7, identity_symbol()), Atom(0.7, 0.4, identity_symbol()))
+    )
+    missed = []
+    for t, exact in GROWTH_KERNEL:
+        try:
+            got = c_beta(measure, -0.2, t, -5.0)
+        except InversionError:
+            continue
+        if abs(got - exact) > 1e-8 * abs(exact):
+            missed.append((t, got, abs(got - exact) / abs(exact)))
+    assert not missed, f"silent wrong answers (t, value, relative error): {missed}"
+
+
 # ---------------------------------------------------------------------------
 # solution symbols
 

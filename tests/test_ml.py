@@ -311,3 +311,48 @@ def test_overflowing_x_on_growth_rays_is_not_finite(theta):
         warnings.simplefilter("error")
         got = ml_array(0.5, 1.0, np.array([1e300 * cmath.exp(1j * theta)]))
     assert not np.isfinite(got[0])
+
+
+# ---------------------------------------------------------------------------
+# the series table: term counts, poles of Gamma, and the series cut
+
+
+@pytest.mark.parametrize("beta, power", [(0.0, 1), (-1.0, 2), (-2.0, 3)])
+def test_beta_at_poles_of_gamma(beta, power):
+    # E_{1,1-p}(z) = z^p e^z: the first p coefficients 1/Gamma(k + 1 - p)
+    # vanish, and a zero coefficient must not stop the series
+    series = [0.5, -0.5, 0.3j, 2.5, -3.9 + 0.5j, 3.99]
+    contour = [-4.01, -6.0, -20.0, 5.0 + 2.0j, 9.0, -30.0j]
+    zs = np.array(series + (contour if power < 3 else []))
+    got = ml_array(1.0, beta, zs)
+    exact = zs**power * np.exp(zs)
+    assert np.max(np.abs(got - exact) / np.maximum(1.0, np.abs(exact))) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0])
+def test_either_side_of_the_series_cut(ml_series, alpha):
+    # x = |z|^(1/alpha) just below and just above 4, where the paths meet
+    worst = []
+    for x in (4.0 - 1e-9, np.nextafter(4.0, 0.0), 4.0, np.nextafter(4.0, 8.0), 4.0 + 1e-9):
+        for theta in (0.0, 0.5, 2.0, np.pi):
+            z = x**alpha * cmath.exp(1j * theta)
+            for beta in (0.5, 1.0, 1.7):
+                ref = ml_series(alpha, beta, z)
+                got = mittag_leffler(alpha, beta, z)
+                worst.append((abs(got - ref) / max(1.0, abs(ref)), x, theta, beta))
+    assert max(worst)[0] < 1e-12, max(worst)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (1.0, 2.0), (1.5, 0.7), (2.0, 3.0)])
+def test_calls_of_any_length_give_the_same_bits(alpha, beta):
+    # series points of every term count, and contour points, in calls of
+    # 1, 2, 3 and 17 points
+    rng = np.random.default_rng(17)
+    x = np.concatenate([rng.uniform(0.0, 4.0, 13), rng.uniform(4.0, 40.0, 4)])
+    z = x**alpha * np.exp(1j * rng.uniform(-np.pi, np.pi, x.size))
+    z[:3] = z[:3].real  # real arguments too
+    whole = ml_array(alpha, beta, z)
+    for length in (1, 2, 3):
+        for start in range(z.size - length + 1):
+            part = ml_array(alpha, beta, z[start : start + length])
+            assert part.tobytes() == whole[start : start + length].tobytes(), (length, start)
