@@ -318,17 +318,6 @@ def write_csv(path, solution: SolutionPath) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_csv(path):
-    """Round-trip reader: (t, states) arrays."""
-    lines = Path(path).read_text(encoding="utf-8").strip().split("\n")
-    ncols = len(lines[0].split(","))
-    dim = (ncols - 1) // 2
-    data = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
-    t = data[:, 0]
-    states = data[:, 1::2] + 1j * data[:, 2::2]
-    return t, states.reshape(len(t), dim)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 

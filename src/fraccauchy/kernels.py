@@ -29,9 +29,10 @@ weights c = (g, c_j f_j(z)).  Over the n/2 upper nodes alone, then,
 which is 2 Re A(c) where every weight is real.  A point of real weights
 takes one row of upper nodes and returns an imaginary part of exactly 0;
 any other point takes a second row with the conjugate weights, the work of
-the full contour.  Each point chooses by its own weights, so it keeps the
-bits of its own scalar call whatever else its call holds, and the |Delta|
-monitor over a point's rows covers the whole contour.  Delta is summed in
+the full contour.  Each point chooses by its own weights, so its value
+does not depend on what else its call holds (the tests find it bitwise
+equal to its scalar call), and the |Delta| monitor over a point's rows
+covers the whole contour.  Delta is summed in
 real arithmetic over its leading power (n/t_i)^mu, which keeps |Delta|^2
 finite at small t, every complex power taken once per node: the rows of
 term factors c_j f_j(z) (n/t_i)^(alpha_j - mu) times the shape powers in
@@ -55,8 +56,11 @@ The kernels take an array of spectral points z that broadcasts against the
 times and return the broadcast shape: one call evaluates every (t, z) of a
 route, the closed form with one Mittag-Leffler call per kernel exponent, the
 contour over the flattened (z, t) points.  Every value depends on its own
-(t, z) alone, so a batch gives the bits of one scalar-z call per point, and
-errors name the first failing point in the flattened order of the broadcast.
+(t, z) alone, up to rounding: a batch agrees with one scalar-z call per
+point to a few ulps of max(1, |value|), bitwise on the contour in the tests,
+while a long closed-form batch carries the rounding of a long Mittag-Leffler
+call (see `ml`).  Errors name the first failing point in the flattened
+order of the broadcast.
 """
 
 from __future__ import annotations

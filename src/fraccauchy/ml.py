@@ -46,11 +46,15 @@ series 0.19-0.27 us per point at x uniform in [0, 4]; the contour 0.5-0.8
 us per point on one ray, 0.7-1.1 on 128 rays, and 5-8 us where every point
 has an argument of its own; a one-point call 0.11-0.2 ms on either path.
 
-A value depends only on its own point: the same argument gives the same
-bits whatever other points share the call or how a caller splits them.  On
-the series path each point stops on its own, and on the contour path each
-point's node sum is its own row.  Finite arguments whose x overflows (alpha
-< 1) take the algebraic asymptotic series -sum_{k<=3} z^(-k) /
+A value depends only on its own point, up to rounding: on the series path
+each point stops on its own, and on the contour path each point's node sum
+is its own row.  A call repeated gives the same bits, and short calls (the
+tests take up to 17 points) give each point the bits of its one-point call.
+A long call need not: numpy's vector loops, chosen by CPU and array
+length, round some of its contour points differently, more than half of
+1024 points with arguments of their own at alpha = 1/2, by up to 2e-15 of
+max(1, |E|) (AVX-512, numpy 2.4).  Finite arguments whose x overflows
+(alpha < 1) take the algebraic asymptotic series -sum_{k<=3} z^(-k) /
 Gamma(beta - alpha k) where no pole term e^(x s*) with Re s* >= 0 lives, and
 are nan otherwise.
 

@@ -20,20 +20,6 @@ class SpectralOperator:
 
     dimension: int
 
-    def spectrum(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def check_vector(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=complex)
-        if v.shape != (self.dimension,):
-            raise DomainError(
-                f"state has shape {v.shape}, operator needs ({self.dimension},)"
-            )
-        return v
-
     def check_states(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=complex)
         if v.shape[-1:] != (self.dimension,):
@@ -68,19 +54,12 @@ class MatrixOperator(SpectralOperator):
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
-    def spectrum(self) -> np.ndarray:
-        try:
-            lam, _, _ = self.eigensystem()
-        except CapabilityError:
-            lam = np.linalg.eigvals(self.matrix)
-        return lam
-
     def eigensystem(self):
         """(eigenvalues, P, P^-1) with max |P P^-1 - I| below 1e-10.
 
         Defective matrices can produce an invertible-looking basis that still
         fails to reconstruct A, so the diagonalization residual is checked as
-        well; such operators are only usable through the Taylor route.
+        well; the spectral routes cannot use such an operator.
         """
         if self._eig is None:
             lam, p = np.linalg.eig(self.matrix)
@@ -96,13 +75,10 @@ class MatrixOperator(SpectralOperator):
         if resid >= 1e-10 or recon > 1e-8 * scale:
             raise CapabilityError(
                 f"eigenvector basis too ill-conditioned (identity residual "
-                f"{resid:.2e}, reconstruction residual {recon:.2e}); only the "
-                "Taylor route supports this operator"
+                f"{resid:.2e}, reconstruction residual {recon:.2e}); the spectral "
+                "routes cannot use this operator"
             )
         return lam, p, pinv
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ self.check_vector(v)
 
     def to_spectral(self, v: np.ndarray) -> np.ndarray:
         """Eigenbasis coordinates P^-1 v of states shaped (..., dim).
@@ -151,23 +127,12 @@ class FourierMultiplier(SpectralOperator):
         return 2 * np.pi * np.fft.fftfreq(modes, d=length / modes)
 
     @property
-    def frequencies(self) -> np.ndarray:
-        return FourierMultiplier.frequencies_static(self.modes, self.length)
-
-    @property
     def grid_points(self) -> np.ndarray:
         return np.arange(self.modes) * self.length / self.modes
 
     @property
     def dimension(self) -> int:
         return self.modes
-
-    def spectrum(self) -> np.ndarray:
-        return self.symbol_values.copy()
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        vhat = np.fft.fft(self.check_vector(v))
-        return np.fft.ifft(self.symbol_values * vhat)
 
     def to_spectral(self, v: np.ndarray) -> np.ndarray:
         """Mode amplitudes of states shaped (..., dim), FFT along the last axis."""

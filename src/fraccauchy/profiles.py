@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError
-from .grids import ScalarPath, TimeGrid
+from .grids import ScalarPath
 
 
 class FunctionSpec:
@@ -42,9 +42,6 @@ class FunctionSpec:
         for _ in range(order):
             f = f.diff()
         return f
-
-    def eval_nodes(self, grid: TimeGrid) -> np.ndarray:
-        return np.asarray(self.eval(grid.nodes), dtype=complex)
 
     @property
     def singular_at_zero(self) -> bool:
@@ -84,7 +81,7 @@ class Power(FunctionSpec):
                 np.power(t, self.exponent, where=t > 0, out=np.zeros_like(t)),
                 _power_at_zero(self.exponent),
             )
-            return complex(self.scale) * out.astype(complex)
+            return _scaled(self.scale, out.astype(complex))
 
     def diff(self):
         p = self.exponent
@@ -95,6 +92,14 @@ class Power(FunctionSpec):
     @property
     def singular_at_zero(self) -> bool:
         return self.exponent < 0
+
+
+def _scaled(scale: complex, values: np.ndarray) -> np.ndarray:
+    """scale * values, formed out of place.  numpy computes `*` on a large
+    temporary in place (temporary elision, above 256 KB), and its in-place
+    complex product rounds differently, so a value would depend on the
+    length of the array it was evaluated in."""
+    return np.multiply(complex(scale), values)
 
 
 def _power_at_zero(p: float) -> float:
@@ -137,7 +142,7 @@ class Exponential(FunctionSpec):
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
-        return complex(self.scale) * np.exp(complex(self.rate) * t)
+        return _scaled(self.scale, np.exp(complex(self.rate) * t))
 
     def diff(self):
         return Exponential(self.rate, self.scale * self.rate)
@@ -152,7 +157,7 @@ class Sine(FunctionSpec):
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
-        return complex(self.scale) * np.sin(complex(self.frequency) * t)
+        return _scaled(self.scale, np.sin(complex(self.frequency) * t))
 
     def diff(self):
         return Cosine(self.frequency, self.scale * self.frequency)
@@ -167,7 +172,7 @@ class Cosine(FunctionSpec):
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
-        return complex(self.scale) * np.cos(complex(self.frequency) * t)
+        return _scaled(self.scale, np.cos(complex(self.frequency) * t))
 
     def diff(self):
         return Sine(self.frequency, -self.scale * self.frequency)
@@ -196,74 +201,21 @@ class Sampled(FunctionSpec):
         im = np.interp(t, nodes, vals.imag)
         return re + 1j * im
 
-    def eval_nodes(self, grid: TimeGrid) -> np.ndarray:
-        from .grids import require_same_grid
-
-        require_same_grid(self.path.grid, grid)
-        return self.path.values.copy()
-
     def diff(self):
         if self.numeric_order >= 2:
             raise CapabilityError("sampled profiles support at most two derivatives")
-        h = self.path.grid.h
-        d = fd_derivative(self.path.values, h, 1)
+        d = _first_difference(self.path.values, self.path.grid.h)
         return Sampled(ScalarPath(self.path.grid, d), self.numeric_order + 1)
 
 
-def fd_derivative(values: np.ndarray, h: float, order: int) -> np.ndarray:
-    """order-th derivative of uniformly spaced samples, O(h^2) stencils."""
+def _first_difference(values: np.ndarray, h: float) -> np.ndarray:
+    """First derivative of uniformly spaced samples, O(h^2) stencils."""
     u = np.asarray(values, dtype=complex)
-    n = len(u) - 1
-    if order == 0:
-        return u.copy()
-    if order == 1:
-        d = np.empty_like(u)
-        d[1:-1] = (u[2:] - u[:-2]) / (2 * h)
-        d[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * h)
-        d[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * h)
-        return d
-    if order == 2:
-        d = np.empty_like(u)
-        d[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / h**2
-        d[0] = (2 * u[0] - 5 * u[1] + 4 * u[2] - u[3]) / h**2
-        d[-1] = (2 * u[-1] - 5 * u[-2] + 4 * u[-3] - u[-4]) / h**2
-        return d
-    if n + 1 < order + 3:
-        raise CapabilityError(f"grid too coarse for derivative order {order}")
     d = np.empty_like(u)
-    half = (order + 2) // 2
-    for i in range(n + 1):
-        lo = min(max(i - half, 0), n - order - 2)
-        offsets = np.arange(lo, lo + order + 3) - i
-        w = fd_weights(offsets.astype(float), order)
-        d[i] = np.dot(w, u[lo : lo + order + 3]) / h**order
+    d[1:-1] = (u[2:] - u[:-2]) / (2 * h)
+    d[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * h)
+    d[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * h)
     return d
-
-
-def fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
-    """Finite-difference weights on arbitrary integer offsets (Fornberg)."""
-    x = np.asarray(offsets, dtype=float)
-    npts = len(x)
-    if npts <= order:
-        raise ValueError("need more points than the derivative order")
-    c = np.zeros((npts, order + 1))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    for i in range(1, npts):
-        c2 = 1.0
-        mn = min(i, order)
-        prev = c[i - 1].copy()
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            for k in range(mn, 0, -1):
-                c[j, k] = (x[i] * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = x[i] * c[j, 0] / c3
-        for k in range(mn, 0, -1):
-            c[i, k] = c1 * (k * prev[k - 1] - x[i - 1] * prev[k]) / c2
-        c[i, 0] = -c1 * x[i - 1] * prev[0] / c2
-        c1 = c2
-    return c[:, order]
 
 
 __all__ = [
@@ -275,6 +227,4 @@ __all__ = [
     "Sine",
     "Cosine",
     "Sampled",
-    "fd_derivative",
-    "fd_weights",
 ]

@@ -64,7 +64,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     BlowupError,
@@ -251,17 +250,13 @@ def _profile_at_zero(profile: FunctionSpec) -> complex:
     return complex(np.asarray(profile.eval(0.0)).reshape(-1)[0])
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss(npts: int):
-    return leggauss(npts)
-
-
 def _unit_graded_rule(gamma: float, panels: int):
     """Composite rule on the unit interval, graded toward both endpoints.
 
     Panel breaks grade as (j / panels)^3 toward each end.  The first panel
     carries the tau^(-gamma) endpoint weight exactly with a 10-point
-    Gauss-Jacobi rule, the others take 5-point Gauss-Legendre.  The rule
+    Gauss-Jacobi rule, the others take 5-point Gauss-Legendre (both from
+    `special.gauss_jacobi`, beta = 0 for Legendre).  The rule
     rescales to [0, t] by multiplying nodes and weights with t (the
     algebraic factor is part of the integrand, so the scaling stays
     uniform).
@@ -275,7 +270,7 @@ def _unit_graded_rule(gamma: float, panels: int):
     tau = half * (x + 1.0)
     taus = [tau]
     weights = [w * half ** (1.0 - gamma) * tau**gamma]
-    x, w = _gauss(5)
+    x, w = gauss_jacobi(5, 0.0)
     for a, b in zip(breaks[1:-1], breaks[2:]):
         half = 0.5 * (b - a)
         taus.append(a + half * (x + 1.0))
@@ -540,16 +535,16 @@ def _soe(kind: str, a: float, d0: int, n: int):
     Gauss-Jacobi takes s^beta on [0, 1/n], where s d <= 1; Gauss-Legendre
     the panels beyond it, up to s = 36 / D0 (36 / (D0 - a) for "gl", whose
     integrand decays like e^(-s (d - a))), past which it is below 3e-16.
-    Both rules are quadrature primitives the kernel routes use too
-    (`special.gauss_jacobi` is checked on its own against mpmath); the
-    sum itself is no transform of a kernel.
+    Both rules come from `special.gauss_jacobi` (beta = 0 for Legendre), a
+    quadrature primitive the kernel routes use too, checked on its own
+    against mpmath; the sum itself is no transform of a kernel.
     """
     beta = -a if kind == "power" else a
     x, w = gauss_jacobi(_SOE_JACOBI, beta)
     s0 = 1.0 / n
     reach = d0 if kind == "power" else d0 - a  # the integrand decays like e^(-s reach)
     panels = max(1, math.ceil(math.log(_SOE_CUTOFF * n / reach, _SOE_RATIO)))
-    xl, wl = _gauss(_SOE_PANEL)
+    xl, wl = gauss_jacobi(_SOE_PANEL, 0.0)
     left = s0 * _SOE_RATIO ** np.arange(panels)
     half = 0.5 * (_SOE_RATIO - 1.0) * left
     s_pan = (left[:, None] + half[:, None] * (xl + 1.0)).ravel()

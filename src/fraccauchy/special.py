@@ -43,7 +43,8 @@ def rgamma(x: float) -> float:
 def gauss_jacobi(npts: int, beta: float):
     """Gauss rule for the weight (1 + x)^beta on [-1, 1], to about 1 ulp;
     the weight (1 - x)^beta takes the mirrored rule, nodes -x and the same
-    weights.  The arrays are shared by every caller and read-only.
+    weights, and beta = 0 is the Gauss-Legendre rule.  The arrays are shared
+    by every caller and read-only.
 
     The nodes, eigenvalues of the Jacobi matrix, are refined by Newton
     steps and the weights taken from the Christoffel function, both on the
@@ -52,10 +53,10 @@ def gauss_jacobi(npts: int, beta: float):
     weights off by up to 1.4e-13 relative at beta = -0.7).  Where long
     double is double, the weights keep about 1e-14.
 
-    The oracles' far field (`solver._soe`) and the kernel routes' weakly
-    singular quadratures (`fracops.caputo_derivative_at`,
-    `solver._cell_rule_weighted`) both take this rule, as both already take
-    the Gauss-Legendre rule and the gamma function.  It is a quadrature
+    Every Gauss rule of the package is this one: the oracles' far field
+    (`solver._soe`), the weakly singular and the Gauss-Legendre panels of
+    the representation route (`solver._unit_graded_rule`) and the datum
+    quadrature (`fracops.caputo_derivative_at`).  It is a quadrature
     primitive, checked on its own against mpmath, not shared solution
     numerics: the oracles stay an independent check of the kernel routes.
     """

@@ -1,8 +1,8 @@
-"""Analytic scalar symbols f(z) with exact derivatives and declared domains.
+"""Analytic scalar symbols f(z) with declared domains.
 
 The catalog is closed: polynomial, principal-branch power, exponential, and
-rational.  Every kind can report Taylor coefficients at any point of its
-domain, which is what the local series route of the operator calculus needs.
+rational.  The routes evaluate a symbol on the spectrum of the operator and
+check each eigenvalue against the symbol's domain.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .special import gamma, rgamma
 
 
 # ---------------------------------------------------------------------------
@@ -68,19 +67,11 @@ class PlaneMinusPoles(Domain):
 
 
 class SymbolFunction:
-    """Scalar analytic function with exact derivatives of every order."""
+    """Scalar analytic function on its domain."""
 
     domain: Domain = WholePlane()
 
     def eval(self, z):
-        raise NotImplementedError
-
-    def derivative(self, order: int, z: complex) -> complex:
-        """Exact derivative of the given order at z."""
-        raise NotImplementedError
-
-    def taylor_coefficients(self, center: complex, count: int) -> np.ndarray:
-        """Coefficients f^(n)(center) / n! for n = 0..count-1."""
         raise NotImplementedError
 
 
@@ -106,29 +97,6 @@ class PolynomialSymbol(SymbolFunction):
             acc = acc * z + c
         return acc if acc.shape else complex(acc)
 
-    def derivative(self, order, z):
-        c = self.coefficients
-        acc = 0.0 + 0.0j
-        for k in reversed(range(order, len(c))):
-            fall = 1.0
-            for i in range(order):
-                fall *= k - i
-            acc = acc * z + c[k] * fall
-        return complex(acc)
-
-    def taylor_coefficients(self, center, count):
-        return _shift_poly(self.coefficients, center, count)
-
-
-def _deflate(coeffs, center):
-    """Divide the polynomial by (z - center), dropping the remainder."""
-    out = [0.0j] * (len(coeffs) - 1)
-    carry = 0.0 + 0.0j
-    for k in range(len(coeffs) - 1, 0, -1):
-        carry = coeffs[k] + carry * center
-        out[k - 1] = carry
-    return out
-
 
 @dataclass(frozen=True)
 class PowerSymbol(SymbolFunction):
@@ -145,24 +113,9 @@ class PowerSymbol(SymbolFunction):
 
     def eval(self, z):
         z = np.asarray(z, dtype=complex)
-        out = complex(self.scale) * np.power(z, self.exponent)
+        # out of place, as `profiles._scaled` explains
+        out = np.multiply(complex(self.scale), np.power(z, self.exponent))
         return out if out.shape else complex(out)
-
-    def derivative(self, order, z):
-        p = self.exponent
-        coef = self.scale * gamma(p + 1) * rgamma(p - order + 1)
-        if coef == 0:
-            return 0.0 + 0.0j
-        return complex(coef * np.power(complex(z), p - order))
-
-    def taylor_coefficients(self, center, count):
-        self.domain.check(center, "expansion point")
-        p = self.exponent
-        out = np.empty(count, dtype=complex)
-        for n in range(count):
-            binom = gamma(p + 1) * rgamma(p - n + 1) * rgamma(n + 1)
-            out[n] = self.scale * binom * np.power(complex(center), p - n)
-        return out
 
 
 @dataclass(frozen=True)
@@ -178,21 +131,9 @@ class ExponentialSymbol(SymbolFunction):
 
     def eval(self, z):
         z = np.asarray(z, dtype=complex)
-        out = complex(self.scale) * np.exp(complex(self.rate) * z)
+        # out of place, as `profiles._scaled` explains
+        out = np.multiply(complex(self.scale), np.exp(complex(self.rate) * z))
         return out if out.shape else complex(out)
-
-    def derivative(self, order, z):
-        return complex(self.scale * self.rate**order * np.exp(self.rate * complex(z)))
-
-    def taylor_coefficients(self, center, count):
-        out = np.empty(count, dtype=complex)
-        base = self.scale * np.exp(self.rate * complex(center))
-        fact = 1.0
-        for n in range(count):
-            if n > 0:
-                fact *= n
-            out[n] = base * self.rate**n / fact
-        return out
 
 
 @dataclass(frozen=True)
@@ -232,48 +173,6 @@ class RationalSymbol(SymbolFunction):
             den = den * z + c
         out = num / den
         return out if out.shape else complex(out)
-
-    def derivative(self, order, z):
-        coeffs = self.taylor_coefficients(z, order + 1)
-        fact = 1.0
-        for i in range(1, order + 1):
-            fact *= i
-        return complex(coeffs[order] * fact)
-
-    def taylor_coefficients(self, center, count):
-        self.domain.check(center, "expansion point")
-        num = _shift_poly(self.numerator, center, count)
-        den = _shift_poly(self.denominator, center, count)
-        return _series_divide(num, den, count)
-
-
-def _shift_poly(coeffs, center, count):
-    """Taylor coefficients of the polynomial about the given center."""
-    work = list(coeffs)
-    out = np.zeros(count, dtype=complex)
-    for n in range(count):
-        if not work:
-            break
-        acc = 0.0 + 0.0j
-        for c in reversed(work):
-            acc = acc * center + c
-        out[n] = acc
-        work = _deflate(work, center)
-    return out
-
-
-def _series_divide(num, den, count):
-    """Power-series division num / den to the given number of terms."""
-    if den[0] == 0:
-        raise DomainError("expansion point is a pole")
-    out = np.zeros(count, dtype=complex)
-    for n in range(count):
-        acc = num[n] if n < len(num) else 0.0
-        for k in range(1, n + 1):
-            if k < len(den):
-                acc -= den[k] * out[n - k]
-        out[n] = acc / den[0]
-    return out
 
 
 def identity_symbol() -> PolynomialSymbol:

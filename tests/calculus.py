@@ -4,9 +4,12 @@ No route needs these, so they live beside the tests: the product-integration
 fractional integral J^beta on a grid (the Abel round trip of acceptance
 criterion 7, and a weighted-datum check of the single-order route), the
 truncated Laplace transform of a profile (criterion 8), d^k/dt^k of a
-Duhamel integral, and three evaluations of f(A) for a symbol f and an
-operator A, spectral, local Taylor series and resolvent contour, which
-cross-check one another (criterion 9).
+Duhamel integral with finite differences of any order, and three
+evaluations of f(A) for a symbol f and an operator A, spectral, local Taylor
+series and resolvent contour, which cross-check one another (criterion 9).
+Beside them sit the small probes of profiles, symbols and operators that
+only tests take: node samples of a profile, Taylor coefficients of a symbol,
+and an operator's spectrum, frequencies and action on one state.
 """
 
 import numpy as np
@@ -22,9 +25,16 @@ from fraccauchy.errors import (
 )
 from fraccauchy.grids import ScalarPath, TimeGrid
 from fraccauchy.operators import FourierMultiplier, MatrixOperator, SpectralOperator
-from fraccauchy.profiles import FunctionSpec, Power, Sampled, fd_derivative, fd_weights
+from fraccauchy.grids import require_same_grid
+from fraccauchy.profiles import FunctionSpec, Power, Sampled
 from fraccauchy.special import gamma, rgamma
-from fraccauchy.symbols import SymbolFunction
+from fraccauchy.symbols import (
+    ExponentialSymbol,
+    PolynomialSymbol,
+    PowerSymbol,
+    RationalSymbol,
+    SymbolFunction,
+)
 
 
 class LocalityError(FracCauchyError):
@@ -33,6 +43,186 @@ class LocalityError(FracCauchyError):
 
 class ContourError(FracCauchyError):
     """An eigenvalue sits too close to the integration contour."""
+
+
+# ---------------------------------------------------------------------------
+# profiles: node samples and finite differences
+
+
+def eval_nodes(f: FunctionSpec, grid: TimeGrid) -> np.ndarray:
+    """Samples of a profile on every grid node; a sampled profile must live
+    on that grid and returns a copy of its values."""
+    if isinstance(f, Sampled):
+        require_same_grid(f.path.grid, grid)
+        return f.path.values.copy()
+    return np.asarray(f.eval(grid.nodes), dtype=complex)
+
+
+def fd_derivative(values: np.ndarray, h: float, order: int) -> np.ndarray:
+    """order-th derivative of uniformly spaced samples, O(h^2) stencils."""
+    u = np.asarray(values, dtype=complex)
+    n = len(u) - 1
+    if order == 0:
+        return u.copy()
+    if order == 1:
+        d = np.empty_like(u)
+        d[1:-1] = (u[2:] - u[:-2]) / (2 * h)
+        d[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * h)
+        d[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * h)
+        return d
+    if order == 2:
+        d = np.empty_like(u)
+        d[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / h**2
+        d[0] = (2 * u[0] - 5 * u[1] + 4 * u[2] - u[3]) / h**2
+        d[-1] = (2 * u[-1] - 5 * u[-2] + 4 * u[-3] - u[-4]) / h**2
+        return d
+    if n + 1 < order + 3:
+        raise CapabilityError(f"grid too coarse for derivative order {order}")
+    d = np.empty_like(u)
+    half = (order + 2) // 2
+    for i in range(n + 1):
+        lo = min(max(i - half, 0), n - order - 2)
+        offsets = np.arange(lo, lo + order + 3) - i
+        w = fd_weights(offsets.astype(float), order)
+        d[i] = np.dot(w, u[lo : lo + order + 3]) / h**order
+    return d
+
+
+def fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
+    """Finite-difference weights on arbitrary integer offsets (Fornberg)."""
+    x = np.asarray(offsets, dtype=float)
+    npts = len(x)
+    if npts <= order:
+        raise ValueError("need more points than the derivative order")
+    c = np.zeros((npts, order + 1))
+    c[0, 0] = 1.0
+    c1 = 1.0
+    for i in range(1, npts):
+        c2 = 1.0
+        mn = min(i, order)
+        prev = c[i - 1].copy()
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            for k in range(mn, 0, -1):
+                c[j, k] = (x[i] * c[j, k] - k * c[j, k - 1]) / c3
+            c[j, 0] = x[i] * c[j, 0] / c3
+        for k in range(mn, 0, -1):
+            c[i, k] = c1 * (k * prev[k - 1] - x[i - 1] * prev[k]) / c2
+        c[i, 0] = -c1 * x[i - 1] * prev[0] / c2
+        c1 = c2
+    return c[:, order]
+
+
+# ---------------------------------------------------------------------------
+# symbols: Taylor coefficients about a point of the domain
+
+
+def taylor_coefficients(f: SymbolFunction, center: complex, count: int) -> np.ndarray:
+    """Coefficients f^(n)(center) / n! for n = 0..count-1, exact for every
+    symbol kind of the catalog."""
+    center = complex(center)
+    if isinstance(f, PolynomialSymbol):
+        return _shift_poly(f.coefficients, center, count)
+    if isinstance(f, PowerSymbol):
+        f.domain.check(center, "expansion point")
+        p = f.exponent
+        out = np.empty(count, dtype=complex)
+        for n in range(count):
+            binom = gamma(p + 1) * rgamma(p - n + 1) * rgamma(n + 1)
+            out[n] = f.scale * binom * np.power(center, p - n)
+        return out
+    if isinstance(f, ExponentialSymbol):
+        out = np.empty(count, dtype=complex)
+        base = f.scale * np.exp(f.rate * center)
+        fact = 1.0
+        for n in range(count):
+            if n > 0:
+                fact *= n
+            out[n] = base * f.rate**n / fact
+        return out
+    if isinstance(f, RationalSymbol):
+        f.domain.check(center, "expansion point")
+        num = _shift_poly(f.numerator, center, count)
+        den = _shift_poly(f.denominator, center, count)
+        return _series_divide(num, den, count)
+    raise CapabilityError(f"no Taylor coefficients for {type(f).__name__}")
+
+
+def _deflate(coeffs, center):
+    """Divide the polynomial by (z - center), dropping the remainder."""
+    out = [0.0j] * (len(coeffs) - 1)
+    carry = 0.0 + 0.0j
+    for k in range(len(coeffs) - 1, 0, -1):
+        carry = coeffs[k] + carry * center
+        out[k - 1] = carry
+    return out
+
+
+def _shift_poly(coeffs, center, count):
+    """Taylor coefficients of the polynomial about the given center."""
+    work = list(coeffs)
+    out = np.zeros(count, dtype=complex)
+    for n in range(count):
+        if not work:
+            break
+        acc = 0.0 + 0.0j
+        for c in reversed(work):
+            acc = acc * center + c
+        out[n] = acc
+        work = _deflate(work, center)
+    return out
+
+
+def _series_divide(num, den, count):
+    """Power-series division num / den to the given number of terms."""
+    if den[0] == 0:
+        raise DomainError("expansion point is a pole")
+    out = np.zeros(count, dtype=complex)
+    for n in range(count):
+        acc = num[n] if n < len(num) else 0.0
+        for k in range(1, n + 1):
+            if k < len(den):
+                acc -= den[k] * out[n - k]
+        out[n] = acc / den[0]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# operators: spectrum, frequencies and action on one state
+
+
+def check_vector(op: SpectralOperator, v: np.ndarray) -> np.ndarray:
+    """One state of the operator's dimension, as a complex array."""
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (op.dimension,):
+        raise DomainError(f"state has shape {v.shape}, operator needs ({op.dimension},)")
+    return v
+
+
+def spectrum(op: SpectralOperator) -> np.ndarray:
+    """Eigenvalues in spectral-coordinate order; a matrix whose eigenbasis
+    fails its conditioning check falls back to `np.linalg.eigvals`."""
+    if isinstance(op, FourierMultiplier):
+        return op.symbol_values.copy()
+    try:
+        lam, _, _ = op.eigensystem()
+    except CapabilityError:
+        lam = np.linalg.eigvals(op.matrix)
+    return lam
+
+
+def frequencies(op: FourierMultiplier) -> np.ndarray:
+    """Frequencies xi_j of the multiplier's modes, in FFT order."""
+    return FourierMultiplier.frequencies_static(op.modes, op.length)
+
+
+def apply_operator(op: SpectralOperator, v: np.ndarray) -> np.ndarray:
+    """A v for one state v: the matrix product, or mode-wise multiplication."""
+    v = check_vector(op, v)
+    if isinstance(op, FourierMultiplier):
+        return np.fft.ifft(op.symbol_values * np.fft.fft(v))
+    return op.matrix @ v
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +286,10 @@ def frac_integral(f: FunctionSpec, beta: float, grid: TimeGrid) -> ScalarPath:
     if beta < 0:
         raise OrderDomainError(f"integral order must be >= 0, got {beta}")
     if beta == 0:
-        return ScalarPath(grid, f.eval_nodes(grid))
+        return ScalarPath(grid, eval_nodes(f, grid))
     if isinstance(f, Power) and f.singular_at_zero:
         return ScalarPath(grid, _integral_path_power(f, beta, grid))
-    vals = f.eval_nodes(grid)
+    vals = eval_nodes(f, grid)
     if not np.all(np.isfinite(vals)):
         raise BlowupError("profile samples are not finite on the grid")
     return ScalarPath(grid, frac_integral_values(vals, beta, grid.h))
@@ -219,10 +409,10 @@ def apply_symbol_spectral(
     """f(A) v through the eigendecomposition (or mode-wise for multipliers)."""
     if isinstance(op, FourierMultiplier):
         fa = _checked_values(f, op.symbol_values)
-        return np.fft.ifft(fa * np.fft.fft(op.check_vector(v)))
+        return np.fft.ifft(fa * np.fft.fft(check_vector(op, v)))
     lam, p, pinv = op.eigensystem()
     fa = _checked_values(f, lam)
-    return p @ (fa * (pinv @ op.check_vector(v)))
+    return p @ (fa * (pinv @ check_vector(op, v)))
 
 
 def apply_symbol_taylor(
@@ -243,8 +433,8 @@ def apply_symbol_taylor(
     d = op.dimension
     if n_max < d:
         raise PreconditionError(f"n_max must be at least the dimension {d}")
-    u = op.check_vector(u)
-    coeffs = f.taylor_coefficients(lam, n_max + 1)
+    u = check_vector(op, u)
+    coeffs = taylor_coefficients(f, lam, n_max + 1)
     shifted = op.matrix - lam * np.eye(d)
     acc = coeffs[0] * u
     w = u
@@ -286,8 +476,8 @@ def apply_symbol_contour(
     """
     if not isinstance(op, MatrixOperator):
         raise CapabilityError("the contour route needs a matrix operator")
-    v = op.check_vector(v)
-    lam = op.spectrum()
+    v = check_vector(op, v)
+    lam = spectrum(op)
     dist = np.abs(np.abs(lam - center) - radius)
     if np.any(np.abs(lam - center) >= radius):
         raise ContourError(

@@ -13,8 +13,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import wofz
 
+from calculus import frequencies
 from fraccauchy import SchemaError
-from fraccauchy.cli import build_parser, main, parse_problem, read_csv, write_csv
+from fraccauchy.cli import build_parser, main, parse_problem, write_csv
 from fraccauchy.solver import ROUTES
 
 RELAX_DOC = {
@@ -28,6 +29,17 @@ RELAX_DOC = {
     "forcing": None,
     "grid": {"t_end": 2.0, "n": 256},
 }
+
+
+def read_csv(path):
+    """Round-trip reader of `write_csv` tables: (t, states) arrays."""
+    lines = Path(path).read_text(encoding="utf-8").strip().split("\n")
+    ncols = len(lines[0].split(","))
+    dim = (ncols - 1) // 2
+    data = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+    t = data[:, 0]
+    states = data[:, 1::2] + 1j * data[:, 2::2]
+    return t, states.reshape(len(t), dim)
 
 
 def write_doc(tmp_path, doc, name="problem.json"):
@@ -83,7 +95,7 @@ def test_parse_fourier_operator(tmp_path):
     path = write_doc(tmp_path, doc)
     prob = parse_problem(path)
     assert prob.operator.modes == 64
-    xi = prob.operator.frequencies
+    xi = frequencies(prob.operator)
     assert np.allclose(prob.operator.symbol_values, xi**2)
 
 

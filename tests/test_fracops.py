@@ -329,7 +329,10 @@ def test_closed_form_datum_matches_the_rule(profile):
             assert np.max(np.abs(got - rule) / scale) < 1e-13, (alpha, derivative)
 
 
-@pytest.mark.parametrize("profile", [Cosine(3.0, 0.3 - 1.0j), Sine(2.0)])
+@pytest.mark.parametrize(
+    "profile",
+    [Cosine(3.0, 0.3 - 1.0j), Sine(2.0), Exponential(0.5 - 1j, 0.3), Sine(2.0 + 0.5j, 0.3 - 1j)],
+)
 @pytest.mark.parametrize("blocks, rest", [(0, 1), (0, 2), (0, 5000), (2, 1), (2, 77)])
 def test_pointwise_caputo_blocks_match_one_call(monkeypatch, profile, blocks, rest):
     # the points go in blocks; each value keeps the bits of one product

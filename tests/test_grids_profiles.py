@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from calculus import fd_derivative, fd_weights
 from fraccauchy import (
     CapabilityError,
     Constant,
@@ -16,7 +17,6 @@ from fraccauchy import (
     Sine,
     TimeGrid,
 )
-from fraccauchy.profiles import fd_derivative, fd_weights
 
 
 def test_grid_nodes_uniform():

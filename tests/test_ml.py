@@ -356,3 +356,19 @@ def test_calls_of_any_length_give_the_same_bits(alpha, beta):
         for start in range(z.size - length + 1):
             part = ml_array(alpha, beta, z[start : start + length])
             assert part.tobytes() == whole[start : start + length].tobytes(), (length, start)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (0.5, 0.5), (0.9, 1.3), (1.5, 0.7)])
+def test_long_calls_agree_with_one_point_calls(alpha, beta):
+    # 1024 contour points, each with an argument of its own: numpy's vector
+    # loops may round a long call's points differently from one-point calls
+    # (which loops do depends on the CPU), so the values agree to rounding,
+    # not bitwise; one call repeated gives the same bits
+    rng = np.random.default_rng(5)
+    x = np.geomspace(4.5, 200.0, 1024)
+    z = x**alpha * np.exp(1j * rng.uniform(-np.pi, np.pi, x.size))
+    whole = ml_array(alpha, beta, z)
+    assert ml_array(alpha, beta, z).tobytes() == whole.tobytes()
+    single = np.array([ml_array(alpha, beta, z[i : i + 1])[0] for i in range(z.size)])
+    scale = np.maximum(1.0, np.abs(single))
+    assert np.max(np.abs(whole - single) / scale) < 1e-14

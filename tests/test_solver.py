@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc, rgamma
 
-from calculus import frac_integral_values
+from calculus import frac_integral_values, spectrum
 from fraccauchy import kernels, solver
 from fraccauchy import (
     Atom,
@@ -1004,7 +1004,7 @@ def _check_march_against_loop(case, inject, blocks, start):
     fvals = prob.forcing.values(grid.nodes)
     spec_fvals = op.to_spectral(fvals)
     if case.startswith("gl"):
-        b_op = solver._atom_sum(prob.measure, op.spectrum())
+        b_op = solver._atom_sum(prob.measure, spectrum(op))
         loop = _loop_rl(b_op, False, grid, spec_fvals, 0.5)
         injected = 1.01 * loop[:start] if inject else None
         ref = _loop_rl(b_op, False, grid, spec_fvals, 0.5, injected)
