@@ -7,9 +7,10 @@ exactly, so with f = t it would show no quadrature error at all; cos 3t
 gives its product rule a second-order error to resolve.  The columns are
 max-relative differences between the routes, plus `duhamel n/2`, the
 change of the Duhamel route from the grid of n / 2 cells at its nodes
-relative to the peak, which falls fourfold per doubling.  The
-repr-duhamel column mostly shows the panel error of repr's graded rule,
-and the columns against the oracle the oracle's own error.
+relative to the peak, which falls fourfold per doubling.  repr's cell
+rule is far more accurate than that here, so the repr-duhamel column
+shows the Duhamel route's own error and falls fourfold too; the columns
+against the oracle show the oracle's own error.
 
     PYTHONPATH=src python scripts/route_triangle.py [--sizes 256 512 ...]
 """

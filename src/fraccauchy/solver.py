@@ -31,10 +31,13 @@ component.
 
 Quadrature layout of the Duhamel integrals:
 
-* the representation route integrates on Gauss panels graded toward both
-  endpoints (the datum may blow up like tau^(mu-m) at 0, the kernel has
-  fractional derivatives at tau = t), with the first panel carrying the
-  algebraic endpoint weight exactly;
+* the representation route runs one rule on the grid's cells that every
+  node shares (`_forced_convolution`).  Interior cells take Gauss-Legendre,
+  so a node sums lag-indexed kernel samples against cell-indexed datum
+  samples, one convolution per Gauss point.  The two end cells carry the
+  singularities, the datum's tau^(mu-m) at 0 and the kernel's fractional
+  powers of the lag at tau = t, through moments over panels graded toward
+  them that every node shares (`_end_rule`);
 * the four Duhamel-principle routes run one product-integration engine
   (`_duhamel`).  Each integrates its datum against a kernel J^b S_k, J^q
   the Riemann-Liouville integral of order q.  The singular part of the
@@ -250,64 +253,123 @@ def _profile_at_zero(profile: FunctionSpec) -> complex:
     return complex(np.asarray(profile.eval(0.0)).reshape(-1)[0])
 
 
-def _unit_graded_rule(gamma: float, panels: int):
-    """Composite rule on the unit interval, graded toward both endpoints.
+_CELL_POINTS = 12  # Gauss-Legendre points per cell of the representation route
+_END_PANEL = 10  # points per panel of its end-cell rules
+_END_LEVELS = 20  # geometric panels of its end-cell rules
 
-    Panel breaks grade as (j / panels)^3 toward each end.  The first panel
-    carries the tau^(-gamma) endpoint weight exactly with a 10-point
-    Gauss-Jacobi rule, the others take 5-point Gauss-Legendre (both from
-    `special.gauss_jacobi`, beta = 0 for Legendre).  The rule
-    rescales to [0, t] by multiplying nodes and weights with t (the
-    algebraic factor is part of the integrand, so the scaling stays
-    uniform).
+
+def _cell_nodes():
+    """Gauss-Legendre nodes c_q and weights w_q on the unit cell [0, 1]."""
+    x, w = gauss_jacobi(_CELL_POINTS, 0.0)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+@functools.lru_cache(maxsize=32)
+def _end_rule(gamma: float):
+    """Points y on the unit cell and moment weights W (2, G, points) with
+
+        sum_y W[0, q, y] f(y) = int_0^1 f(y) L_q(y) dy,
+        sum_y W[1, q, y] f(y) = int_0^(1/2) f(y) L_q(2 y) dy,
+
+    L_q the Lagrange basis on the G nodes of `_cell_nodes`, for f like
+    y^(-gamma) times a sum of fractional powers of y.
+
+    The panels [2^-(k+1), 2^-k], k < L = `_END_LEVELS`, grade toward y = 0
+    with `_END_PANEL`-point Gauss-Legendre each; the first panel [0, 2^-L]
+    carries the y^(-gamma) endpoint weight exactly with Gauss-Jacobi (both
+    from `special.gauss_jacobi`).  The half cell [0, 1/2] takes the same
+    points but those of the outermost panel.  The arrays are shared by every
+    caller and read-only.
     """
-    j = np.arange(panels + 1, dtype=float)
-    left = 0.5 * (j / panels) ** 3
-    breaks = np.concatenate([left, (1.0 - left[::-1])[1:]])
+    x, w = gauss_jacobi(_END_PANEL, 0.0)
+    left = 0.5 ** np.arange(1, _END_LEVELS + 1)
+    y = [(left[:, None] * (1.5 + 0.5 * x)).ravel()]
+    wy = [(left[:, None] * (0.5 * w)).ravel()]
     # first panel: weights for plain integrand values, the factor absorbed
-    x, w = gauss_jacobi(10, -gamma)
-    half = 0.5 * breaks[1]
-    tau = half * (x + 1.0)
-    taus = [tau]
-    weights = [w * half ** (1.0 - gamma) * tau**gamma]
-    x, w = gauss_jacobi(5, 0.0)
-    for a, b in zip(breaks[1:-1], breaks[2:]):
-        half = 0.5 * (b - a)
-        taus.append(a + half * (x + 1.0))
-        weights.append(w * half)
-    return np.concatenate(taus), np.concatenate(weights)
+    x, w = gauss_jacobi(_END_PANEL, -gamma)
+    half = 0.5 * left[-1]
+    y.append(half * (x + 1.0))
+    wy.append(w * half ** (1.0 - gamma) * y[-1] ** gamma)
+    y, wy = np.concatenate(y), np.concatenate(wy)
+    c, _ = _cell_nodes()
+    weights = np.stack([_lagrange(c, y), _lagrange(c, 2.0 * y) * (y < 0.5)]) * wy
+    for a in (y, weights):
+        a.flags.writeable = False
+    return y, weights
 
 
-def _forced_convolution(
-    problem: CauchyProblem, unit_tau: np.ndarray, unit_w: np.ndarray
-) -> np.ndarray:
+def _lagrange(c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """L[q, k] = L_q(y_k), the Lagrange basis on the nodes c at the points y."""
+    den = c[:, None] - c + np.eye(c.size)  # c_q - c_r, 1 on the diagonal
+    ratio = (y - c[:, None]) / den[..., None]  # (q, r, k): (y_k - c_r) / (c_q - c_r)
+    ratio[np.arange(c.size), np.arange(c.size)] = 1.0
+    return ratio.prod(axis=1)
+
+
+def _forced_convolution(problem: CauchyProblem) -> np.ndarray:
     """States of int_0^t S_{m-1}(t - tau, A) D_+^(m-mu) h(tau) dtau on all
-    nodes.
+    nodes, from one rule on the grid's cells that every node shares.
 
-    The quadrature pattern is one graded unit rule rescaled per node, so the
-    kernel evaluations of all components batch into one vectorized call.
+    Cell j spans [j h, (j + 1) h], and node i reaches it at the lags
+    [(p - 1) h, p h], p = i - j.  Kernel and datum samples thus depend on p
+    or on j alone, and node i is a sum over p + j = i:
+
+    * interior cells (p >= 2, j >= 1) take G-point Gauss-Legendre, the
+      kernel at the lags (p - c_q) h and the datum at (j + c_q) h;
+    * cell 0, where the datum may go like tau^(-gamma), interpolates the
+      kernel at the same lags (i - c_q) h and integrates the datum once
+      against that Lagrange basis;
+    * the last cell (p = 1), where the kernel has fractional powers of the
+      lag, interpolates the datum at (i - 1 + c_q) h and integrates the
+      kernel once against the basis;
+    * node 1 takes cell 0 as two half cells, one of each kind.
+
+    The moments come from `_end_rule`, so node i >= 2 is one entry of G
+    convolutions per component.  The kernel is one call per run of
+    components, and every reduction over it runs per component.
     """
     grid = problem.grid
+    n, h = grid.n, grid.h
     measure = problem.measure
     m = measure.m
     gamma = m - measure.mu
     profile = problem.forcing.profile
     _require_continuous(profile)
     lam, dir_spec = _forcing_components(problem)
-    t_pos = grid.nodes[1:]
-    tau_mat = t_pos[:, None] * unit_tau[None, :]
-    w_mat = t_pos[:, None] * unit_w[None, :]
-    tau = tau_mat.reshape(-1)
+    c, w = _cell_nodes()
+    g = c.size
+    y_datum, w_datum = _end_rule(gamma)
+    y_kernel, w_kernel = _end_rule(0.0)
+    w_kernel = w_kernel[:, ::-1]  # the datum sits at 1 - y: L_q(1 - y) = L_(G-1-q)(y)
+    shifted = (c[:, None] + np.arange(1.0, n)).ravel()  # j + c_q, q-major
+    tau = h * np.concatenate([y_datum, 0.5 * (1.0 + c), shifted])
     if gamma:
-        gvals = rl_derivative_at(profile, gamma, tau)
+        datum = rl_derivative_at(profile, gamma, tau)
     else:
-        gvals = np.asarray(profile.eval(tau), dtype=complex)
-    gvals = gvals.reshape(tau_mat.shape)
-    sig = t_pos[:, None] - tau_mat
-    u_spec = np.zeros((grid.n + 1, problem.dim), dtype=complex)
-    for js in _chunks(_active(dir_spec), sig.size):
-        svals = solution_symbol_path(measure, m - 1, sig, lam[js, None, None])
-        u_spec[1:, js] = (dir_spec[js, None] * np.sum(w_mat * svals * gvals, axis=-1)).T
+        datum = np.asarray(profile.eval(tau), dtype=complex)
+    d_end, d_half, d_cells = np.split(datum, [y_datum.size, y_datum.size + g])
+    d_mom = h * np.sum(w_datum * d_end, axis=-1)  # (2, G): cell 0, its first half
+    # datum rows over the cells j = 0..n-1; cell 0 holds its moments over the
+    # weights h w_q that the kernel rows carry
+    rows = np.empty((g, n), dtype=complex)
+    rows[:, 0] = d_mom[0] / (h * w)
+    rows[:, 1:] = d_cells.reshape(g, n - 1)
+    lags = h * np.concatenate([y_kernel, 1.0 - 0.5 * c, shifted])
+    u_spec = np.zeros((n + 1, problem.dim), dtype=complex)
+    for js in _chunks(_active(dir_spec), lags.size):
+        svals = solution_symbol_path(measure, m - 1, lags, lam[js, None])
+        k_end, k_half, k_cells = np.split(svals, [y_kernel.size, y_kernel.size + g], axis=1)
+        k_mom = h * np.sum(w_kernel * k_end[:, None, None, :], axis=-1)  # (C, 2, G)
+        # kernel rows over the lags p = 1..n: the last cell's moments, then
+        # h w_q S((p - c_q) h), sampled as (p - 1 + c_(G-1-q)) h
+        kern = np.empty((len(js), g, n), dtype=complex)
+        kern[:, :, 0] = k_mom[:, 0]
+        kern[:, :, 1:] = h * w[:, None] * k_cells.reshape(len(js), g, n - 1)[:, ::-1]
+        acc = np.empty((len(js), n), dtype=complex)
+        for i in range(len(js)):
+            acc[i] = sum(np.convolve(kern[i, q], rows[q])[:n] for q in range(g))
+        acc[:, 0] = np.sum(k_half * d_mom[1] + k_mom[:, 1] * d_half, axis=-1)
+        u_spec[1:, js] = (dir_spec[js, None] * acc).T
     return problem.operator.from_spectral(u_spec)
 
 
@@ -323,12 +385,7 @@ def solve_repr(problem: CauchyProblem) -> SolutionPath:
     states = path.states
     forcing = problem.forcing_or_zero()
     if forcing is not None:
-        # the endpoint weight depends on the measure only, so the discrete
-        # map stays exactly linear in the data
-        gamma = problem.measure.m - problem.measure.mu
-        panels = int(np.clip(grid.n // 128, 8, 32))
-        unit_tau, unit_w = _unit_graded_rule(gamma, panels)
-        states = states + _forced_convolution(problem, unit_tau, unit_w)
+        states = states + _forced_convolution(problem)
     return SolutionPath(grid, states, method="repr")
 
 

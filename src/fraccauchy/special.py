@@ -54,9 +54,9 @@ def gauss_jacobi(npts: int, beta: float):
     double is double, the weights keep about 1e-14.
 
     Every Gauss rule of the package is this one: the oracles' far field
-    (`solver._soe`), the weakly singular and the Gauss-Legendre panels of
-    the representation route (`solver._unit_graded_rule`) and the datum
-    quadrature (`fracops.caputo_derivative_at`).  It is a quadrature
+    (`solver._soe`), the cell rule and the graded end-cell panels of the
+    representation route (`solver._cell_nodes`, `solver._end_rule`) and
+    the datum quadrature (`fracops.caputo_derivative_at`).  It is a quadrature
     primitive, checked on its own against mpmath, not shared solution
     numerics: the oracles stay an independent check of the kernel routes.
     """

@@ -120,7 +120,13 @@ def test_criterion_03_route_triangle():
             (compare(a, b).max_rel, compare(a, c).max_rel, compare(b, c).max_rel)
         )
     first, second = pair_errs
-    ok = max(first) < 1e-2 and all(s < f for f, s in zip(first, second))
+    # repr and duhamel agree to round-off at both n, where halving cannot
+    # shrink the difference; the pairs against the oracle must fall
+    ok = (
+        max(first[0], second[0]) < 1e-12
+        and max(first) < 1e-2
+        and all(s < f for f, s in zip(first[1:], second[1:]))
+    )
     report(3, "route triangle on the two-term benchmark", ok,
            f"(n=1024 errs={['%.2e' % e for e in first]}, halved={['%.2e' % e for e in second]})")
 

@@ -346,8 +346,8 @@ def test_pointwise_caputo_blocks_match_one_call(monkeypatch, profile, blocks, re
 
 
 def test_pointwise_derivative_memory_is_bounded_by_its_blocks():
-    # 87,040 datum points, those of a forced repr solve on 128 modes at
-    # n = 1024: the (points x 24) quadrature arrays once peaked at 54 MB;
+    # 87,040 datum points, about those of a forced repr solve at n = 7,240:
+    # the (points x 24) quadrature arrays once peaked at 54 MB;
     # now a block of them takes about 7 MB, the output and its full-length
     # temporaries about 2 MB
     import tracemalloc
