@@ -306,15 +306,12 @@ def write_csv(path, solution: SolutionPath) -> None:
     """Result table: one row per node, 17 significant digits."""
     dim = solution.dim
     header = "t," + ",".join(f"re_u_{j},im_u_{j}" for j in range(dim))
+    # each row's cells (re_0, im_0, re_1, ...) as Python floats, one row at
+    # a time: they format as numpy's scalars do, at a fraction of the cost
+    cells = np.ascontiguousarray(solution.states).view(float)
+    row = ",".join(["{:.17g}"] * (2 * dim + 1))
     lines = [header]
-    t = solution.grid.nodes
-    for i in range(solution.grid.n + 1):
-        cells = [f"{t[i]:.17g}"]
-        for j in range(dim):
-            v = solution.states[i, j]
-            cells.append(f"{v.real:.17g}")
-            cells.append(f"{v.imag:.17g}")
-        lines.append(",".join(cells))
+    lines += [row.format(t, *c.tolist()) for t, c in zip(solution.grid.nodes.tolist(), cells)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -53,14 +53,17 @@ against the closed form, and within 2e-13 of max(1, |c_beta|) of a
 double, the table keeps that floor.
 
 The kernels take an array of spectral points z that broadcasts against the
-times and return the broadcast shape: one call evaluates every (t, z) of a
-route, the closed form with one Mittag-Leffler call per kernel exponent, the
-contour over the flattened (z, t) points.  Every value depends on its own
-(t, z) alone, up to rounding: a batch agrees with one scalar-z call per
-point to a few ulps of max(1, |value|), bitwise on the contour in the tests,
-while a long closed-form batch carries the rounding of a long Mittag-Leffler
-call (see `ml`).  Errors name the first failing point in the flattened
-order of the broadcast.
+times and return the broadcast shape, and an array of exponents beta whose
+kernels stack on a leading axis.  Only beta tells the kernels of one (t, z)
+apart, so one call evaluates every kernel of a route on every (t, z): the
+contour takes Delta, its monitor and 1/Delta once per point of the
+flattened (z, t) broadcast and one pair of node sums per exponent, the
+closed form one Mittag-Leffler call per exponent.  Every value depends on
+its own (t, z, beta) alone, up to rounding: a batch agrees with one scalar
+call per point and exponent to a few ulps of max(1, |value|), bitwise on
+the contour in the tests, while a long closed-form batch carries the
+rounding of a long Mittag-Leffler call (see `ml`).  Errors name the first
+failing point in the flattened order of the broadcast.
 """
 
 from __future__ import annotations
@@ -81,7 +84,9 @@ __all__ = [
     "char_eval",
     "c_beta",
     "c_beta_path",
+    "require_finite_symbol",
     "solution_symbol_path",
+    "solution_symbols",
     "symbol_values",
 ]
 
@@ -201,16 +206,18 @@ def symbol_values(measure: OrderMeasure, z, atoms=None) -> tuple:
     return g, weights
 
 
-def _half_sums(p: np.ndarray, powers: np.ndarray, e: np.ndarray, imag: bool):
+def _half_sums(p: np.ndarray, powers: np.ndarray, es: list, imag: bool):
     """A = sum_k E_k / Delta_ik over the upper nodes for rows of term
     factors p (rows, terms), Delta_ik = sum_j p_ij w_k^(a_j) with the shape
-    powers (terms, nodes): the real part of A, its imaginary part (None
-    unless imag) and |Delta|^2 (rows, nodes).
+    powers (terms, nodes), once for each row of node factors E in es
+    (exponents, nodes): per exponent the real part of A and its imaginary
+    part (None unless imag), and |Delta|^2 (rows, nodes).
 
-    Delta is summed in real arithmetic, and 1/Delta taken as
-    conj(Delta) / |Delta|^2.  Where every factor is real the products with
-    the zero imaginary parts are skipped: they would only add exact zeros,
-    so a row's bits do not depend on the other rows.
+    Delta, |Delta|^2 and 1/Delta do not depend on the exponent and are
+    taken once for all of them.  Delta is summed in real arithmetic, and
+    1/Delta taken as conj(Delta) / |Delta|^2.  Where every factor is real
+    the products with the zero imaginary parts are skipped: they would only
+    add exact zeros, so a row's bits do not depend on the other rows.
     """
     # einsum sums each row alike wherever it sits, so results do not
     # depend on how the points are split into calls or blocks
@@ -223,52 +230,66 @@ def _half_sums(p: np.ndarray, powers: np.ndarray, e: np.ndarray, imag: bool):
     m2 += d_im * d_im
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero the monitor reports
         x, y = d_re / m2, d_im / m2
-    re = np.einsum("ik,k->i", x, e.real) + np.einsum("ik,k->i", y, e.imag)
-    im = None
-    if imag:
-        im = np.einsum("ik,k->i", x, e.imag) - np.einsum("ik,k->i", y, e.real)
-    return re, im, m2
+    sums = []
+    for e in es:
+        re = np.einsum("ik,k->i", x, e.real) + np.einsum("ik,k->i", y, e.imag)
+        im = None
+        if imag:
+            im = np.einsum("ik,k->i", x, e.imag) - np.einsum("ik,k->i", y, e.real)
+        sums.append((re, im))
+    return sums, m2
 
 
 def c_beta_path(
     measure: OrderMeasure,
-    beta: float,
+    beta: float | np.ndarray,
     t: np.ndarray,
     z,
 ) -> np.ndarray:
     """c_beta(t, z) on positive times t and spectral points z.
 
     z is a scalar or an array that broadcasts against t; the result has the
-    broadcast shape, and each value depends on its own (t, z) alone.
+    broadcast shape, and each value depends on its own (t, z) alone.  beta
+    is a scalar, or a 1-D array of exponents whose kernels are stacked on a
+    leading axis, each bitwise equal to its own scalar call.
     Measures with two or more atoms invert on the contour, in blocks of
-    `_TIME_BLOCK` points of the flattened broadcast; `InversionError` names
-    the first time, in that order, at which |Delta| falls below 1e-8 on a
-    node.
+    `_TIME_BLOCK` points of the flattened broadcast, taking Delta and its
+    monitor once per point for all exponents; `InversionError` names the
+    first time, in that order, at which |Delta| falls below 1e-8 on a node.
     """
     t = np.asarray(t, dtype=float)
     z = np.asarray(z, dtype=complex)
     if np.any(t <= 0):
         raise DomainError("kernel times must be positive")
-    if beta >= measure.mu:
-        raise OrderDomainError(
-            f"kernel exponent must lie below the leading order {measure.mu}, "
-            f"got {beta}"
-        )
+    # Python floats: numpy takes w ** 0.5 as sqrt (and 2, -1 alike), so
+    # every exponent takes the arithmetic of its scalar call
+    scalar = np.ndim(beta) == 0
+    betas = [float(beta)] if scalar else [float(b) for b in beta]
     mu = measure.mu
+    for b in betas:
+        if b >= mu:
+            raise OrderDomainError(
+                f"kernel exponent must lie below the leading order {mu}, got {b}"
+            )
     g, weights = symbol_values(measure, z)
     if np.any(g == 0):
         raise DomainError("leading symbol vanishes at the spectral point")
     shape = np.broadcast(t, z).shape
+    out = np.empty((len(betas),) + shape, dtype=complex)
     if _fast_path(measure):
         if weights:
             rho = mu - measure.atoms[0].alpha
-            e = ml_array(rho, mu - beta, -(weights[0] / g) * t**rho)
-        else:
-            e = np.full(shape, rgamma(mu - beta), dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):  # growth spectra overflow e
-            return t ** (mu - beta - 1.0) * e / g
+            x = -(weights[0] / g) * t**rho
+        for b, o in zip(betas, out):
+            if weights:
+                e = ml_array(rho, mu - b, x)
+            else:
+                e = np.full(shape, rgamma(mu - b), dtype=complex)
+            with np.errstate(over="ignore", invalid="ignore"):  # growth spectra overflow e
+                np.divide(t ** (mu - b - 1.0) * e, g, out=o)
+        return out[0] if scalar else out
     n, w = _TALBOT_NODES, _TALBOT_W
-    e = _TALBOT_E * w**beta
+    es = [_TALBOT_E * w**b for b in betas]
     orders = np.array([mu] + [a.alpha for a in measure.atoms])
     powers = w ** orders[:, None]
     # symbol weights (spectral values, terms); values whose weights are all
@@ -277,7 +298,7 @@ def c_beta_path(
     real_z = ~np.any(coef.imag, axis=1)
     flat_t = np.broadcast_to(t, shape).reshape(-1)
     zi = np.broadcast_to(np.arange(z.size).reshape(z.shape), shape).reshape(-1)
-    out = np.empty(flat_t.shape, dtype=complex)
+    flat_out = out.reshape(len(betas), -1)
     for start in range(0, flat_t.size, _TIME_BLOCK):
         rows = slice(start, start + _TIME_BLOCK)
         tb, zb = flat_t[rows], zi[rows]
@@ -291,7 +312,7 @@ def c_beta_path(
         mirror = np.arange(tb.size)
         mirror[cx] = tb.size + np.arange(cx.size)
         p = np.concatenate([p, np.conj(p[cx])])
-        re, im, m2 = _half_sums(p, powers, e, bool(cx.size))
+        sums, m2 = _half_sums(p, powers, es, bool(cx.size))
         floor = (1e-8 * scale**-mu) ** 2  # |Delta| < 1e-8 on a node
         bad = m2 < np.concatenate([floor, floor[cx]])[:, None]
         if np.any(bad):
@@ -305,11 +326,12 @@ def c_beta_path(
             )
             exc.z = complex(z.reshape(-1)[zb[i]])
             raise exc
-        node_sum = re[: tb.size] + re[mirror]
-        if cx.size:
-            node_sum = node_sum + 1j * (im[: tb.size] - im[mirror])
-        out[rows] = scale ** (beta + 1.0 - mu) * node_sum
-    return out.reshape(shape)
+        for b, (re, im), o in zip(betas, sums, flat_out):
+            node_sum = re[: tb.size] + re[mirror]
+            if cx.size:
+                node_sum = node_sum + 1j * (im[: tb.size] - im[mirror])
+            o[rows] = scale ** (b + 1.0 - mu) * node_sum
+    return out[0] if scalar else out
 
 
 def c_beta(
@@ -327,14 +349,9 @@ def c_beta(
     return complex(c_beta_path(measure, beta, np.array([t]), z)[0])
 
 
-def solution_symbol_path(
-    measure: OrderMeasure,
-    k: int,
-    t: np.ndarray,
-    z,
-    shift: float = 0.0,
-) -> np.ndarray:
-    """J^shift S_k(t, z) on positive times t and spectral points z.
+def solution_symbols(measure: OrderMeasure, requests, t: np.ndarray, z) -> list:
+    """J^shift S_k(t, z) for each (k, shift) of requests, one array each,
+    from one `c_beta_path` call over all their kernel exponents.
 
     S_k is the scalar symbol of the operator mapping the k-th datum into the
     solution: S_k(t, z) = g(z) c_{mu-k-1}(t, z) plus, over atoms with
@@ -344,41 +361,73 @@ def solution_symbol_path(
     the same sum with every kernel exponent lowered by shift.
 
     z is a scalar or an array that broadcasts against t, as in
-    `c_beta_path`; the result has the broadcast shape.  Raises BlowupError
-    where the symbol is not finite (growth spectra overflow the kernel),
-    naming the first (t, z) in the order of the flattened broadcast: with
-    the spectral components on the leading axis, the first failure in
-    component-major order.
+    `c_beta_path`; each array has the broadcast shape.  Values are returned
+    as they come, not finite where a growth spectrum overflows the kernel:
+    `solution_symbol_path` raises there, and a caller that asks for several
+    symbols checks the points it uses with `require_finite_symbol`.
     """
     m = measure.m
-    if not 0 <= k <= m - 1:
-        raise OrderDomainError(f"datum index must lie in 0..{m - 1}, got {k}")
+    for k, _ in requests:
+        if not 0 <= k <= m - 1:
+            raise OrderDomainError(f"datum index must lie in 0..{m - 1}, got {k}")
     t = np.asarray(t, dtype=float)
     z = np.asarray(z, dtype=complex)
     shape = np.broadcast(t, z).shape
     if t.shape != shape:  # every kernel call gets one time per point it evaluates
         t = np.broadcast_to(t, shape)
     # atoms exactly at the integer k feed only lower data indices
-    included = [a for a in measure.atoms if a.alpha > k]
-    g, weights = symbol_values(measure, z, included)
-    c = c_beta_path(measure, measure.mu - k - 1.0 - shift, t, z)
-    # non-finite kernels are reported below, whichever point of the call has them
+    atoms = [a for a in measure.atoms if a.alpha > min(k for k, _ in requests)]
+    g, weights = symbol_values(measure, z, atoms)
+    # where c_j f_j(z) = 0 at every point the atom adds nothing
+    atoms = [(a, w) for a, w in zip(atoms, weights) if np.any(w)]
+    exponents: dict = {}  # kernel exponent -> its row of the kernel call
+    sums = []
+    for k, shift in requests:
+        terms = [(g, measure.mu - k - 1.0 - shift)]
+        terms += [(w, a.alpha - k - 1.0 - shift) for a, w in atoms if a.alpha > k]
+        sums.append([(f, exponents.setdefault(b, len(exponents))) for f, b in terms])
+    c = c_beta_path(measure, np.array(list(exponents)), t, z)
+    out = []
+    # non-finite kernels are left to the caller's check
     with np.errstate(over="ignore", invalid="ignore"):
-        acc = g * c
-        for a, w in zip(included, weights):
-            if not np.any(w):  # where c_j f_j(z) = 0 the atom adds nothing
-                continue
-            c = c_beta_path(measure, a.alpha - k - 1.0 - shift, t, z)
-            acc = np.where(w == 0, acc, acc + w * c)
-    bad = np.flatnonzero(~np.isfinite(acc))
+        for (lead, row), *rest in sums:
+            acc = lead * c[row]
+            for w, row in rest:
+                acc = np.where(w == 0, acc, acc + w * c[row])
+            out.append(acc)
+    return out
+
+
+def require_finite_symbol(values: np.ndarray, k: int, shift: float, t, z) -> None:
+    """Raise BlowupError at the first value of J^shift S_k on (t, z) that is
+    not finite, in the order of the flattened broadcast of t and z."""
+    bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        zb = complex(np.broadcast_to(z, shape).flat[bad[0]])
+        shape = np.shape(values)
+        zb = complex(np.broadcast_to(np.asarray(z, dtype=complex), shape).flat[bad[0]])
+        tb = float(np.broadcast_to(np.asarray(t, dtype=float), shape).flat[bad[0]])
         name = f"J^{shift:g} S_{k}" if shift else f"S_{k}"
         exc = BlowupError(
-            f"solution symbol {name}(t, z) is not finite at t = "
-            f"{float(t.flat[bad[0]])} for z = {zb}; the kernel "
-            "overflows on this spectrum"
+            f"solution symbol {name}(t, z) is not finite at t = {tb} for "
+            f"z = {zb}; the kernel overflows on this spectrum"
         )
         exc.z = zb
         raise exc
+
+
+def solution_symbol_path(
+    measure: OrderMeasure,
+    k: int,
+    t: np.ndarray,
+    z,
+    shift: float = 0.0,
+) -> np.ndarray:
+    """J^shift S_k(t, z) on positive times t and spectral points z, one
+    symbol of `solution_symbols`.  Raises BlowupError where it is not finite
+    (growth spectra overflow the kernel), naming the first (t, z) in the
+    order of the flattened broadcast: with the spectral components on the
+    leading axis, the first failure in component-major order.
+    """
+    (acc,) = solution_symbols(measure, [(k, shift)], t, z)
+    require_finite_symbol(acc, k, shift, t, z)
     return acc

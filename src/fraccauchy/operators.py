@@ -35,6 +35,7 @@ class MatrixOperator(SpectralOperator):
 
     matrix: np.ndarray = field(repr=False)
     _eig: tuple | None = field(default=None, repr=False, compare=False)
+    _checked: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
@@ -59,8 +60,12 @@ class MatrixOperator(SpectralOperator):
 
         Defective matrices can produce an invertible-looking basis that still
         fails to reconstruct A, so the diagonalization residual is checked as
-        well; the spectral routes cannot use such an operator.
+        well; the spectral routes cannot use such an operator.  The check
+        runs on first use, also for a basis given to `from_eigensystem`; a
+        triple that passed it is kept, and one that failed fails every call.
         """
+        if self._checked:
+            return self._eig
         if self._eig is None:
             lam, p = np.linalg.eig(self.matrix)
             try:
@@ -78,6 +83,7 @@ class MatrixOperator(SpectralOperator):
                 f"{resid:.2e}, reconstruction residual {recon:.2e}); the spectral "
                 "routes cannot use this operator"
             )
+        self._checked = True
         return lam, p, pinv
 
     def to_spectral(self, v: np.ndarray) -> np.ndarray:

@@ -47,15 +47,16 @@ Quadrature layout of the Duhamel integrals:
   against the moments J^(b+1) S_k and J^(b+2) S_k, so these routes are
   second order in h.
 
-Every route evaluates its solution symbols in one `solution_symbol_path`
-call per datum index, or per kernel J^q S_k on the Duhamel routes, over all
-active spectral components at once (the components on the leading axis,
-the route's kernel times after it).  Runs of components split the call
-only where it would pass `_POINT_BUDGET` points, so no temporary outgrows
-max(one component's points, the budget).  Only the convolutions still loop
-over components.  A failure names the point the per-component loop met
-first: the first failing component, and for it the first datum index or
-kernel and time.
+Every route evaluates all its solution symbols, each datum index's S_k or
+each kernel J^q S_k of the Duhamel routes, in one kernel evaluation over
+all active spectral components at once (the components on the leading
+axis, the route's kernel times after it): on the contour, Delta is taken
+once per point for all of them (`_symbol_rows`).  Runs of components split
+the call only where one symbol would pass `_POINT_BUDGET` points, so no
+kernel's temporary outgrows max(one component's points, the budget).  Only
+the convolutions still loop over components.  A failure names the
+point the per-component loop met first: the first failing component, and
+for it the first datum index or kernel and time.
 """
 
 from __future__ import annotations
@@ -79,7 +80,14 @@ from .errors import (
 )
 from .fracops import caputo_derivative_at, rl_derivative_at
 from .grids import TimeGrid
-from .kernels import Atom, OrderMeasure, solution_symbol_path, symbol_values
+from .kernels import (
+    Atom,
+    OrderMeasure,
+    require_finite_symbol,
+    solution_symbol_path,
+    solution_symbols,
+    symbol_values,
+)
 from .operators import FourierMultiplier, MatrixOperator
 from .problems import (
     CAPUTO,
@@ -163,21 +171,40 @@ def _chunks(components: np.ndarray, points: int) -> list:
 
 
 def _symbol_rows(measure: OrderMeasure, t: np.ndarray, z: np.ndarray, calls) -> list:
-    """`solution_symbol_path(measure, k, t, z[js, None], shift=shift)` for
-    each (k, shift, js) of calls.
+    """J^shift S_k(t, z[js]) for each (k, shift, js) of calls, shaped
+    (len(js), t), from one kernel evaluation over the union of the js.
 
-    A failing call does not stop the others.  Of all failures, the one
+    Only the points a call asks for can fail it.  Of all failures, the one
     raised is the one a loop over single components meets first: on the
     first failing component, its first failing call.
     """
+    asked = np.zeros(z.size, dtype=bool)
+    for _, _, js in calls:
+        asked[js] = True
+    union = np.flatnonzero(asked)
+    try:
+        values = solution_symbols(measure, [(k, s) for k, s, _ in calls], t, z[union, None])
+    except InversionError as exc:
+        # the |Delta| monitor names the first component it fails on, and
+        # depends on no call; a failing symbol before it comes first
+        first = union[np.argmax(z[union] == exc.z)]
+        head = [(k, s, js[js < first]) for k, s, js in calls]
+        if any(js.size for _, _, js in head):
+            _symbol_rows(measure, t, z, head)
+        raise
     rows, failures = [], []
-    for i, (k, shift, js) in enumerate(calls):
-        try:
-            rows.append(solution_symbol_path(measure, k, t, z[js, None], shift=shift))
-        except (BlowupError, InversionError) as exc:
-            failures.append((js[np.argmax(z[js] == exc.z)], i, exc))
+    for i, ((k, shift, js), v) in enumerate(zip(calls, values)):
+        if js.size < union.size:
+            v = v[(np.cumsum(asked) - 1)[js]]
+        rows.append(v)
+        bad = ~np.isfinite(v).all(axis=1)
+        if bad.any():
+            j = int(np.argmax(bad))
+            failures.append((js[j], i, v[j]))
     if failures:
-        raise min(failures, key=lambda f: f[:2])[2]
+        j, i, v = min(failures, key=lambda f: f[:2])
+        k, shift, _ = calls[i]
+        require_finite_symbol(v, k, shift, t, z[j])
     return rows
 
 
@@ -425,8 +452,8 @@ def _duhamel(
         D(p) = (K2(p h) - K2((p-1) h)) / h,
 
     two convolutions per component.  The result is exact where r is linear
-    and second order in h for smooth r.  Every kernel is one
-    `solution_symbol_path` call per run of components.
+    and second order in h for smooth r.  All kernels are one kernel
+    evaluation per run of components.
     """
     measure, k, b, z, direction = kernel
     profile = problem.forcing.profile

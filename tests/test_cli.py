@@ -143,6 +143,33 @@ def test_csv_round_trip_is_lossless(values, tmp_path_factory):
     assert np.array_equal(back, states)
 
 
+def test_csv_cells_match_numpy_scalar_formatting(tmp_path):
+    # the table is written from Python floats; every cell must read as the
+    # f-string of the numpy scalar, signed zeros, infinities, nan, subnormal
+    # and extreme magnitudes included, also from states not in C order
+    from fraccauchy import SolutionPath, TimeGrid
+
+    rng = np.random.default_rng(4)
+    grid = TimeGrid(3.0, 40)
+    states = rng.normal(size=(41, 5)) * 10.0 ** rng.integers(-300, 300, size=(41, 5))
+    states = states + 1j * rng.normal(size=(41, 5))
+    tiny, big = np.finfo(float).smallest_subnormal, np.finfo(float).max
+    special = [-0.0, np.inf, -np.inf, np.nan, tiny, -np.finfo(float).tiny, big]
+    states[0] = special[:5]
+    states[1] = [complex(a, b) for a, b in zip(special[2:], special)]
+    out = tmp_path / "cells.csv"
+    write_csv(out, SolutionPath(grid, np.asfortranarray(states)))
+    lines = ["t," + ",".join(f"re_u_{j},im_u_{j}" for j in range(5))]
+    for i in range(grid.n + 1):
+        cells = [f"{grid.nodes[i]:.17g}"]
+        for j in range(5):
+            v = states[i, j]
+            cells += [f"{v.real:.17g}", f"{v.imag:.17g}"]
+        lines.append(",".join(cells))
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert b"-0," in out.read_bytes() and b"-inf" in out.read_bytes()
+
+
 def test_solve_writes_csv(tmp_path):
     prob = write_doc(tmp_path, RELAX_DOC)
     out = tmp_path / "sol.csv"

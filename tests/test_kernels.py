@@ -647,6 +647,26 @@ def test_contour_kernels_match_stored_values():
     assert np.all(got[[0, 1, 2, 3, 6, 7, 8, 9]].imag == 0)
 
 
+@pytest.mark.parametrize(
+    "measure", [_TWO_ATOM_CONTOUR, TWO_TERM, OrderMeasure(1.5)], ids=["contour", "closed", "no-atom"]
+)
+def test_exponent_array_matches_one_call_per_exponent(measure):
+    # the exponents of one call share Delta and its monitor on the contour;
+    # each kernel is still bitwise its own scalar call, on the upper rows of
+    # real weights and the mirror rows of complex ones, over eleven blocks
+    # of points, with numpy's sqrt and square exponents among them
+    t = np.geomspace(0.01, 10.0, 2 * kernels._TIME_BLOCK + 37)
+    zs = np.array([0.3, 2.0 + 1.0j, -2.0, 40.0, 5.0j])[:, None]
+    betas = np.array([0.8, -0.3, -0.2, 0.5, -1.0, 0.0, 1.0])
+    each = np.array([c_beta_path(measure, float(b), t, zs) for b in betas])
+    together = c_beta_path(measure, betas, t, zs)
+    assert together.shape == (betas.size, zs.size, t.size)
+    assert together.tobytes() == each.tobytes()
+    assert c_beta_path(measure, betas[:1], t, 0.3).shape == (1, t.size)
+    with pytest.raises(OrderDomainError, match="got 2.0"):
+        c_beta_path(measure, np.array([0.5, 2.0]), t, zs)
+
+
 def test_leading_symbol_scales_kernel():
     # Delta = 2 s^mu + w: kernels shrink by the leading factor
     lead = PolynomialSymbol([2.0])

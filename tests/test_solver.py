@@ -13,6 +13,7 @@ from fraccauchy import kernels, solver
 from fraccauchy import (
     Atom,
     BlowupError,
+    CapabilityError,
     CauchyProblem,
     Constant,
     Cosine,
@@ -21,6 +22,7 @@ from fraccauchy import (
     FlavorError,
     Forcing,
     FourierMultiplier,
+    InversionError,
     MatrixOperator,
     OrderMeasure,
     Polynomial,
@@ -1165,7 +1167,8 @@ def test_oracle_memory_on_wide_spectrum():
 def _one_component_at_a_time(mp):
     """Make the routes evaluate as they did one component at a time: each
     component in its own run, its kernels by a scalar-z
-    `solution_symbol_path` call (test-only reference)."""
+    `solution_symbol_path` call per datum index or kernel, in the order the
+    route asks for them (test-only reference)."""
 
     def scalar_calls(measure, k, t, z, **kw):
         return np.stack(
@@ -1173,10 +1176,14 @@ def _one_component_at_a_time(mp):
              for zc in np.asarray(z)]
         )
 
+    def scalar_symbols(measure, requests, t, z):
+        return [scalar_calls(measure, k, t, z, shift=shift) for k, shift in requests]
+
     def one_per_run(comps, points):
         return [comps[i : i + 1] for i in range(len(comps))]
 
     mp.setattr(solver, "solution_symbol_path", scalar_calls)
+    mp.setattr(solver, "solution_symbols", scalar_symbols)
     mp.setattr(solver, "_chunks", one_per_run)
 
 
@@ -1270,6 +1277,131 @@ def test_batched_routes_name_the_first_failing_component(
         _per_component(monkeypatch, route, prob)
     assert str(batched.value) == str(reference.value)
     assert message in str(batched.value)
+
+
+def _contour_zero(node: int, t: float) -> complex:
+    """The z for which Delta(s, z) = s^1.8 + 0.7 z + 0.4 z s^0.7 of
+    `_TWO_ATOM` vanishes on upper Talbot node `node` at time t."""
+    s0 = kernels._TALBOT_NODES / t * kernels._TALBOT_W[node]
+    return complex(-(s0**1.8) / (0.7 + 0.4 * s0**0.7))
+
+
+@pytest.mark.parametrize(
+    "route,data",
+    [
+        # the first failing component has no datum 0; its S_1 needs the
+        # contour there all the same
+        (solve_homogeneous, [[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]),
+        (solve_repr, [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]),
+        (duhamel_caputo, None),
+    ],
+)
+def test_batched_contour_routes_name_the_first_failing_component(monkeypatch, route, data):
+    # zeros of Delta on the contour at t = 1/2 for the last two components:
+    # the |Delta| monitor fails on both, and the batched kernels raise what
+    # the per-component loop raised, on the first of them
+    eigs = [1.0, _contour_zero(3, 0.5), _contour_zero(10, 0.5)]
+    op = MatrixOperator.from_eigensystem(eigs, np.eye(3))
+    grid = TimeGrid(1.0, 32)
+    if data is None:
+        forcing = Forcing(Polynomial([0.0, 1.0]), np.ones(3))
+        prob = CauchyProblem(op, _TWO_ATOM, [np.zeros(3)] * 2, forcing, grid)
+    else:
+        prob = CauchyProblem(op, _TWO_ATOM, [np.array(v) for v in data], None, grid)
+    with pytest.raises(InversionError) as batched:
+        route(prob)
+    with pytest.raises(InversionError) as reference:
+        _per_component(monkeypatch, route, prob)
+    assert str(batched.value) == str(reference.value)
+    assert "on the inversion contour at t = 0.5;" in str(batched.value)
+    assert batched.value.z == eigs[1]
+
+
+def test_contour_failure_of_a_component_without_data_does_not_raise(monkeypatch):
+    # the failing components carry no datum at all: none of their kernels
+    # is asked for, and the solve equals the per-component one
+    eigs = [1.0, _contour_zero(3, 0.5), 2.0, _contour_zero(10, 0.5)]
+    op = MatrixOperator.from_eigensystem(eigs, np.eye(4))
+    data = [np.array([1.0, 0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0])]
+    prob = CauchyProblem(op, _TWO_ATOM, data, None, TimeGrid(1.0, 32))
+    batched = solve_homogeneous(prob).states
+    reference = _per_component(monkeypatch, solve_homogeneous, prob).states
+    assert np.max(np.abs(batched - reference)) <= 1e-15 * np.max(np.abs(reference))
+    assert np.all(batched[:, [1, 3]] == 0)
+
+
+@pytest.mark.parametrize("order", [[0, 1], [1, 0]])
+def test_symbol_failure_before_a_monitor_failure_comes_first(monkeypatch, order):
+    # at t = 1e170 the contour overflows to nan for z = 1e10 (not finite)
+    # while |Delta| of z = 1e-300 falls below the monitor's floor: whichever
+    # component comes first names the error, as in the per-component loop,
+    # although the monitor stops the batched kernel call on either
+    eigs = np.array([1e10, 1e-300])[order]
+    op = MatrixOperator.from_eigensystem(eigs, np.eye(2))
+    prob = CauchyProblem(op, _TWO_ATOM, [np.ones(2), np.zeros(2)], None, TimeGrid(2e170, 2))
+    expected = BlowupError if eigs[0] == 1e10 else InversionError
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the contour's own overflow
+        with pytest.raises(expected) as batched:
+            solve_homogeneous(prob)
+        with pytest.raises(expected) as reference:
+            _per_component(monkeypatch, solve_homogeneous, prob)
+    assert str(batched.value) == str(reference.value)
+    assert batched.value.z == eigs[0]
+
+
+def test_two_datum_contour_solve_takes_delta_once_per_point(monkeypatch):
+    # S_0 and S_1 of the two-atom measure need the kernels of exponents 0.8,
+    # -0.3 and -0.2; one kernel evaluation takes Delta and |Delta| on each
+    # (t, z) point once for all three.  Real eigenvalues add no mirror rows
+    rows = []
+    half_sums = kernels._half_sums
+
+    def counted(p, *args):
+        rows.append(p.shape[0])
+        return half_sums(p, *args)
+
+    monkeypatch.setattr(kernels, "_half_sums", counted)
+    op = MatrixOperator.from_eigensystem([0.5, 2.0, 7.0], np.eye(3))
+    grid = TimeGrid(1.0, 600)  # two time blocks per component
+    solve_homogeneous(CauchyProblem(op, _TWO_ATOM, [np.ones(3), np.ones(3)], None, grid))
+    assert sum(rows) == 3 * grid.n
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        solve_homogeneous,
+        solve_repr,
+        duhamel_caputo,
+        duhamel_caputo_zero,
+        duhamel_integer,
+        duhamel_rl,
+        oracle_caputo,
+        oracle_rl,
+    ],
+)
+def test_routes_reject_an_ill_conditioned_basis_on_every_call(route):
+    # the basis is checked on first use and kept only once it passed: a
+    # Hilbert basis (condition 1.5e10) given to `from_eigensystem`, and a
+    # nearly defective matrix, fail every call of every route
+    i = np.arange(8)
+    ops = [
+        MatrixOperator.from_eigensystem(np.linspace(0.5, 3.0, 8), 1.0 / (i[:, None] + i + 1)),
+        MatrixOperator(np.array([[1.0, 1.0], [1e-14, 1.0]])),
+    ]
+    mu = 1.0 if route is duhamel_integer else 0.5
+    flavor = RIEMANN_LIOUVILLE if route in (duhamel_rl, oracle_rl) else "caputo"
+    measure = OrderMeasure(mu, (Atom(0.0, 1.0, identity_symbol()),))
+    for op in ops:
+        d = op.dimension
+        forcing = None
+        if route is not solve_homogeneous:
+            forcing = Forcing(Polynomial([0.0, 1.0]), np.ones(d))
+        prob = CauchyProblem(op, measure, [np.zeros(d)], forcing, TimeGrid(1.0, 16), flavor)
+        for _ in range(2):
+            with pytest.raises(CapabilityError, match="too ill-conditioned"):
+                route(prob)
 
 
 @pytest.mark.parametrize(
