@@ -84,7 +84,6 @@ __all__ = [
     "char_eval",
     "c_beta",
     "c_beta_path",
-    "require_finite_symbol",
     "solution_symbol_path",
     "solution_symbols",
     "symbol_values",
@@ -303,17 +302,20 @@ def c_beta_path(
         rows = slice(start, start + _TIME_BLOCK)
         tb, zb = flat_t[rows], zi[rows]
         scale = n / tb
-        # Delta over its leading power (n/t)^mu, so that |Delta|^2 stays
-        # finite at small t; the monitor's floor scales alike
-        p = coef[zb] * scale[:, None] ** (orders - mu)
         # a point of real weights is its own mirror, A(c) + conj A(c) =
         # 2 Re A(c); any other point adds a mirror row for A(conj c)
         cx = np.flatnonzero(~real_z[zb])
         mirror = np.arange(tb.size)
         mirror[cx] = tb.size + np.arange(cx.size)
-        p = np.concatenate([p, np.conj(p[cx])])
-        sums, m2 = _half_sums(p, powers, es, bool(cx.size))
-        floor = (1e-8 * scale**-mu) ** 2  # |Delta| < 1e-8 on a node
+        # t or |z| above about 1e154, far outside the tested range, overflows
+        # the term factors, |Delta|^2 or the floor to inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Delta over its leading power (n/t)^mu, so that |Delta|^2 stays
+            # finite at small t; the monitor's floor scales alike
+            p = coef[zb] * scale[:, None] ** (orders - mu)
+            p = np.concatenate([p, np.conj(p[cx])])
+            sums, m2 = _half_sums(p, powers, es, bool(cx.size))
+            floor = (1e-8 * scale**-mu) ** 2  # |Delta| < 1e-8 on a node
         bad = m2 < np.concatenate([floor, floor[cx]])[:, None]
         if np.any(bad):
             bad = bad.any(axis=1)
@@ -364,7 +366,8 @@ def solution_symbols(measure: OrderMeasure, requests, t: np.ndarray, z) -> list:
     `c_beta_path`; each array has the broadcast shape.  Values are returned
     as they come, not finite where a growth spectrum overflows the kernel:
     `solution_symbol_path` raises there, and a caller that asks for several
-    symbols checks the points it uses with `require_finite_symbol`.
+    symbols checks the points it uses and, where one fails, asks again
+    through `solution_symbol_path` for the error.
     """
     m = measure.m
     for k, _ in requests:
@@ -398,23 +401,6 @@ def solution_symbols(measure: OrderMeasure, requests, t: np.ndarray, z) -> list:
     return out
 
 
-def require_finite_symbol(values: np.ndarray, k: int, shift: float, t, z) -> None:
-    """Raise BlowupError at the first value of J^shift S_k on (t, z) that is
-    not finite, in the order of the flattened broadcast of t and z."""
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        shape = np.shape(values)
-        zb = complex(np.broadcast_to(np.asarray(z, dtype=complex), shape).flat[bad[0]])
-        tb = float(np.broadcast_to(np.asarray(t, dtype=float), shape).flat[bad[0]])
-        name = f"J^{shift:g} S_{k}" if shift else f"S_{k}"
-        exc = BlowupError(
-            f"solution symbol {name}(t, z) is not finite at t = {tb} for "
-            f"z = {zb}; the kernel overflows on this spectrum"
-        )
-        exc.z = zb
-        raise exc
-
-
 def solution_symbol_path(
     measure: OrderMeasure,
     k: int,
@@ -423,11 +409,22 @@ def solution_symbol_path(
     shift: float = 0.0,
 ) -> np.ndarray:
     """J^shift S_k(t, z) on positive times t and spectral points z, one
-    symbol of `solution_symbols`.  Raises BlowupError where it is not finite
-    (growth spectra overflow the kernel), naming the first (t, z) in the
-    order of the flattened broadcast: with the spectral components on the
-    leading axis, the first failure in component-major order.
+    symbol of `solution_symbols`, checked: BlowupError where it is not
+    finite (growth spectra overflow the kernel) names the first (t, z) in
+    the order of the flattened broadcast, and sets `z` on the error.  The
+    solver's routes call it one component at a time, and only where a
+    batched `solution_symbols` call has failed, to raise that failure.
     """
     (acc,) = solution_symbols(measure, [(k, shift)], t, z)
-    require_finite_symbol(acc, k, shift, t, z)
+    bad = np.flatnonzero(~np.isfinite(acc))
+    if bad.size:
+        zb = complex(np.broadcast_to(np.asarray(z, dtype=complex), acc.shape).flat[bad[0]])
+        tb = float(np.broadcast_to(np.asarray(t, dtype=float), acc.shape).flat[bad[0]])
+        name = f"J^{shift:g} S_{k}" if shift else f"S_{k}"
+        exc = BlowupError(
+            f"solution symbol {name}(t, z) is not finite at t = {tb} for "
+            f"z = {zb}; the kernel overflows on this spectrum"
+        )
+        exc.z = zb
+        raise exc
     return acc

@@ -53,10 +53,10 @@ all active spectral components at once (the components on the leading
 axis, the route's kernel times after it): on the contour, Delta is taken
 once per point for all of them (`_symbol_rows`).  Runs of components split
 the call only where one symbol would pass `_POINT_BUDGET` points, so no
-kernel's temporary outgrows max(one component's points, the budget).  Only
-the convolutions still loop over components.  A failure names the
-point the per-component loop met first: the first failing component, and
-for it the first datum index or kernel and time.
+kernel's temporary outgrows max(one component's points, the budget).  A
+failed evaluation runs again one component at a time, so an error names the
+point that loop meets first.  Both quadratures end in `_convolve_rows`,
+which still loops over components.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ from .grids import TimeGrid
 from .kernels import (
     Atom,
     OrderMeasure,
-    require_finite_symbol,
     solution_symbol_path,
     solution_symbols,
     symbol_values,
@@ -172,11 +171,12 @@ def _chunks(components: np.ndarray, points: int) -> list:
 
 def _symbol_rows(measure: OrderMeasure, t: np.ndarray, z: np.ndarray, calls) -> list:
     """J^shift S_k(t, z[js]) for each (k, shift, js) of calls, shaped
-    (len(js), t), from one kernel evaluation over the union of the js.
+    (len(js), t.size), from one kernel evaluation over the union of the js.
 
-    Only the points a call asks for can fail it.  Of all failures, the one
-    raised is the one a loop over single components meets first: on the
-    first failing component, its first failing call.
+    Where it raises InversionError or a value a call asks for is not
+    finite, the calls run again one component at a time, components
+    ascending and each one's calls in order, through `solution_symbol_path`:
+    that raises the error this loop meets first, or returns its values.
     """
     asked = np.zeros(z.size, dtype=bool)
     for _, _, js in calls:
@@ -184,28 +184,30 @@ def _symbol_rows(measure: OrderMeasure, t: np.ndarray, z: np.ndarray, calls) -> 
     union = np.flatnonzero(asked)
     try:
         values = solution_symbols(measure, [(k, s) for k, s, _ in calls], t, z[union, None])
-    except InversionError as exc:
-        # the |Delta| monitor names the first component it fails on, and
-        # depends on no call; a failing symbol before it comes first
-        first = union[np.argmax(z[union] == exc.z)]
-        head = [(k, s, js[js < first]) for k, s, js in calls]
-        if any(js.size for _, _, js in head):
-            _symbol_rows(measure, t, z, head)
-        raise
-    rows, failures = [], []
-    for i, ((k, shift, js), v) in enumerate(zip(calls, values)):
-        if js.size < union.size:
-            v = v[(np.cumsum(asked) - 1)[js]]
-        rows.append(v)
-        bad = ~np.isfinite(v).all(axis=1)
-        if bad.any():
-            j = int(np.argmax(bad))
-            failures.append((js[j], i, v[j]))
-    if failures:
-        j, i, v = min(failures, key=lambda f: f[:2])
-        k, shift, _ = calls[i]
-        require_finite_symbol(v, k, shift, t, z[j])
+    except InversionError:
+        pass
+    else:
+        rows = [v if js.size == union.size else v[np.searchsorted(union, js)]
+                for (_, _, js), v in zip(calls, values)]
+        if all(np.isfinite(v).all() for v in rows):
+            return rows
+    rows = [np.empty((js.size, t.size), dtype=complex) for _, _, js in calls]
+    for j in union:
+        for (k, shift, js), v in zip(calls, rows):
+            at = js == j
+            if at.any():
+                v[at] = solution_symbol_path(measure, k, t, z[j : j + 1, None], shift=shift)
     return rows
+
+
+def _convolve_rows(kern: np.ndarray, rows) -> np.ndarray:
+    """out[c, i] = sum_q sum_(p <= i) kern[c, q, p] rows[q][i - p], i < n,
+    for kernel rows kern (C, Q, n) and Q datum rows of at least n entries."""
+    n = kern.shape[-1]
+    out = np.empty((kern.shape[0], n), dtype=complex)
+    for c, k_rows in enumerate(kern):
+        out[c] = sum(np.convolve(k, d)[:n] for k, d in zip(k_rows, rows))
+    return out
 
 
 def _forcing_components(problem: CauchyProblem):
@@ -352,8 +354,8 @@ def _forced_convolution(problem: CauchyProblem) -> np.ndarray:
     * node 1 takes cell 0 as two half cells, one of each kind.
 
     The moments come from `_end_rule`, so node i >= 2 is one entry of G
-    convolutions per component.  The kernel is one call per run of
-    components, and every reduction over it runs per component.
+    convolutions per component (`_convolve_rows`).  The kernel is one call
+    per run of components.
     """
     grid = problem.grid
     n, h = grid.n, grid.h
@@ -384,7 +386,7 @@ def _forced_convolution(problem: CauchyProblem) -> np.ndarray:
     lags = h * np.concatenate([y_kernel, 1.0 - 0.5 * c, shifted])
     u_spec = np.zeros((n + 1, problem.dim), dtype=complex)
     for js in _chunks(_active(dir_spec), lags.size):
-        svals = solution_symbol_path(measure, m - 1, lags, lam[js, None])
+        (svals,) = _symbol_rows(measure, lags, lam, [(m - 1, 0.0, js)])
         k_end, k_half, k_cells = np.split(svals, [y_kernel.size, y_kernel.size + g], axis=1)
         k_mom = h * np.sum(w_kernel * k_end[:, None, None, :], axis=-1)  # (C, 2, G)
         # kernel rows over the lags p = 1..n: the last cell's moments, then
@@ -392,9 +394,7 @@ def _forced_convolution(problem: CauchyProblem) -> np.ndarray:
         kern = np.empty((len(js), g, n), dtype=complex)
         kern[:, :, 0] = k_mom[:, 0]
         kern[:, :, 1:] = h * w[:, None] * k_cells.reshape(len(js), g, n - 1)[:, ::-1]
-        acc = np.empty((len(js), n), dtype=complex)
-        for i in range(len(js)):
-            acc[i] = sum(np.convolve(kern[i, q], rows[q])[:n] for q in range(g))
+        acc = _convolve_rows(kern, rows)
         acc[:, 0] = np.sum(k_half * d_mom[1] + k_mom[:, 1] * d_half, axis=-1)
         u_spec[1:, js] = (dir_spec[js, None] * acc).T
     return problem.operator.from_spectral(u_spec)
@@ -451,9 +451,9 @@ def _duhamel(
         A(p) = K1(p h) - D(p),  B(p) = D(p) - K1((p-1) h),
         D(p) = (K2(p h) - K2((p-1) h)) / h,
 
-    two convolutions per component.  The result is exact where r is linear
-    and second order in h for smooth r.  All kernels are one kernel
-    evaluation per run of components.
+    two convolutions per component (`_convolve_rows`).  The result is exact
+    where r is linear and second order in h for smooth r.  All kernels are
+    one kernel evaluation per run of components.
     """
     measure, k, b, z, direction = kernel
     profile = problem.forcing.profile
@@ -484,10 +484,7 @@ def _duhamel(
         if r is not None:
             k1 = np.pad(kernels[-2], ((0, 0), (1, 0)))
             d = np.diff(kernels[-1], axis=1, prepend=0.0) / grid.h
-            wa = k1[:, 1:] - d
-            wb = d - k1[:, :-1]
-            for c in range(len(js)):
-                acc[c] = np.convolve(r, wa[c])[:n] + np.convolve(r[1:], wb[c])[:n]
+            acc += _convolve_rows(np.stack([k1[:, 1:] - d, d - k1[:, :-1]], axis=1), (r, r[1:]))
         for (c, _), kv in zip(terms, kernels):
             acc += c * kv
         u_spec[1:, js] = (direction[js, None] * acc).T

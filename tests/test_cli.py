@@ -387,6 +387,43 @@ def test_overflowing_value_exits_3(capsys, argv, name):
     assert f"numeric error: {name} is not finite" in err
 
 
+@pytest.mark.parametrize(
+    "t, z, code, text",
+    [
+        ("1e200", "1", 3, "numeric error: c_beta(t, z) is not finite: the value overflows"),
+        ("1", "1e160", 0, "0"),
+    ],
+    ids=["t-1e200", "z-1e160"],
+)
+def test_contour_overflow_far_outside_the_tested_range_warns_nothing(capsys, t, z, code, text):
+    # the powers of n/t or |Delta|^2 overflow on the Talbot contour: the
+    # command prints what it prints with warnings ignored (RuntimeWarnings
+    # are errors under pytest)
+    argv = ["kernel", "--mu", "1.8", "--atoms", "0:0.7,0.7:0.4", "--beta", "0"]
+    assert main(argv + ["--t", t, "--z", z]) == code
+    out, err = capsys.readouterr()
+    assert (out if code == 0 else err).strip() == text
+
+
+def test_contour_solve_at_huge_times_warns_nothing(tmp_path):
+    # |Delta|^2 and the monitor's floor overflow at t = 1e170: S_0 reads 0
+    doc = json.loads(json.dumps(RELAX_DOC))
+    doc["measure"] = {
+        "mu": 1.8,
+        "atoms": [
+            {"alpha": 0.0, "weight": 0.7, "symbol": {"kind": "identity"}},
+            {"alpha": 0.7, "weight": 0.4, "symbol": {"kind": "identity"}},
+        ],
+    }
+    doc["initial"] = [[1.0], [0.0]]
+    doc["grid"] = {"t_end": 2e170, "n": 2}
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "huge.csv"
+    assert main(["solve", "--problem", str(path), "--method", "repr", "--out", str(out)]) == 0
+    t, states = read_csv(out)
+    assert np.array_equal(states, [[1.0], [0.0], [0.0]])
+
+
 def test_ml_bad_argument_exits_2():
     assert main(["ml", "--alpha", "1", "--beta", "1", "--z", "nope"]) == 2
 

@@ -1335,19 +1335,54 @@ def test_symbol_failure_before_a_monitor_failure_comes_first(monkeypatch, order)
     # at t = 1e170 the contour overflows to nan for z = 1e10 (not finite)
     # while |Delta| of z = 1e-300 falls below the monitor's floor: whichever
     # component comes first names the error, as in the per-component loop,
-    # although the monitor stops the batched kernel call on either
+    # although the monitor stops the batched kernel call on either; on the
+    # homogeneous route and on forced repr alike
     eigs = np.array([1e10, 1e-300])[order]
     op = MatrixOperator.from_eigensystem(eigs, np.eye(2))
-    prob = CauchyProblem(op, _TWO_ATOM, [np.ones(2), np.zeros(2)], None, TimeGrid(2e170, 2))
+    grid = TimeGrid(2e170, 2)
+    forcing = Forcing(Constant(1.0), np.ones(2))
     expected = BlowupError if eigs[0] == 1e10 else InversionError
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the contour's own overflow
+    for route, prob in [
+        (solve_homogeneous, CauchyProblem(op, _TWO_ATOM, [np.ones(2), np.zeros(2)], None, grid)),
+        (solve_repr, CauchyProblem(op, _TWO_ATOM, [np.zeros(2)] * 2, forcing, grid)),
+    ]:
         with pytest.raises(expected) as batched:
-            solve_homogeneous(prob)
+            route(prob)
         with pytest.raises(expected) as reference:
-            _per_component(monkeypatch, solve_homogeneous, prob)
-    assert str(batched.value) == str(reference.value)
-    assert batched.value.z == eigs[0]
+            _per_component(monkeypatch, route, prob)
+        assert str(batched.value) == str(reference.value)
+        assert batched.value.z == eigs[0]
+
+
+@pytest.mark.parametrize("case", ["homogeneous", "repr-forced", "duhamel-rl", "two-atom-duhamel"])
+def test_a_non_finite_batched_value_reruns_one_component_at_a_time(monkeypatch, case):
+    # the batched evaluation returns a nan at a point a call asks for while
+    # every single-component evaluation is finite: the route evaluates its
+    # symbols again one component at a time and solves as that loop does
+    route, measure, n_data, profile, flavor = _ROUTE_CASES[case]
+    op = _test_operator("matrix")
+    rng = np.random.default_rng(5)
+    vec = lambda: rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
+    initial = [vec() if k < n_data else np.zeros(op.dimension) for k in range(measure.m)]
+    forcing = Forcing(profile, vec()) if profile is not None else None
+    prob = CauchyProblem(op, measure, initial, forcing, TimeGrid(1.0, 64), flavor)
+    batched_symbols = solver.solution_symbols
+    poisoned = []
+
+    def with_nan(*args):
+        values = batched_symbols(*args)
+        values[-1][-1, -1] = np.nan  # the last component of the last call
+        poisoned.append(len(values))
+        return values
+
+    monkeypatch.setattr(solver, "solution_symbols", with_nan)
+    states = route(prob).states
+    reference = _per_component(monkeypatch, route, prob).states
+    assert poisoned and np.all(np.isfinite(states))
+    if len(measure.atoms) <= 1:
+        assert states.tobytes() == reference.tobytes()
+    else:  # Talbot kernels
+        assert np.max(np.abs(states - reference)) <= 1e-15 * np.max(np.abs(reference))
 
 
 def test_two_datum_contour_solve_takes_delta_once_per_point(monkeypatch):
