@@ -23,9 +23,9 @@ A march over n steps thus costs O(n P), P between about 80 and 150 for n up
 to 16384, where a product over the whole history per block cost O(n^2).
 The first 2 c nodes, c = clip(n / 16, 1, 128), come from a warm start: two
 chains of short subgrids, 4 c steps each, whose step halves from level to
-level toward t = 0, Richardson-extrapolated (`_warm_start`).  It marches
-(2 L + 1) 2 c steps, 2^L the refinement of its finest level: 3,840 at
-n = 4096.  Before it, a resolution check raises
+level toward t = 0, Richardson-extrapolated where the chains meet
+(`_warm_start`).  It marches (L + 2) 2 c steps, 2^L the refinement of its
+finest level: 2,304 at n = 4096.  Before it, a resolution check raises
 StepSolveError where step 1 or the later steps cannot follow a growing
 component.
 
@@ -700,8 +700,7 @@ def _caputo_term(alpha: float, op: np.ndarray, h: float, n: int) -> _Term:
         raise CapabilityError(f"oracle orders must lie in [0, 2], got {alpha}")
     r = math.ceil(alpha)
     scale = h ** (-alpha) * rgamma(r + 1 - alpha)
-    i = np.arange(min(n, _HEAD) + 1, dtype=float)
-    w = (i + 1) ** (r - alpha) - i ** (r - alpha)
+    w = _unit_weights("power", r - alpha, min(n, _HEAD) + 1)
     return _Term(op, scale * w, r, tail=("power", r - alpha, scale))
 
 
@@ -709,19 +708,11 @@ def _caputo_terms(terms, grid: TimeGrid) -> list:
     return [_caputo_term(alpha, f, grid.h, grid.n) for alpha, f in terms]
 
 
-def _gl_weights(alpha: float, n: int) -> np.ndarray:
-    g = np.empty(n + 1)
-    g[0] = 1.0
-    for j in range(1, n + 1):
-        g[j] = g[j - 1] * (j - 1 - alpha) / j
-    return g
-
-
 def _gl_terms(alpha: float, b_op: np.ndarray, grid: TimeGrid) -> list:
     """Grunwald-Letnikov derivative h^-alpha sum_k g_k u_(n-k) plus B u,
     for states that start from u_0 = 0."""
     scale = grid.h ** (-alpha)
-    v = scale * _gl_weights(alpha, min(grid.n, _HEAD))
+    v = scale * _unit_weights("gl", alpha, min(grid.n, _HEAD) + 1)
     ident = np.ones_like(b_op)
     return [_Term(ident, v, 0, tail=("gl", alpha, scale)), _Term(b_op, np.ones(1), 0)]
 
@@ -740,6 +731,35 @@ def _weight_table(v: np.ndarray, rows: int) -> np.ndarray:
     k = min(v.size, width + rows)
     ext[rows - 1 : rows - 1 + k] = v[:k]
     return np.ascontiguousarray(sliding_window_view(ext[::-1], width + rows)[::-1])
+
+
+def _unit_weights(kind: str, a: float, count: int) -> np.ndarray:
+    """The unscaled long weights w(d) of `_soe` at the distances d < count."""
+    if kind == "power":
+        i = np.arange(count, dtype=float)
+        return (i + 1) ** a - i**a
+    g = np.empty(count)
+    g[0] = 1.0
+    for j in range(1, count):
+        g[j] = g[j - 1] * (j - 1 - a) / j
+    return g
+
+
+@functools.lru_cache(maxsize=32)
+def _unit_tables(kind: str, a: float, count: int, size: int, n: int):
+    """`_weight_table` of the first `count` unscaled long weights for blocks
+    of `size` steps on n steps and, where a distance reaches D0 = size + 1,
+    [T | K] of the far field (see `_soe_tables`), else None.  A long term
+    scales both by its `tail` scale, so every entry is scale * w(d) as if
+    built from its own weights; the arrays are shared and read-only."""
+    table = _weight_table(_unit_weights(kind, a, count), size)
+    mat = None
+    if n - 1 > size:
+        mat = np.concatenate([table[:, :size], _soe_tables(kind, a, size, n)[1]], axis=1)
+    for t in (table, mat):
+        if t is not None:
+            t.flags.writeable = False
+    return table, mat
 
 
 def _fill_differences(deltas: dict, u: np.ndarray, lo: int, hi: int, h: float, phi1):
@@ -791,10 +811,9 @@ def _block_inverses(a: np.ndarray) -> np.ndarray:
     for k in range(1, size):  # one batched dot product per k
         dot = a[:, None, 1 : k + 1] @ x[:, k - 1 :: -1, None]
         x[:, k] = -x[:, 0] * dot[:, 0, 0]
-    out = np.zeros((rows, size, size), dtype=complex)
-    for i in range(size):
-        out[:, i, : i + 1] = x[:, i::-1]
-    return out
+    ext = np.zeros((rows, 2 * size - 1), dtype=complex)  # x_(size-1) ... x_0, then zeros
+    ext[:, :size] = x[:, ::-1]
+    return np.ascontiguousarray(sliding_window_view(ext, size, axis=1)[:, ::-1])
 
 
 class _BlockSystem:
@@ -820,19 +839,25 @@ class _BlockSystem:
         dim = terms[0].op.size
         cap = math.isqrt(_BLOCK_BYTES // (16 * dim))
         self.size = size = max(1, min(_BLOCK, cap, grid.n - 1))
-        self.tables = [_weight_table(t.v, size) for t in terms]
         # per long term: the exponents, [T | scale K], E, the decay (see
         # `_soe_tables`) and a (size + P, 2 dim) real buffer holding the
-        # window of differences and H; None for short weights
+        # window of differences and H; None for short weights or where no
+        # distance reaches D0
+        self.tables = []
         self.soes = []
-        for t, table in zip(terms, self.tables):
+        for t in terms:
             soe = None
-            if t.tail is not None and grid.n - 1 > size:  # a distance reaches D0
+            if t.tail is None:
+                table = _weight_table(t.v, size)
+            else:
                 kind, a, scale = t.tail
-                lam, k_part, lower, decay = _soe_tables(kind, a, size, grid.n)
-                mat = np.concatenate([table[:, :size], scale * k_part], axis=1)
-                buffer = np.zeros((size + lam.size, 2 * dim))
-                soe = (lam, mat, lower, np.repeat(decay, 2 * dim, axis=1), buffer)
+                table, mat = _unit_tables(kind, a, t.v.size, size, grid.n)
+                table = scale * table
+                if mat is not None:
+                    lam, _, lower, decay = _soe_tables(kind, a, size, grid.n)
+                    buffer = np.zeros((size + lam.size, 2 * dim))
+                    soe = (lam, scale * mat, lower, np.repeat(decay, 2 * dim, axis=1), buffer)
+            self.tables.append(table)
             self.soes.append(soe)
         self.cut = None
         self.start = sum(_start_part(t) for t in terms)
@@ -975,32 +1000,36 @@ def _march(
     return u
 
 
-def _warm_start(systems: list, march):
+def _warm_start(systems: list, half: _BlockSystem, march):
     """Start states at main-grid nodes 0..S/2 and the number of steps marched.
 
     ``systems`` holds one system per level l = L..1, each S steps of
-    h / 2^l, and ``march(system, inverse, injected)`` marches one of them.
-    A chain of levels starts from u0 on its finest level, and each coarser
-    level takes every second state of the level below as its nodes 0..S/2,
-    so level 1 ends on main-grid nodes.  The chains of L and of L - 1
-    levels share every level but the finest, and 2A - B cancels the leading
-    error term of the finest step.  All block inverses come from one
-    recurrence over the stacked `coeffs` rows.
+    h / 2^l, ``half`` one of S/2 steps of h / 2^(L-1), and
+    ``march(system, inverse, injected)`` marches one of them.  A chain of
+    levels starts from u0 on its finest level, and each coarser level takes
+    every second state of the level below as its nodes 0..S/2, so level 1
+    ends on main-grid nodes.  The chains of L and of L - 1 levels share
+    every level but the finest, and 2A - B cancels the leading error term
+    of the finest step.  The march is affine in its start states and
+    forcing, and the weights 2 and -1 sum to 1, so the extrapolation is
+    taken where the chains meet: on nodes 0..S/2 of level L - 1, from chain
+    A's finest level and from `half`, chain B's first S/2 steps there.  The
+    one combined start then runs through levels L - 1..1: (L + 2) S/2 steps
+    in L + 1 marches.  All block inverses come from one recurrence over the
+    stacked `coeffs` rows; `half` has level L - 1's step, so its blocks take
+    the leading block of that level's inverse.
     """
     try:
         inverses = _block_inverses(np.concatenate([s.coeffs for s in systems]))
     except np.linalg.LinAlgError as exc:
         raise StepSolveError("linear solve failed in the warm start: singular step matrix") from exc
     inverses = np.split(inverses, len(systems))
-    chains = []
-    steps = 0
-    for first in (0, 1):
-        u = None
-        for system, inverse in zip(systems[first:], inverses[first:]):
-            steps += system.grid.n if u is None else system.grid.n // 2
-            u = march(system, inverse, u)[::2]
-        chains.append(u)
-    return 2.0 * chains[0] - chains[1], steps
+    u = 2.0 * march(systems[0], inverses[0], None)[::2] - march(half, inverses[1], None)
+    steps = systems[0].grid.n + half.grid.n
+    for system, inverse in zip(systems[1:], inverses[1:]):
+        u = march(system, inverse, u)[::2]
+        steps += system.grid.n // 2
+    return u, steps
 
 
 def _require_resolved(system: _BlockSystem, terms_on) -> None:
@@ -1058,12 +1087,13 @@ def _run_oracle(
     Step weights that do not resolve a component raise StepSolveError
     (`_require_resolved`).  Grids of 32 cells or more start from states at
     nodes 0..2 cells, cells = clip(n / 16, 1, 128), from `_warm_start` on
-    L = floor(log2 clip(n / 8, 8, 128)) levels of 4 cells steps each.
-    The diagnostics carry the warm-start size (`warm_cells` nodes, the
-    finest level refining h by `warm_refine` = 2^L, `warm_steps` steps
-    marched), the wall time of the warm start and of the main march, and
-    `far_terms`, the number of exponentials of each term's far field on the
-    main grid (0 for short weights).
+    L = floor(log2 clip(n / 8, 8, 128)) levels of 4 cells steps each and
+    one grid of 2 cells steps of level L - 1's step.  The diagnostics carry
+    the warm-start size (`warm_cells` nodes, the finest level refining h by
+    `warm_refine` = 2^L, `warm_steps` = (L + 2) 2 cells steps marched), the
+    wall time of the warm start and of the main march, and `far_terms`, the
+    number of exponentials of each term's far field on the main grid (0 for
+    short weights).
     """
     op = problem.operator
     forcing = problem.forcing_or_zero()
@@ -1091,7 +1121,10 @@ def _run_oracle(
         levels = int(np.clip(grid.n // 8, 8, 128)).bit_length() - 1
         refine = 2**levels
         grids = [TimeGrid(size * grid.h / 2**l, size) for l in range(levels, 0, -1)]
-        injected, steps = _warm_start([_BlockSystem(terms_on(g), g) for g in grids], march)
+        half = TimeGrid(size * grid.h / 2**levels, size // 2)
+        injected, steps = _warm_start(
+            [_BlockSystem(terms_on(g), g) for g in grids], _BlockSystem(terms_on(half), half), march
+        )
     warm_end = perf_counter()
     u = march(system, injected=injected)
     end = perf_counter()
@@ -1116,10 +1149,11 @@ def oracle_caputo(problem: CauchyProblem) -> SolutionPath:
     Orders in (0, 1) use piecewise-linear (L1-type) weights on the first
     derivative, orders in (1, 2) the second-difference analogue with a ghost
     start; integer orders use BDF2 and backward second differences.  Steps
-    march in blocks (see `_march`).  The first 2 c nodes come from chains of
-    short subgrids refined geometrically toward t = 0, down to h / 2^L with
-    2^L growing with n (see `_run_oracle`), which keeps the relative error
-    of the startup nodes decreasing under grid refinement.
+    march in blocks (see `_march`).  The first 2 c nodes come from two
+    chains of short subgrids refined geometrically toward t = 0, down to
+    h / 2^L with 2^L growing with n, extrapolated where they meet and
+    marched on as one (see `_warm_start` and `_run_oracle`), which keeps the
+    relative error of the startup nodes decreasing under grid refinement.
     """
     _require_caputo(problem, "oracle_caputo")
     if problem.measure.mu > 2:

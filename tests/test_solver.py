@@ -671,7 +671,8 @@ def test_warm_start_diagnostics_present():
         path = oracle(prob)
         assert path.diagnostics["warm_cells"] > 0
         assert path.diagnostics["warm_refine"] > 0
-        assert path.diagnostics["warm_steps"] > 0
+        # (L + 2) 2 c start steps, L = 5 levels of c = 16 cells
+        assert path.diagnostics["warm_steps"] == 224
         assert path.diagnostics["warm_s"] > 0.0
         assert path.diagnostics["main_s"] > 0.0
         assert path.method == method
@@ -683,8 +684,8 @@ def test_warm_start_diagnostics_present():
         assert all(isinstance(p, int) for p in far)
 
 
-@pytest.mark.parametrize("n, bound", [(1024, 3.52e-5), (4096, 9.83e-6)])
-def test_relaxation_oracle_error_over_whole_path(n, bound):
+@pytest.mark.parametrize("n, bound, steps", [(1024, 3.52e-5, 1152), (4096, 9.83e-6, 2304)])
+def test_relaxation_oracle_error_over_whole_path(n, bound, steps):
     # D^(1/2) u + u = 0 on [0, 2] against e^t erfc(sqrt t) at every node,
     # relative to the peak; the bounds are the errors of the former start on
     # two refined subgrids of cells * refine and half as many steps
@@ -692,8 +693,9 @@ def test_relaxation_oracle_error_over_whole_path(n, bound):
     path = oracle_caputo(CauchyProblem(SCALAR_ONE, RELAX, [np.array([1.0])], None, grid))
     exact = relax_exact(grid.nodes)
     assert np.max(np.abs(path.states[:, 0] - exact)) <= bound * np.max(np.abs(exact))
-    # (2 L + 1) S / 2 start steps: L = 7 levels of S = 512, against 24,576
-    assert path.diagnostics["warm_steps"] <= 4000
+    # (L + 2) S / 2 start steps: L = 7 levels of S = 256 and 512, against
+    # 24,576 at n = 4096 on the former two refined subgrids
+    assert path.diagnostics["warm_steps"] == steps
 
 
 @pytest.mark.parametrize("n", [256, 1024])
@@ -1038,6 +1040,79 @@ def _check_march_against_loop(case, inject, blocks, start):
     if matrix:
         back = op.from_spectral(got)
         assert np.max(np.abs(back - state_ref)) <= 1e-12 * np.max(np.abs(state_ref))
+
+
+def _two_chain_start(systems, half, march):
+    """The warm start extrapolated only at the end: the chains of L and of
+    L - 1 levels each march every level they reach (test-only reference;
+    `half` goes unused)."""
+    inverses = solver._block_inverses(np.concatenate([s.coeffs for s in systems]))
+    inverses = np.split(inverses, len(systems))
+    chains, steps = [], 0
+    for first in (0, 1):
+        u = None
+        for system, inverse in zip(systems[first:], inverses[first:]):
+            steps += system.grid.n if u is None else system.grid.n // 2
+            u = march(system, inverse, u)[::2]
+        chains.append(u)
+    return 2.0 * chains[0] - chains[1], steps
+
+
+def _peak_relative(a, b):
+    """Largest |a - b| at a node over the running peak of b."""
+    peak = np.maximum.accumulate(np.max(np.abs(b), axis=1))
+    d = np.max(np.abs(a - b), axis=1)
+    assert np.all(d[peak == 0] == 0)
+    return float(np.max(d[peak > 0] / peak[peak > 0]))
+
+
+@pytest.mark.parametrize("n", [64, 512, 4096])
+@pytest.mark.parametrize("case", sorted(_MARCH_CASES) + ["gl", "gl_multiplier", "growth"])
+def test_warm_start_matches_two_chain_start(monkeypatch, case, n):
+    # the march is affine in its start states and forcing, and 2 - 1 = 1:
+    # extrapolating where the two chains meet gives the start extrapolated
+    # at the end, in (L + 2) S / 2 steps instead of (2 L + 1) S / 2
+    grid = TimeGrid(1.3, n)
+    if case.startswith("gl"):
+        oracle = oracle_rl
+        op = _MODES if case == "gl_multiplier" else _COMPLEX_PAIR
+        prob = rl_problem(op, n=n, t_end=1.3, profile=Sine(2.0))
+    else:
+        oracle = oracle_caputo
+        if case == "growth":  # D^(3/2) u - 2 u = f grows like exp(2^(2/3) t)
+            op, data = MatrixOperator(np.array([[-2.0]])), [np.array([1.0]), np.array([0.5])]
+            measure = OrderMeasure(1.5, (Atom(0.0, 1.0, identity_symbol()),))
+        else:
+            op, measure, data = _MARCH_CASES[case]
+        forcing = Forcing(Sine(2.0), np.linspace(1.0, 0.5, op.dimension))
+        prob = CauchyProblem(op, measure, data, forcing, grid)
+    warm_start = solver._warm_start
+
+    def ulp_where_chains_meet(systems, half, march):
+        def noisy(system, inverse, injected):
+            if system is systems[1]:  # the start of level L - 1, one ulp off
+                rng = np.random.default_rng(0)
+                injected = injected * (1.0 + 2.0**-52 * rng.standard_normal(injected.shape))
+            return march(system, inverse, injected)
+
+        return warm_start(systems, half, noisy)
+
+    path = oracle(prob)
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "_warm_start", _two_chain_start)
+        ref = oracle(prob)
+        mp.setattr(solver, "_warm_start", ulp_where_chains_meet)
+        noisy = oracle(prob)
+    cells = min(max(n // 16, 1), 128)
+    levels = path.diagnostics["warm_refine"].bit_length() - 1
+    assert path.diagnostics["warm_steps"] == (levels + 2) * 2 * cells
+    assert ref.diagnostics["warm_steps"] == (2 * levels + 1) * 2 * cells
+    # within 1e-12 of the running peak, or within the round-off of the fine
+    # levels that the scheme carries to the later nodes: on the backward
+    # second difference (d2) at n = 4096 one ulp where the chains meet moves
+    # the path by 7e-11 of its peak, and the starts differ by as much
+    drift = _peak_relative(noisy.states, path.states)
+    assert _peak_relative(path.states, ref.states) <= max(1e-12, 4.0 * drift)
 
 
 @pytest.mark.parametrize("case", ["l1", "l2_phi1"])
