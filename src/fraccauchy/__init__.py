@@ -29,7 +29,6 @@ from .kernels import (
     OrderMeasure,
     c_beta,
     c_beta_path,
-    char_eval,
     solution_symbol_path,
 )
 from .ml import mittag_leffler, ml_array
@@ -53,14 +52,12 @@ from .profiles import (
     Sampled,
     Sine,
 )
+from .oracles import oracle_caputo, oracle_rl
 from .solver import (
     duhamel_caputo,
     duhamel_caputo_zero,
     duhamel_integer,
     duhamel_rl,
-    operator_residual,
-    oracle_caputo,
-    oracle_rl,
     solve_homogeneous,
     solve_repr,
 )
@@ -101,7 +98,6 @@ __all__ = [
     "ml_array",
     "Atom",
     "OrderMeasure",
-    "char_eval",
     "c_beta",
     "c_beta_path",
     "solution_symbol_path",
@@ -120,7 +116,6 @@ __all__ = [
     "duhamel_rl",
     "oracle_caputo",
     "oracle_rl",
-    "operator_residual",
     "FracCauchyError",
     "OrderDomainError",
     "GridMismatchError",

@@ -312,7 +312,10 @@ def write_csv(path, solution: SolutionPath) -> None:
     row = ",".join(["{:.17g}"] * (2 * dim + 1))
     lines = [header]
     lines += [row.format(t, *c.tolist()) for t, c in zip(solution.grid.nodes.tolist(), cells)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise SchemaError("/", f"cannot write result file: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +332,14 @@ def _cmd_solve(args) -> int:
 
 def _cmd_compare(args) -> int:
     problem = parse_problem(args.problem)
+    tol = _finite_arg(args, "tol")
+    if tol < 0:
+        raise SchemaError("/tol", f"expected a number >= 0, got {tol!r}")
+    if not 0 <= args.skip_initial <= problem.grid.n:
+        raise SchemaError(
+            "/skip_initial",
+            f"expected a node index in [0, {problem.grid.n}], got {args.skip_initial}",
+        )
     methods = [m.strip() for m in args.methods.split(",")]
     if len(methods) != 2:
         raise SchemaError("/methods", "expected exactly two comma-separated methods")
@@ -336,7 +347,10 @@ def _cmd_compare(args) -> int:
         if m not in ROUTES:
             raise SchemaError("/methods", f"unknown method {m!r}")
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SchemaError("/out_dir", f"cannot create output directory: {exc}") from exc
     stem = Path(args.problem).stem
     paths = []
     for m in methods:
@@ -347,8 +361,8 @@ def _cmd_compare(args) -> int:
         print(f"wrote {csv_path}")
     report = compare(paths[0], paths[1], skip_initial=args.skip_initial)
     print(f"compare {methods[0]} vs {methods[1]}: {report}")
-    ok = report.max_rel <= args.tol
-    print(f"tolerance {args.tol:g}: {'PASS' if ok else 'FAIL'}")
+    ok = report.max_rel <= tol
+    print(f"tolerance {tol:g}: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 

@@ -81,7 +81,6 @@ from .symbols import SymbolFunction
 __all__ = [
     "Atom",
     "OrderMeasure",
-    "char_eval",
     "c_beta",
     "c_beta_path",
     "solution_symbol_path",
@@ -134,23 +133,6 @@ class OrderMeasure:
         if self.leading_symbol is None:
             return np.ones(np.shape(z), dtype=complex)
         return self.leading_symbol.eval(z)
-
-
-def char_eval(measure: OrderMeasure, s, z: complex):
-    """Characteristic function Delta(s, z) with principal-branch powers.
-
-    Accepts a scalar or an array of Laplace abscissas s with Re(s) > 0.
-    """
-    s_arr = np.asarray(s, dtype=complex)
-    if np.any(s_arr.real <= 0):
-        raise DomainError("characteristic function needs Re(s) > 0")
-    g, weights = symbol_values(measure, z)
-    acc = s_arr**measure.mu * g
-    for a, w in zip(measure.atoms, weights):
-        acc = acc + w * s_arr**a.alpha
-    if np.ndim(s) == 0:
-        return complex(acc)
-    return acc
 
 
 _TALBOT_NODES = 48  # nodes of the modified Talbot contour, half above the real axis

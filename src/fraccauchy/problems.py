@@ -1,4 +1,5 @@
-"""Cauchy-problem containers, solution paths, and path comparison."""
+"""Cauchy-problem containers, the spectrum and flavor checks that every
+route and oracle shares, solution paths, and path comparison."""
 
 from __future__ import annotations
 
@@ -8,8 +9,8 @@ import numpy as np
 
 from .errors import FlavorError, GridMismatchError, PreconditionError
 from .grids import TimeGrid, require_same_grid
-from .kernels import OrderMeasure
-from .operators import SpectralOperator
+from .kernels import OrderMeasure, symbol_values
+from .operators import FourierMultiplier, MatrixOperator, SpectralOperator
 from .profiles import FunctionSpec
 
 CAPUTO = "caputo"
@@ -92,6 +93,39 @@ class CauchyProblem:
         return self.forcing
 
 
+def _spectrum(problem: CauchyProblem) -> np.ndarray:
+    """Eigenvalues in the order of the operator's spectral coordinates.
+
+    Every route and oracle takes its eigenvalues here, so each rejects an
+    eigenvalue outside the domain of one of the measure's symbols.
+    """
+    op = problem.operator
+    if isinstance(op, FourierMultiplier):
+        lam = op.symbol_values
+    else:
+        assert isinstance(op, MatrixOperator)
+        lam = op.eigensystem()[0]
+    measure = problem.measure
+    symbols = [a.symbol for a in measure.atoms]
+    if measure.leading_symbol is not None:
+        symbols.append(measure.leading_symbol)
+    for f in symbols:
+        domain = f.domain
+        for z in lam.tolist():
+            domain.check(z, "eigenvalue")
+    return lam
+
+
+def _atom_sum(measure: OrderMeasure, lam: np.ndarray) -> np.ndarray:
+    """Symbol of B = sum_j c_j f_j(A), the single-order route's operator."""
+    return sum(symbol_values(measure, lam)[1], np.zeros(lam.shape, complex))
+
+
+def _require_caputo(problem: CauchyProblem, route: str) -> None:
+    if problem.flavor != CAPUTO:
+        raise FlavorError(f"{route} requires the caputo flavor")
+
+
 @dataclass
 class SolutionPath:
     """States on the grid nodes plus the route tag and diagnostics."""
@@ -134,21 +168,24 @@ class ErrorReport:
 
 
 def compare(a: SolutionPath, b: SolutionPath, skip_initial: int = 1) -> ErrorReport:
-    """Componentwise error norms of a - b; the relative denominator is
-    guarded below by 1e-12."""
+    """Componentwise error norms of a - b over the nodes from skip_initial
+    on; the relative denominator is guarded below by 1e-12.  Skipping every
+    node raises PreconditionError."""
     require_same_grid(a.grid, b.grid)
     if a.states.shape != b.states.shape:
         raise GridMismatchError(
             f"state shapes differ: {a.states.shape} vs {b.states.shape}"
         )
     i0 = max(0, int(skip_initial))
+    if i0 > a.grid.n:
+        raise PreconditionError(
+            f"skip_initial = {skip_initial} leaves none of the {a.grid.n + 1} nodes to compare"
+        )
     diff = np.abs(a.states[i0:] - b.states[i0:])
     denom = np.maximum(np.abs(b.states[i0:]), 1e-12)
-    max_abs = float(np.max(diff)) if diff.size else 0.0
-    max_rel = float(np.max(diff / denom)) if diff.size else 0.0
     l2 = float(np.sqrt(a.grid.h * np.sum(diff**2)))
-    node = int(np.argmax(np.max(diff, axis=1))) + i0 if diff.size else i0
-    return ErrorReport(max_abs, max_rel, l2, node, i0)
+    node = int(np.argmax(np.max(diff, axis=1))) + i0
+    return ErrorReport(float(np.max(diff)), float(np.max(diff / denom)), l2, node, i0)
 
 
 __all__ = [

@@ -54,7 +54,7 @@ def gauss_jacobi(npts: int, beta: float):
     double is double, the weights keep about 1e-14.
 
     Every Gauss rule of the package is this one: the oracles' far field
-    (`solver._soe`), the cell rule and the graded end-cell panels of the
+    (`oracles._soe`), the cell rule and the graded end-cell panels of the
     representation route (`solver._cell_nodes`, `solver._end_rule`) and
     the datum quadrature (`fracops.caputo_derivative_at`).  It is a quadrature
     primitive, checked on its own against mpmath, not shared solution

@@ -9,7 +9,9 @@ evaluations of f(A) for a symbol f and an operator A, spectral, local Taylor
 series and resolvent contour, which cross-check one another (criterion 9).
 Beside them sit the small probes of profiles, symbols and operators that
 only tests take: node samples of a profile, Taylor coefficients of a symbol,
-and an operator's spectrum, frequencies and action on one state.
+an operator's spectrum, frequencies and action on one state, the
+characteristic function Delta(s, z) of a measure, and the discrete residual
+of a path under the stepping oracles' scheme.
 """
 
 import numpy as np
@@ -24,8 +26,11 @@ from fraccauchy.errors import (
     PreconditionError,
 )
 from fraccauchy.grids import ScalarPath, TimeGrid
+from fraccauchy.kernels import OrderMeasure, symbol_values
 from fraccauchy.operators import FourierMultiplier, MatrixOperator, SpectralOperator
 from fraccauchy.grids import require_same_grid
+from fraccauchy.oracles import _BlockSystem, _caputo_terms, _fill_differences, _term_operators
+from fraccauchy.problems import CauchyProblem, SolutionPath, _require_caputo
 from fraccauchy.profiles import FunctionSpec, Power, Sampled
 from fraccauchy.special import gamma, rgamma
 from fraccauchy.symbols import (
@@ -499,3 +504,58 @@ def apply_symbol_contour(
         resolvent_v = np.linalg.solve(zj * eye - op.matrix, v)
         acc += np.exp(1j * th) * complex(f.eval(zj)) * resolvent_v
     return acc * radius / n_nodes
+
+
+# ---------------------------------------------------------------------------
+# the characteristic function of a measure
+
+
+def char_eval(measure: OrderMeasure, s, z: complex):
+    """Characteristic function Delta(s, z) with principal-branch powers.
+
+    Accepts a scalar or an array of Laplace abscissas s with Re(s) > 0.
+    """
+    s_arr = np.asarray(s, dtype=complex)
+    if np.any(s_arr.real <= 0):
+        raise DomainError("characteristic function needs Re(s) > 0")
+    g, weights = symbol_values(measure, z)
+    acc = s_arr**measure.mu * g
+    for a, w in zip(measure.atoms, weights):
+        acc = acc + w * s_arr**a.alpha
+    if np.ndim(s) == 0:
+        return complex(acc)
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# discrete residual of a path under the oracle scheme
+
+
+def operator_residual(problem: CauchyProblem, path: SolutionPath) -> np.ndarray:
+    """Discrete distributed-order operator applied to a path, minus forcing.
+
+    Uses the oracle discretization, block by block in order with the
+    march's weights and far field; the result at nodes 1..n tends to zero
+    under refinement when the path solves the problem.
+    """
+    _require_caputo(problem, "operator_residual")
+    grid = problem.grid
+    n = grid.n
+    terms = _term_operators(problem)
+    op = problem.operator
+    u = np.ascontiguousarray(op.to_spectral(path.states), dtype=complex)
+    phi1 = np.zeros(problem.dim, complex)
+    if len(problem.initial) > 1:
+        phi1 = op.to_spectral(problem.initial[1])
+    system = _BlockSystem(_caputo_terms(terms, grid), grid)
+    deltas = {r: np.empty((n, problem.dim), dtype=complex) for r in system.orders}
+    _fill_differences(deltas, u, 0, n, grid.h, phi1)
+    res = np.empty((n, problem.dim), dtype=complex)
+    for b0 in [1, *range(2, n + 1, system.size)]:
+        b1 = 2 if b0 == 1 else min(b0 + system.size, n + 1)
+        res[b0 - 1 : b1 - 1] = system.far(u, deltas, b0, b1) + system.near(
+            u, deltas, b0, b1
+        )
+    if problem.forcing_or_zero() is not None:
+        res -= op.to_spectral(problem.forcing.values(grid.nodes[1:]))
+    return op.from_spectral(res)

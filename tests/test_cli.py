@@ -346,6 +346,37 @@ def test_compare_gates_on_tolerance(tmp_path):
     assert (tmp_path / "out" / "bench2__oracle.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "option, value, pointer",
+    [
+        ("--tol", "nan", "/tol"),
+        ("--tol", "inf", "/tol"),
+        ("--tol", "-1", "/tol"),
+        ("--skip-initial", "257", "/skip_initial"),  # the grid has nodes 0..256
+        ("--skip-initial", "-1", "/skip_initial"),
+    ],
+)
+def test_compare_bad_gate_exits_2_before_solving(tmp_path, capsys, option, value, pointer):
+    prob = write_doc(tmp_path, RELAX_DOC)
+    out = tmp_path / "out"
+    args = ["compare", "--problem", str(prob), "--methods", "repr,oracle", "--tol", "1"]
+    assert main(args + ["--out-dir", str(out), option, value]) == 2
+    assert f"input error: {pointer}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    prob = write_doc(tmp_path, RELAX_DOC)
+    out = tmp_path / "missing" / "u.csv"
+    assert main(["solve", "--problem", str(prob), "--method", "repr", "--out", str(out)]) == 2
+    assert "input error: /: cannot write result file: " in capsys.readouterr().err
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = ["compare", "--problem", str(prob), "--methods", "repr,oracle", "--tol", "1"]
+    assert main(args + ["--out-dir", str(blocker / "out")]) == 2
+    assert "input error: /out_dir: cannot create output directory: " in capsys.readouterr().err
+
+
 def test_ml_subcommand(capsys):
     assert main(["ml", "--alpha", "1", "--beta", "1", "--z", "1"]) == 0
     out = capsys.readouterr().out.strip()

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import erfc, rgamma
 
-from calculus import numeric_laplace
+from calculus import char_eval, numeric_laplace
 from fraccauchy import kernels
 from fraccauchy import (
     Atom,
@@ -31,7 +31,6 @@ from fraccauchy import (
     TimeGrid,
     c_beta,
     c_beta_path,
-    char_eval,
     identity_symbol,
     mittag_leffler,
     solution_symbol_path,
@@ -292,7 +291,7 @@ def test_contour_blocks_match_closed_form_and_split_calls(mu):
     # 3 blocks of 512 times and one more, so the last block holds one time.
     # Times stop at 5: for t in [5.8, 7.5] at mu = 1.5, z = 2 the kernel
     # e^(-2t) is below 1e-4 and the contour's ~4e-12 absolute rounding error
-    # exceeds the 1e-12 the floor allows (ROADMAP item 1)
+    # exceeds the 1e-12 the floor allows (ROADMAP item 15)
     measure = OrderMeasure(mu, (Atom(0.0 if mu <= 1 else 0.5, 1.0, identity_symbol()),))
     twin = split_atom(measure)
     t = np.geomspace(0.01, 5.0, 3 * 512 + 1)
@@ -356,7 +355,8 @@ def _ml_reference(ml_series, mu: float, z: complex) -> complex:
     strict=True,
     raises=AssertionError,
     reason="the contour misses zeros of Delta right of it and near the "
-    "imaginary axis without raising; needs a pole-aware inversion",
+    "imaginary axis without raising; needs a pole-aware inversion "
+    "(ROADMAP item 2)",
 )
 def test_split_atom_contour_agrees_with_mittag_leffler_or_raises(ml_series):
     # S_0(1, z) of the measure mu with its atom (0, 1) split in two halves is
@@ -387,7 +387,7 @@ GROWTH_KERNEL = [(2.5, 622.75326903588706705), (3.0, 3041.7169272685262162)]
     raises=AssertionError,
     reason="past t = 2 the contour crosses the real axis (at 8.2 / t) near "
     "or left of the real zero of Delta and misses it without raising; "
-    "needs a pole-aware inversion",
+    "needs a pole-aware inversion (ROADMAP item 2)",
 )
 def test_growth_kernel_past_the_real_zero_agrees_or_raises():
     measure = OrderMeasure(

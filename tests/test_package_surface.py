@@ -1,4 +1,5 @@
-"""The package keeps only what a route, the CLI or a script runs.
+"""The package keeps only what a route, the CLI or a script runs, and the
+stepping oracles share no numerics with the kernel routes.
 
 Every module-level function of `src/fraccauchy` and every public method of
 its classes must be reached from the package's module-level code (route
@@ -12,6 +13,12 @@ References match by name.  Where classes of different hierarchies share a
 method name, a reference `obj.name` counts for a class only in a module
 that names a class of its hierarchy, and `self.name` only for the class it
 is written in.
+
+The oracles cross-check the kernel routes only while the two compute
+nothing in common, so `oracles.py` may import from the package only what
+`ORACLE_IMPORTS` lists, and no other module but the package's `__init__`
+may import from `oracles.py`, except `solver.py`, which takes the two oracle
+routes of its `ROUTES`.
 """
 
 import ast
@@ -22,10 +29,22 @@ SRC = ROOT / "src" / "fraccauchy"
 SCRIPTS = ROOT / "scripts"
 
 # public names nothing calls yet, each kept until its ROADMAP item decides
-ALLOWED = {
-    "char_eval": "ROADMAP item 5: kept public until the kernel API is settled",
-    "operator_residual": "ROADMAP item 4: kept public until the oracles' self-check is settled",
+ALLOWED = {}
+
+# what `oracles.py` may import from the package: whole modules, or one name
+# of a module ("kernels.symbol_values" evaluates the symbols and inverts
+# nothing)
+ORACLE_IMPORTS = {
+    "errors",
+    "grids",
+    "operators",
+    "problems",
+    "special",
+    "symbols",
+    "kernels.symbol_values",
 }
+# what `solver.py` may import from `oracles.py`
+ORACLE_ROUTES = {"oracles.oracle_caputo", "oracles.oracle_rl"}
 
 
 def _parse(paths):
@@ -178,3 +197,39 @@ def test_allowlist_is_exact():
     # it, or it is gone, its entry must go too
     unreached = {n for _, _, n in unreached_definitions()}
     assert set(ALLOWED) <= unreached, set(ALLOWED) - unreached
+
+
+def _package_imports(tree):
+    """Every import of a package module anywhere in a module, as "module"
+    for a whole module and "module.name" for one name from it."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, rest = alias.name.partition(".")
+                if head == "fraccauchy":
+                    found.add(rest)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                head, _, module = module.partition(".")
+                if head != "fraccauchy":
+                    continue
+            for alias in node.names:
+                found.add(f"{module}.{alias.name}" if module else alias.name)
+    return found
+
+
+def test_oracles_share_no_kernel_numerics():
+    imports = {p.stem: _package_imports(t) for p, t in _parse(sorted(SRC.glob("*.py"))).items()}
+    wrong = sorted(
+        name for name in imports["oracles"]
+        if name.split(".")[0] not in ORACLE_IMPORTS and name not in ORACLE_IMPORTS
+    )
+    assert not wrong, f"oracles.py imports kernel-route code: {wrong}"
+    for module, names in imports.items():
+        if module in ("__init__", "oracles"):
+            continue
+        allowed = ORACLE_ROUTES if module == "solver" else set()
+        wrong = sorted(n for n in names if n.split(".")[0] == "oracles" and n not in allowed)
+        assert not wrong, f"{module}.py imports oracle internals: {wrong}"

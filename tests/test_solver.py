@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from scipy.special import erfc, rgamma
 
-from calculus import frac_integral_values, spectrum
-from fraccauchy import kernels, solver
+from calculus import frac_integral_values, operator_residual, spectrum
+from fraccauchy import kernels, oracles, solver
 from fraccauchy import (
     Atom,
     BlowupError,
@@ -41,7 +41,6 @@ from fraccauchy import (
     duhamel_rl,
     identity_symbol,
     mittag_leffler,
-    operator_residual,
     oracle_caputo,
     oracle_rl,
     solve_homogeneous,
@@ -663,6 +662,16 @@ def test_compare_reports():
     assert rep2.max_rel <= 1e-3 + 1e-12
 
 
+def test_compare_needs_a_node_to_compare():
+    grid = TimeGrid(1.0, 64)
+    a = SolutionPath(grid, np.ones((65, 1), dtype=complex))
+    b = SolutionPath(grid, np.linspace(1.0, 2.0, 65).astype(complex))
+    last = compare(a, b, skip_initial=64)
+    assert (last.node_of_max, last.i_min, last.max_abs) == (64, 64, 1.0)
+    with pytest.raises(PreconditionError, match="leaves none of the 65 nodes"):
+        compare(a, b, skip_initial=65)
+
+
 def test_warm_start_diagnostics_present():
     for prob, oracle, method in (
         (multiterm_benchmark(256), oracle_caputo, "oracle-caputo"),
@@ -679,7 +688,7 @@ def test_warm_start_diagnostics_present():
         # n = 256 reaches past one block: the long term (the leading order)
         # carries exponentials, the order-0 terms none
         far = path.diagnostics["far_terms"]
-        terms = len(solver._term_operators(prob)) if oracle is oracle_caputo else 2
+        terms = len(oracles._term_operators(prob)) if oracle is oracle_caputo else 2
         assert len(far) == terms and far[0] > 0
         assert all(isinstance(p, int) for p in far)
 
@@ -980,7 +989,7 @@ def test_long_blocked_march_matches_step_loop(case, inject):
     # of exponentials, not the weight table; injected start states that
     # reach more than a block back make the first block sum its history
     # afresh
-    _check_march_against_loop(case, inject, blocks=16, start=solver._BLOCK + 40)
+    _check_march_against_loop(case, inject, blocks=16, start=oracles._BLOCK + 40)
 
 
 def _dense(op, vals):
@@ -995,7 +1004,7 @@ def _check_march_against_loop(case, inject, blocks, start):
     # loop in state space on the dense matrices
     from fraccauchy import solver
 
-    n = blocks * solver._BLOCK + 5  # the last block is partial
+    n = blocks * oracles._BLOCK + 5  # the last block is partial
     grid = TimeGrid(1.3, n)
     if case.startswith("gl"):
         op = _MODES if case == "gl_multiplier" else _COMPLEX_PAIR
@@ -1012,18 +1021,18 @@ def _check_march_against_loop(case, inject, blocks, start):
     fvals = prob.forcing.values(grid.nodes)
     spec_fvals = op.to_spectral(fvals)
     if case.startswith("gl"):
-        b_op = solver._atom_sum(prob.measure, spectrum(op))
+        b_op = oracles._atom_sum(prob.measure, spectrum(op))
         loop = _loop_rl(b_op, False, grid, spec_fvals, 0.5)
         injected = 1.01 * loop[:start] if inject else None
         ref = _loop_rl(b_op, False, grid, spec_fvals, 0.5, injected)
         if matrix:
             state_injected = None if injected is None else op.from_spectral(injected)
             state_ref = _loop_rl(_dense(op, b_op), True, grid, fvals, 0.5, state_injected)
-        system = solver._BlockSystem(solver._gl_terms(0.5, b_op, grid), grid)
+        system = oracles._BlockSystem(oracles._gl_terms(0.5, b_op, grid), grid)
         zero = np.zeros(op.dimension, complex)
-        got = solver._march(system, zero, zero, forcing_at, injected)
+        got = oracles._march(system, zero, zero, forcing_at, injected)
     else:
-        terms = solver._term_operators(prob)
+        terms = oracles._term_operators(prob)
         states = np.array(prob.initial, dtype=complex)
         phis = op.to_spectral(states)
         phi1 = phis[1] if len(phis) > 1 else np.zeros(op.dimension, complex)
@@ -1034,8 +1043,8 @@ def _check_march_against_loop(case, inject, blocks, start):
             state_injected = None if injected is None else op.from_spectral(injected)
             dense = [(alpha, _dense(op, vals)) for alpha, vals in terms]
             state_ref = _loop_caputo(dense, True, grid, states, fvals, state_injected)
-        system = solver._BlockSystem(solver._caputo_terms(terms, grid), grid)
-        got = solver._march(system, phis[0], phi1, forcing_at, injected)
+        system = oracles._BlockSystem(oracles._caputo_terms(terms, grid), grid)
+        got = oracles._march(system, phis[0], phi1, forcing_at, injected)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     if matrix:
         back = op.from_spectral(got)
@@ -1046,7 +1055,7 @@ def _two_chain_start(systems, half, march):
     """The warm start extrapolated only at the end: the chains of L and of
     L - 1 levels each march every level they reach (test-only reference;
     `half` goes unused)."""
-    inverses = solver._block_inverses(np.concatenate([s.coeffs for s in systems]))
+    inverses = oracles._block_inverses(np.concatenate([s.coeffs for s in systems]))
     inverses = np.split(inverses, len(systems))
     chains, steps = [], 0
     for first in (0, 1):
@@ -1086,7 +1095,7 @@ def test_warm_start_matches_two_chain_start(monkeypatch, case, n):
             op, measure, data = _MARCH_CASES[case]
         forcing = Forcing(Sine(2.0), np.linspace(1.0, 0.5, op.dimension))
         prob = CauchyProblem(op, measure, data, forcing, grid)
-    warm_start = solver._warm_start
+    warm_start = oracles._warm_start
 
     def ulp_where_chains_meet(systems, half, march):
         def noisy(system, inverse, injected):
@@ -1099,9 +1108,9 @@ def test_warm_start_matches_two_chain_start(monkeypatch, case, n):
 
     path = oracle(prob)
     with monkeypatch.context() as mp:
-        mp.setattr(solver, "_warm_start", _two_chain_start)
+        mp.setattr(oracles, "_warm_start", _two_chain_start)
         ref = oracle(prob)
-        mp.setattr(solver, "_warm_start", ulp_where_chains_meet)
+        mp.setattr(oracles, "_warm_start", ulp_where_chains_meet)
         noisy = oracle(prob)
     cells = min(max(n // 16, 1), 128)
     levels = path.diagnostics["warm_refine"].bit_length() - 1
@@ -1120,13 +1129,13 @@ def test_operator_residual_matches_step_loop(case):
     # the residual walks the march's blocks and far field; on a long grid it
     # matches the per-step history sums over all earlier differences
     op, measure, data = _MARCH_CASES[case]
-    n = 16 * solver._BLOCK + 5
+    n = 16 * oracles._BLOCK + 5
     grid = TimeGrid(1.3, n)
     prob = CauchyProblem(op, measure, data, Forcing(Sine(2.0), np.ones(op.dimension)), grid)
     rng = np.random.default_rng(3)
     u = rng.standard_normal((n + 1, op.dimension)) + 1j * rng.standard_normal((n + 1, op.dimension))
     got = operator_residual(prob, SolutionPath(grid, u))
-    terms = [(alpha, _dense(op, vals)) for alpha, vals in solver._term_operators(prob)]
+    terms = [(alpha, _dense(op, vals)) for alpha, vals in oracles._term_operators(prob)]
     schemes = [_LoopScheme(alpha, grid.h, n) for alpha, _ in terms]
     phi1 = np.asarray(data[1], dtype=complex) if len(data) > 1 else np.zeros(op.dimension)
     d1 = u[1:] - u[:-1]
@@ -1161,13 +1170,13 @@ def test_sum_of_exponentials_matches_long_weights(scheme, n):
     worst = 0.0
     for alpha in alphas if scheme != "l2" else [1.0 + a for a in alphas]:
         if scheme == "gl":
-            term = solver._gl_terms(alpha, np.ones(1), TimeGrid(float(n), n))[0]
+            term = oracles._gl_terms(alpha, np.ones(1), TimeGrid(float(n), n))[0]
         else:
-            term = solver._caputo_term(alpha, np.ones(1), 1.0, n)
+            term = oracles._caputo_term(alpha, np.ones(1), 1.0, n)
         kind, a, scale = term.tail
-        for d0 in (2, 23, solver._BLOCK + 1):
+        for d0 in (2, 23, oracles._BLOCK + 1):
             d = np.unique(np.concatenate([np.arange(d0, d0 + 64), np.geomspace(d0, n, 64).round(), [n]]))
-            lam, w = solver._soe(kind, a, d0, n)
+            lam, w = oracles._soe(kind, a, d0, n)
             got = scale * (np.exp(-np.outer(d, lam)) @ w)
             with mp.workdps(40):
                 for dd, g in zip(d.astype(int).tolist(), got):
