@@ -324,6 +324,9 @@ def write_csv(path, solution: SolutionPath) -> None:
 
 def _cmd_solve(args) -> int:
     problem = parse_problem(args.problem)
+    folder = Path(args.out).parent
+    if not folder.is_dir():  # fail before the solve, not after it
+        raise SchemaError("/", f"cannot write result file: no directory {str(folder)!r}")
     solution = ROUTES[args.method](problem)
     write_csv(args.out, solution)
     print(f"wrote {args.out} ({solution.grid.n + 1} rows, method {solution.method})")

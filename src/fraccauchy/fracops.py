@@ -21,11 +21,10 @@ from .profiles import Constant, FunctionSpec, Polynomial, Power
 from .special import gamma, gauss_jacobi, rgamma
 
 _POINT_BLOCK = 8192  # evaluation points per block of caputo_derivative_at
+_GAUSS_POINTS = 24  # nodes of the Gauss-Jacobi rule
 
 
-def caputo_derivative_at(
-    f: FunctionSpec, alpha: float, tau: np.ndarray, npts: int = 24
-) -> np.ndarray:
+def caputo_derivative_at(f: FunctionSpec, alpha: float, tau: np.ndarray) -> np.ndarray:
     """Caputo derivative of order alpha in (0, 1) at arbitrary points.
 
     Gauss-Jacobi quadrature with weight (tau - s)**(-alpha) applied to the
@@ -44,10 +43,10 @@ def caputo_derivative_at(
                 out = out + coef * tau ** (p - alpha)
         out[tau == 0] = 0.0
         return out
-    x, w = gauss_jacobi(npts, -alpha)
+    x, w = gauss_jacobi(_GAUSS_POINTS, -alpha)
     df = f.derivative(1)
     acc = np.empty(tau.shape, dtype=complex)
-    # blocks of points bound the (points, npts) temporaries; a product of
+    # blocks of points bound the (points, nodes) temporaries; a product of
     # two rows or more rounds each row as a product over all points does, a
     # single row does not, so no block holds one row unless the call does
     starts = list(range(0, tau.size, _POINT_BLOCK))
@@ -75,12 +74,10 @@ def _monomials(f: FunctionSpec):
     return None
 
 
-def rl_derivative_at(
-    f: FunctionSpec, alpha: float, tau: np.ndarray, npts: int = 24
-) -> np.ndarray:
+def rl_derivative_at(f: FunctionSpec, alpha: float, tau: np.ndarray) -> np.ndarray:
     """Riemann-Liouville derivative of order alpha in (0, 1) at points tau > 0."""
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    out = caputo_derivative_at(f, alpha, tau, npts=npts)
+    out = caputo_derivative_at(f, alpha, tau)
     f0 = np.asarray(f.eval(0.0)).reshape(-1)[0]
     if f0 != 0:
         with np.errstate(divide="ignore"):

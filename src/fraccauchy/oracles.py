@@ -1,24 +1,27 @@
 """Direct time-stepping oracles, independent of the solution kernels.
 
-The two oracles discretize the fractional derivatives on the grid with
+The oracles discretize the fractional derivatives on the grid with
 product-integration weights and never touch the kernels, so their agreement
 with the kernel routes of `solver` is a genuine two-sided check.  Of the
 kernel module they take only the symbol values f_j(z) of the measure; the
-imports of this module are checked by `tests/test_package_surface.py`.
+imports of this module are checked by `tests/test_package_surface.py`.  The
+Riemann-Liouville oracle has a zero weighted datum, so its solution vanishes
+at t = 0, where the two derivatives agree: it marches the zero-data Caputo
+problem (L1, order 2 - alpha; Lin & Xu, J. Comput. Phys. 225, 2007).
 
-Both oracles run one blocked march in the operator's spectral coordinates,
-where every term of a scheme is diagonal: data, forcing and results pass
-through `to_spectral` / `from_spectral` only, as on the kernel routes.  Every
-term convolves fixed weights with the states or their differences, so per
-spectral component the steps after the first form a lower-triangular
-Toeplitz system.  It is marched in blocks of up to 64 steps, each solved with
-the inverse of its system, built once per grid, and refined once against the
-scheme's own residual.  The history before a block takes the last block of
-differences from a weight table; the long weights (L1, L2,
-Grunwald-Letnikov) reach all older differences through a sum of P
-exponentials, one history per exponential, moved on once per block.
-A march over n steps thus costs O(n P), P between about 80 and 150 for n up
-to 16384, where a product over the whole history per block cost O(n^2).
+The Caputo oracle runs one blocked march in the operator's spectral
+coordinates, where every term of a scheme is diagonal: data, forcing and
+results pass through `to_spectral` / `from_spectral` only, as on the kernel
+routes.  Every term convolves fixed weights with the states or their
+differences, so per spectral component the steps after the first form a
+lower-triangular Toeplitz system.  It is marched in blocks of up to 64
+steps, each solved with the inverse of its system, built once per grid, and
+refined once against the scheme's own residual.  The history before a block
+takes the last block of differences from a weight table; the long weights
+(L1, L2) reach all older differences through a sum of P exponentials, one
+history per exponential, moved on once per block.  A march over n steps
+thus costs O(n P), P between about 80 and 150 for n up to 16384, where a
+product over the whole history per block cost O(n^2).
 The first 2 c nodes, c = clip(n / 16, 1, 128), come from a warm start: two
 chains of short subgrids, 4 c steps each, whose step halves from level to
 level toward t = 0, Richardson-extrapolated where the chains meet
@@ -30,6 +33,7 @@ component.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from time import perf_counter
@@ -42,10 +46,10 @@ from .errors import CapabilityError, FlavorError, PreconditionError, StepSolveEr
 from .grids import TimeGrid
 from .kernels import symbol_values
 from .problems import (
+    CAPUTO,
     RIEMANN_LIOUVILLE,
     CauchyProblem,
     SolutionPath,
-    _atom_sum,
     _require_caputo,
     _spectrum,
 )
@@ -56,7 +60,7 @@ __all__ = ["oracle_caputo", "oracle_rl"]
 
 # ---------------------------------------------------------------------------
 # stepping oracles: one blocked march (Hairer, Lubich & Schlichte, SIAM J.
-# Sci. Stat. Comput. 6, 1985) for both schemes, see the module docstring
+# Sci. Stat. Comput. 6, 1985), see the module docstring
 
 
 _BLOCK = 64  # steps per block of the march
@@ -73,51 +77,40 @@ _SOE_RATIO = 3.0
 _SOE_CUTOFF = 36.0
 
 
-def _soe(kind: str, a: float, d0: int, n: int):
+def _soe(a: float, d0: int, n: int):
     """Exponents lam and weights w of sum_p w_p exp(-lam_p d), equal to the
-    unscaled long weights at every distance D0 <= d <= n to within 2e-15
-    relative (checked against 40-digit values for n up to 16384).
+    unscaled long weights (d + 1)^a - d^a of L1 and L2, a in (0, 1), at
+    every distance D0 <= d <= n to within 2e-15 relative (checked against
+    40-digit values for n up to 16384).
 
-    ``kind`` "power" is (d + 1)^a - d^a, the L1 and L2 weights; "gl" is the
-    Grunwald-Letnikov weight g_d of order a; a lies in (0, 1).  Both are
-    Laplace transforms int_0^oo s^beta g(s) e^(-s d) ds with g smooth
-    (Jiang, Zhang, Zhang & Zhang, Commun. Comput. Phys. 21, 2017):
-
-    * (d+1)^a - d^a = a / Gamma(1-a) int s^(-a) (1 - e^-s) / s e^(-s d) ds;
-    * g_d = B(d - a, 1 + a) / (Gamma(-a) Gamma(1 + a))
-          = -sin(pi a) / pi int s^a e^(a s) ((1 - e^-s) / s)^a e^(-s d) ds.
-
-    Gauss-Jacobi takes s^beta on [0, 1/n], where s d <= 1; Gauss-Legendre
-    the panels beyond it, up to s = 36 / D0 (36 / (D0 - a) for "gl", whose
-    integrand decays like e^(-s (d - a))), past which it is below 3e-16.
-    Both rules come from `special.gauss_jacobi` (beta = 0 for Legendre), a
-    quadrature primitive the kernel routes use too, checked on its own
-    against mpmath; the sum itself is no transform of a kernel.
+    The weight is a Laplace transform with a smooth factor (Jiang, Zhang,
+    Zhang & Zhang, Commun. Comput. Phys. 21, 2017):
+    (d+1)^a - d^a = a / Gamma(1-a) int_0^oo s^(-a) (1 - e^-s) / s e^(-s d) ds.
+    Gauss-Jacobi takes s^(-a) on [0, 1/n], where s d <= 1; Gauss-Legendre
+    the panels beyond it, up to s = 36 / D0, past which the integrand is
+    below 3e-16.  Both rules come from `special.gauss_jacobi` (beta = 0 for
+    Legendre), a quadrature primitive the kernel routes use too, checked on
+    its own against mpmath; the sum itself is no transform of a kernel.
     """
-    beta = -a if kind == "power" else a
-    x, w = gauss_jacobi(_SOE_JACOBI, beta)
+    x, w = gauss_jacobi(_SOE_JACOBI, -a)
     s0 = 1.0 / n
-    reach = d0 if kind == "power" else d0 - a  # the integrand decays like e^(-s reach)
-    panels = max(1, math.ceil(math.log(_SOE_CUTOFF * n / reach, _SOE_RATIO)))
+    panels = max(1, math.ceil(math.log(_SOE_CUTOFF * n / d0, _SOE_RATIO)))
     xl, wl = gauss_jacobi(_SOE_PANEL, 0.0)
     left = s0 * _SOE_RATIO ** np.arange(panels)
     half = 0.5 * (_SOE_RATIO - 1.0) * left
     s_pan = (left[:, None] + half[:, None] * (xl + 1.0)).ravel()
     lam = np.concatenate([0.5 * s0 * (x + 1.0), s_pan])
-    w = np.concatenate([(0.5 * s0) ** (beta + 1.0) * w, (half[:, None] * wl).ravel() * s_pan**beta])
-    r = -np.expm1(-lam) / lam
-    if kind == "power":
-        return lam, a * rgamma(1.0 - a) * w * r
-    return lam, -math.sin(math.pi * a) / math.pi * w * np.exp(a * lam) * r**a
+    w = np.concatenate([(0.5 * s0) ** (1.0 - a) * w, (half[:, None] * wl).ravel() * s_pan**-a])
+    return lam, a * rgamma(1.0 - a) * w * (-np.expm1(-lam) / lam)
 
 
 @functools.lru_cache(maxsize=32)
-def _soe_tables(kind: str, a: float, size: int, n: int):
+def _soe_tables(a: float, size: int, n: int):
     """Unscaled far-field tables of blocks of `size` steps on n steps, for
     distances from D0 = size + 1 on: the exponents lam, K[i, p] =
     w_p e^(-lam_p (size + i)) (size, P), E[p, m] = e^(-lam_p (size - m))
     (P, size) and the decay e^(-lam_p size) (P, 1)."""
-    lam, w = _soe(kind, a, size + 1, n)
+    lam, w = _soe(a, size + 1, n)
     powers = np.exp(-np.outer(lam, np.arange(1.0, 2 * size)))  # e^(-lam k), k < 2 size
     tables = (
         lam,
@@ -145,8 +138,8 @@ class _Term(NamedTuple):
     or their second differences (order 2) with the ghost start
     delta_0 = 2 u_1 - 2 u_0 - 2 h phi1.  `first`, when set, replaces v[0] at
     step 1.  Long weights keep their first `_HEAD` entries in v and name the
-    rest by `tail`, (kind, a, scale) with v[d] = scale * w(d) for the
-    weights w of `_soe`; short weights are all in v.
+    rest by `tail`, (a, scale) with v[d] = scale * ((d + 1)^a - d^a), the
+    weights of `_soe`; short weights are all in v.
     """
 
     op: np.ndarray  # the operator's diagonal in spectral coordinates
@@ -174,21 +167,12 @@ def _caputo_term(alpha: float, op: np.ndarray, h: float, n: int) -> _Term:
         raise CapabilityError(f"oracle orders must lie in [0, 2], got {alpha}")
     r = math.ceil(alpha)
     scale = h ** (-alpha) * rgamma(r + 1 - alpha)
-    w = _unit_weights("power", r - alpha, min(n, _HEAD) + 1)
-    return _Term(op, scale * w, r, tail=("power", r - alpha, scale))
+    w = _unit_weights(r - alpha, min(n, _HEAD) + 1)
+    return _Term(op, scale * w, r, tail=(r - alpha, scale))
 
 
 def _caputo_terms(terms, grid: TimeGrid) -> list:
     return [_caputo_term(alpha, f, grid.h, grid.n) for alpha, f in terms]
-
-
-def _gl_terms(alpha: float, b_op: np.ndarray, grid: TimeGrid) -> list:
-    """Grunwald-Letnikov derivative h^-alpha sum_k g_k u_(n-k) plus B u,
-    for states that start from u_0 = 0."""
-    scale = grid.h ** (-alpha)
-    v = scale * _unit_weights("gl", alpha, min(grid.n, _HEAD) + 1)
-    ident = np.ones_like(b_op)
-    return [_Term(ident, v, 0, tail=("gl", alpha, scale)), _Term(b_op, np.ones(1), 0)]
 
 
 def _weight_table(v: np.ndarray, rows: int) -> np.ndarray:
@@ -207,29 +191,23 @@ def _weight_table(v: np.ndarray, rows: int) -> np.ndarray:
     return np.ascontiguousarray(sliding_window_view(ext[::-1], width + rows)[::-1])
 
 
-def _unit_weights(kind: str, a: float, count: int) -> np.ndarray:
-    """The unscaled long weights w(d) of `_soe` at the distances d < count."""
-    if kind == "power":
-        i = np.arange(count, dtype=float)
-        return (i + 1) ** a - i**a
-    g = np.empty(count)
-    g[0] = 1.0
-    for j in range(1, count):
-        g[j] = g[j - 1] * (j - 1 - a) / j
-    return g
+def _unit_weights(a: float, count: int) -> np.ndarray:
+    """The unscaled long weights (d + 1)^a - d^a at the distances d < count."""
+    i = np.arange(count, dtype=float)
+    return (i + 1) ** a - i**a
 
 
 @functools.lru_cache(maxsize=32)
-def _unit_tables(kind: str, a: float, count: int, size: int, n: int):
+def _unit_tables(a: float, count: int, size: int, n: int):
     """`_weight_table` of the first `count` unscaled long weights for blocks
     of `size` steps on n steps and, where a distance reaches D0 = size + 1,
     [T | K] of the far field (see `_soe_tables`), else None.  A long term
     scales both by its `tail` scale, so every entry is scale * w(d) as if
     built from its own weights; the arrays are shared and read-only."""
-    table = _weight_table(_unit_weights(kind, a, count), size)
+    table = _weight_table(_unit_weights(a, count), size)
     mat = None
     if n - 1 > size:
-        mat = np.concatenate([table[:, :size], _soe_tables(kind, a, size, n)[1]], axis=1)
+        mat = np.concatenate([table[:, :size], _soe_tables(a, size, n)[1]], axis=1)
     for t in (table, mat):
         if t is not None:
             t.flags.writeable = False
@@ -324,11 +302,11 @@ class _BlockSystem:
             if t.tail is None:
                 table = _weight_table(t.v, size)
             else:
-                kind, a, scale = t.tail
-                table, mat = _unit_tables(kind, a, t.v.size, size, grid.n)
+                a, scale = t.tail
+                table, mat = _unit_tables(a, t.v.size, size, grid.n)
                 table = scale * table
                 if mat is not None:
-                    lam, _, lower, decay = _soe_tables(kind, a, size, grid.n)
+                    lam, _, lower, decay = _soe_tables(a, size, grid.n)
                     buffer = np.zeros((size + lam.size, 2 * dim))
                     soe = (lam, scale * mat, lower, np.repeat(decay, 2 * dim, axis=1), buffer)
             self.tables.append(table)
@@ -641,16 +619,18 @@ def oracle_caputo(problem: CauchyProblem) -> SolutionPath:
 
 
 def oracle_rl(problem: CauchyProblem) -> SolutionPath:
-    """Shifted-difference (Grunwald-Letnikov) stepping for the single-order
-    route with zero weighted datum, on the same blocked march as
-    `oracle_caputo`."""
+    """The single-order route's oracle, for a zero weighted datum.
+
+    The solution then vanishes at t = 0, where the Riemann-Liouville and
+    Caputo derivatives agree, so this is `oracle_caputo` on the same
+    problem with the Caputo flavor and a zero initial value: L1 weights,
+    order 2 - alpha in h.
+    """
     if problem.flavor != RIEMANN_LIOUVILLE:
         raise FlavorError("oracle_rl requires the riemann_liouville flavor")
-    alpha = problem.measure.mu
     if np.any(np.abs(problem.initial[0]) > 1e-12):
         raise PreconditionError("oracle_rl assumes a zero weighted datum")
-    b_op = _atom_sum(problem.measure, _spectrum(problem))
     zero = np.zeros(problem.dim, dtype=complex)
-    return _run_oracle(
-        problem, "oracle-rl", lambda g: _gl_terms(alpha, b_op, g), zero, zero
-    )
+    path = oracle_caputo(dataclasses.replace(problem, flavor=CAPUTO, initial=[zero]))
+    path.method = "oracle-rl"
+    return path

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import FlavorError, GridMismatchError, PreconditionError
 from .grids import TimeGrid, require_same_grid
-from .kernels import OrderMeasure, symbol_values
+from .kernels import OrderMeasure
 from .operators import FourierMultiplier, MatrixOperator, SpectralOperator
 from .profiles import FunctionSpec
 
@@ -114,11 +114,6 @@ def _spectrum(problem: CauchyProblem) -> np.ndarray:
         for z in lam.tolist():
             domain.check(z, "eigenvalue")
     return lam
-
-
-def _atom_sum(measure: OrderMeasure, lam: np.ndarray) -> np.ndarray:
-    """Symbol of B = sum_j c_j f_j(A), the single-order route's operator."""
-    return sum(symbol_values(measure, lam)[1], np.zeros(lam.shape, complex))
 
 
 def _require_caputo(problem: CauchyProblem, route: str) -> None:

@@ -67,7 +67,6 @@ from .problems import (
     RIEMANN_LIOUVILLE,
     CauchyProblem,
     SolutionPath,
-    _atom_sum,
     _require_caputo,
     _spectrum,
     compare,
@@ -491,6 +490,11 @@ def duhamel_integer(problem: CauchyProblem) -> SolutionPath:
             )
     _require_zero_data(problem, "duhamel_integer")
     return _duhamel_caputo(problem, "duhamel-integer")
+
+
+def _atom_sum(measure: OrderMeasure, lam: np.ndarray) -> np.ndarray:
+    """Symbol of B = sum_j c_j f_j(A), the single-order route's operator."""
+    return sum(symbol_values(measure, lam)[1], np.zeros(lam.shape, complex))
 
 
 def duhamel_rl(problem: CauchyProblem) -> SolutionPath:

@@ -170,7 +170,8 @@ def test_criterion_05_rl_duhamel():
         )
         errs.append(compare(duhamel_rl(prob1), oracle_rl(prob1)).max_rel)
     ratio = errs[0] / errs[1]
-    ok = rel0 < 1e-2 and errs[0] < 1e-2 and 1.6 <= ratio <= 2.4
+    # the oracle's L1 march converges at order 2 - alpha: 2^1.5 = 2.83
+    ok = rel0 < 1e-2 and errs[0] < 1e-2 and 2.4 <= ratio <= 3.2
     report(5, "Riemann-Liouville Duhamel route", ok,
            f"(B=0 rel={rel0:.2e}, B=1 rel={errs[0]:.2e}, halving ratio={ratio:.2f})")
 

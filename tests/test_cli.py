@@ -377,6 +377,18 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert "input error: /out_dir: cannot create output directory: " in capsys.readouterr().err
 
 
+def test_missing_output_directory_fails_before_the_solve(tmp_path, capsys, monkeypatch):
+    def unreachable(problem):
+        pytest.fail("solve ran although its result file cannot be written")
+
+    monkeypatch.setitem(ROUTES, "repr", unreachable)
+    prob = write_doc(tmp_path, RELAX_DOC)
+    out = tmp_path / "missing" / "u.csv"
+    assert main(["solve", "--problem", str(prob), "--method", "repr", "--out", str(out)]) == 2
+    assert "input error: /: cannot write result file: " in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_ml_subcommand(capsys):
     assert main(["ml", "--alpha", "1", "--beta", "1", "--z", "1"]) == 0
     out = capsys.readouterr().out.strip()
