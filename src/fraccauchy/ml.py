@@ -62,6 +62,16 @@ Accuracy, absolute where |E| <= 1 and relative above: 1e-10 for alpha in
 [0.25, 2] and |z| <= 50, Stokes rays included, and 1e-12 on the kernel rays
 of alpha in {1/2, 1, 3/2, 2} (decaying, advection, Stokes and growth
 directions, x up to 1e16), both against mpmath references.
+
+alpha below 0.01 raises DomainError.  There x is huge from |z| = 1.5 on and
+overflows from |z| = e^(709.8 alpha) on, so the three algebraic terms that
+stand in for E lose |z|^-4: against mpmath (the defining series where
+x <= 60, else the pole terms and the algebraic series to 1e-36), the
+largest error at |z| up to 1e12, beta in {-1, 0.5, 1, 1.5, 2.5}, is 5e-13
+at alpha = 0.01, 6e-10 at 0.0075, 2e-7 at 0.005 and 1e-4 at 0.002; below
+alpha = 2e-4 the series also stops unconverged at its term limit.  On the
+contour the factor mu^(alpha - beta) of a window is taken together with
+x^(1 - beta), as (x mu)^(1 - beta) mu^alpha, so a tiny mu does not overflow.
 """
 
 from __future__ import annotations
@@ -74,6 +84,7 @@ import numpy as np
 from .errors import DomainError
 from .special import rgamma
 
+_ALPHA_MIN = 0.01  # smallest alpha evaluated (see the module docstring)
 _SERIES_CUT = 4.0  # largest x = |z|^(1/alpha) summed by the series
 _MAX_TERMS = 20000
 _MU, _STEP, _NODES = 1.3, 0.15, 32  # mu 4^k, node step h and N of the contours
@@ -95,9 +106,12 @@ def mittag_leffler(alpha: float, beta: float, z: complex) -> complex:
 
 
 def ml_array(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """Vectorized E_{alpha,beta} over an array of arguments; nan where z is not finite."""
+    """Vectorized E_{alpha,beta} over an array of arguments; nan where z is
+    not finite.  alpha must be at least 0.01 (see the module docstring)."""
     if alpha <= 0:
         raise DomainError(f"first parameter must be positive, got {alpha}")
+    if alpha < _ALPHA_MIN:
+        raise DomainError(f"first parameter below {_ALPHA_MIN} is not supported, got {alpha}")
     alpha, beta = float(alpha), float(beta)
     z = np.asarray(z, dtype=complex)
     # contiguous, as numpy's strided loops may round |z| differently
@@ -260,17 +274,22 @@ def _contour(alpha: float, beta: float, z: np.ndarray, x: np.ndarray, work: _Wor
     if live.any():
         poles = np.where(live, np.exp(1j * ang), -1.0)
         res = np.where(live, poles ** (1.0 - beta) / alpha, 0.0)
-    # the rule's weights w_j = h s'(u_j) F(s(u_j)) / (2 pi i) of each group
+    # the rule's weights w_j = h s'(u_j) F(s(u_j)) / (2 pi i) of each group,
+    # over mu^(alpha - beta) mu: that factor joins x^(1 - beta) per point,
+    # where the product (x mu)^(1 - beta) mu^alpha stays finite however
+    # small mu = 1.3 / 4^k gets
     m = mu[:, None]
     _, _, shape_ab, shape_a = _table(alpha, beta)
-    f = (m ** (alpha - beta) * shape_ab) / (m**alpha * shape_a - np.exp(1j * theta[:, None]))
+    f = shape_ab / (m**alpha * shape_a - np.exp(1j * theta[:, None]))
     if live.any():
         # poles less than 4 below the contour in Im u (the parabola through
         # s* crosses the real axis at (1 + Re s*) / 2 < 25 mu) lose their
-        # principal part: what the rule integrates is smooth in its strip
-        near = np.where((1.0 + poles.real) / 2 < 25.0 * m, res, 0.0)
+        # principal part: what the rule integrates is smooth in its strip.
+        # Live poles keep 1 + Re s* > 2e-15, so mu > 4e-17 where they do.
+        close = (1.0 + poles.real) / 2 < 25.0 * m
+        near = np.where(close, res * np.where(close, m, 1.0) ** (beta - alpha), 0.0)
         f -= np.einsum("gj,gkj->gk", near, 1.0 / ((m * _SHAPE)[:, :, None] - poles[:, None, :]))
-    w = f * (m * _FACTOR)
+    w = f * _FACTOR
     # x s(-u) = conj(x s(u)), so with e_j = e^(x s(u_j)) = a_j + i b_j, j >= 0,
     # and w+, w- the weights of u_j and -u_j, the node sum is
     # sum_j w+_j e_j + w-_j conj(e_j): its real part is the product of the
@@ -285,12 +304,14 @@ def _contour(alpha: float, beta: float, z: np.ndarray, x: np.ndarray, work: _Wor
     real = (theta == 0) | (np.abs(theta) == np.pi)
     if not real.all():
         out.imag = np.einsum("ij,ij->i", e, work.take(rows_im, group))
+    out *= (x * mu[group]) ** (1.0 - beta) * (mu**alpha)[group]
     if live.any():
         i = np.flatnonzero(live.any(axis=1)[group])
+        # x^(1 - beta) e^(x s*) as one exponential, so a decaying pole term
+        # does not meet an overflowing power
+        ex = x[i, None] * poles[group[i]] + (1.0 - beta) * np.log(x[i, None])
         with np.errstate(over="ignore", invalid="ignore"):  # e^(x s*) overflows on growth rays
-            out[i] += np.einsum("ij,ij->i", np.exp(x[i, None] * poles[group[i]]), res[group[i]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = out * x ** (1.0 - beta)
+            out[i] += np.einsum("ij,ij->i", np.exp(ex), res[group[i]])
     out.imag[real[group]] = 0.0  # E is real on the real axis; drop rounding
     return out
 

@@ -15,13 +15,17 @@ results pass through `to_spectral` / `from_spectral` only, as on the kernel
 routes.  Every term convolves fixed weights with the states or their
 differences, so per spectral component the steps after the first form a
 lower-triangular Toeplitz system.  It is marched in blocks of up to 64
-steps, each solved with the inverse of its system, built once per grid, and
-refined once against the scheme's own residual.  The history before a block
-takes the last block of differences from a weight table; the long weights
-(L1, L2) reach all older differences through a sum of P exponentials, one
-history per exponential, moved on once per block.  A march over n steps
-thus costs O(n P), P between about 80 and 150 for n up to 16384, where a
-product over the whole history per block cost O(n^2).
+steps, each solved with the inverse of its system and refined once against
+the scheme's own residual.  The grids of a solve differ only in h, so their
+set-up is made once per solve: every grid reads the same cached, read-only
+unit weight tables (`_unit_tables`, `_soe_tables`), each term's scale
+h^-alpha / Gamma sits on its per-component diagonal, and one recurrence
+gives the block inverses of every grid (`_share_inverses`).  The history
+before a block takes the last block of differences from a weight table;
+the long weights (L1, L2) reach all older differences through a sum of P
+exponentials, one history per exponential, moved on once per block.  A
+march over n steps thus costs O(n P), P between about 80 and 150 for n up
+to 16384, where a product over the whole history per block cost O(n^2).
 The first 2 c nodes, c = clip(n / 16, 1, 128), come from a warm start: two
 chains of short subgrids, 4 c steps each, whose step halves from level to
 level toward t = 0, Richardson-extrapolated where the chains meet
@@ -40,7 +44,7 @@ from time import perf_counter
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import CapabilityError, FlavorError, PreconditionError, StepSolveError
 from .grids import TimeGrid
@@ -75,6 +79,11 @@ _SOE_JACOBI = 8
 _SOE_PANEL = 14
 _SOE_RATIO = 3.0
 _SOE_CUTOFF = 36.0
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _soe(a: float, d0: int, n: int):
@@ -112,15 +121,12 @@ def _soe_tables(a: float, size: int, n: int):
     (P, size) and the decay e^(-lam_p size) (P, 1)."""
     lam, w = _soe(a, size + 1, n)
     powers = np.exp(-np.outer(lam, np.arange(1.0, 2 * size)))  # e^(-lam k), k < 2 size
-    tables = (
-        lam,
-        (w[:, None] * powers[:, size - 1 :]).T,
-        np.ascontiguousarray(powers[:, size - 1 :: -1]),
-        powers[:, size - 1, None].copy(),
+    return (
+        _read_only(lam),
+        _read_only((w[:, None] * powers[:, size - 1 :]).T),
+        _read_only(np.ascontiguousarray(powers[:, size - 1 :: -1])),
+        _read_only(powers[:, size - 1, None].copy()),
     )
-    for table in tables:
-        table.flags.writeable = False
-    return tables
 
 
 def _term_operators(problem: CauchyProblem) -> list:
@@ -133,20 +139,26 @@ def _term_operators(problem: CauchyProblem) -> list:
 class _Term(NamedTuple):
     """One term F D of a stepping scheme on one grid.
 
-    D u at step k is sum_{j < k} v[k - 1 - j] delta_j, where delta holds the
-    states (order 0, delta_j = u_(j+1)), their first differences (order 1),
-    or their second differences (order 2) with the ghost start
+    D u at step k is scale * sum_{j < k} v[k - 1 - j] delta_j, where delta
+    holds the states (order 0, delta_j = u_(j+1)), their first differences
+    (order 1), or their second differences (order 2) with the ghost start
     delta_0 = 2 u_1 - 2 u_0 - 2 h phi1.  `first`, when set, replaces v[0] at
-    step 1.  Long weights keep their first `_HEAD` entries in v and name the
-    rest by `tail`, (a, scale) with v[d] = scale * ((d + 1)^a - d^a), the
-    weights of `_soe`; short weights are all in v.
+    step 1.  The unit weights v do not depend on h and are shared and
+    read-only.  Long weights keep their first `_HEAD` entries in v and name
+    the rest by `tail`, (a, scale) with v[d] = (d + 1)^a - d^a, the weights
+    of `_soe`; short weights are all in v, and a single one is 1.
     """
 
     op: np.ndarray  # the operator's diagonal in spectral coordinates
+    scale: float
     v: np.ndarray
     order: int
     first: float | None = None
     tail: tuple | None = None
+
+
+_ONE = _read_only(np.ones(1))  # order-0 terms and the backward second difference
+_BDF2 = _read_only(np.array([1.5, -0.5]))
 
 
 def _caputo_term(alpha: float, op: np.ndarray, h: float, n: int) -> _Term:
@@ -158,17 +170,17 @@ def _caputo_term(alpha: float, op: np.ndarray, h: float, n: int) -> _Term:
     second difference.
     """
     if alpha == 0:
-        return _Term(op, np.ones(1), 0)
+        return _Term(op, 1.0, _ONE, 0)
     if alpha == 1:
-        return _Term(op, np.array([1.5, -0.5]) / h, 1, 1.0 / h)
+        return _Term(op, 1.0 / h, _BDF2, 1, 1.0)
     if alpha == 2:
-        return _Term(op, np.array([1.0 / h**2]), 2)
+        return _Term(op, 1.0 / h**2, _ONE, 2)
     if not 0 < alpha < 2:
         raise CapabilityError(f"oracle orders must lie in [0, 2], got {alpha}")
     r = math.ceil(alpha)
     scale = h ** (-alpha) * rgamma(r + 1 - alpha)
     w = _unit_weights(r - alpha, min(n, _HEAD) + 1)
-    return _Term(op, scale * w, r, tail=(r - alpha, scale))
+    return _Term(op, scale, w, r, tail=(r - alpha, scale))
 
 
 def _caputo_terms(terms, grid: TimeGrid) -> list:
@@ -191,10 +203,12 @@ def _weight_table(v: np.ndarray, rows: int) -> np.ndarray:
     return np.ascontiguousarray(sliding_window_view(ext[::-1], width + rows)[::-1])
 
 
+@functools.lru_cache(maxsize=32)
 def _unit_weights(a: float, count: int) -> np.ndarray:
-    """The unscaled long weights (d + 1)^a - d^a at the distances d < count."""
+    """The unscaled long weights (d + 1)^a - d^a at the distances d < count,
+    shared and read-only."""
     i = np.arange(count, dtype=float)
-    return (i + 1) ** a - i**a
+    return _read_only((i + 1) ** a - i**a)
 
 
 @functools.lru_cache(maxsize=32)
@@ -202,16 +216,19 @@ def _unit_tables(a: float, count: int, size: int, n: int):
     """`_weight_table` of the first `count` unscaled long weights for blocks
     of `size` steps on n steps and, where a distance reaches D0 = size + 1,
     [T | K] of the far field (see `_soe_tables`), else None.  A long term
-    scales both by its `tail` scale, so every entry is scale * w(d) as if
-    built from its own weights; the arrays are shared and read-only."""
-    table = _weight_table(_unit_weights(a, count), size)
-    mat = None
-    if n - 1 > size:
-        mat = np.concatenate([table[:, :size], _soe_tables(a, size, n)[1]], axis=1)
-    for t in (table, mat):
-        if t is not None:
-            t.flags.writeable = False
-    return table, mat
+    reads both as they are and applies its scale on its diagonal; the arrays
+    are shared and read-only."""
+    table = _read_only(_weight_table(_unit_weights(a, count), size))
+    if n - 1 <= size:
+        return table, None
+    return table, _read_only(np.concatenate([table[:, :size], _soe_tables(a, size, n)[1]], axis=1))
+
+
+@functools.lru_cache(maxsize=32)
+def _short_table(weights: tuple, size: int) -> np.ndarray:
+    """`_weight_table` of short unit weights for blocks of `size` steps,
+    shared and read-only."""
+    return _read_only(_weight_table(np.array(weights), size))
 
 
 def _fill_differences(deltas: dict, u: np.ndarray, lo: int, hi: int, h: float, phi1):
@@ -233,7 +250,7 @@ def _first(t: _Term) -> float:
 def _start_part(t: _Term) -> np.ndarray:
     """Weight of u_1 at step 1 in term t: u_1 enters delta_0 once, or twice
     with the ghost start."""
-    return (2.0 if t.order == 2 else 1.0) * _first(t) * t.op
+    return (2.0 if t.order == 2 else 1.0) * _first(t) * t.scale * t.op
 
 
 def _require_finite(values: np.ndarray, first_step: int, grid: TimeGrid) -> None:
@@ -245,27 +262,41 @@ def _require_finite(values: np.ndarray, first_step: int, grid: TimeGrid) -> None
         )
 
 
-def _reciprocal(d: np.ndarray) -> np.ndarray:
-    """1 / d, raising LinAlgError at a zero as a singular inverse does."""
-    if not np.all(d):
-        raise np.linalg.LinAlgError("singular step matrix")
-    return 1.0 / d
+def _require_regular(pivots: np.ndarray, step: int, grid: TimeGrid) -> None:
+    """Raise StepSolveError where an inverse pivot 1 / a_0 is not finite:
+    the step matrix from `step` on is singular."""
+    if not np.all(np.isfinite(pivots)):
+        raise StepSolveError(
+            f"linear solve failed at step {step} of {grid.n} (h = {grid.h:.6g}): "
+            "singular step matrix"
+        )
 
 
 def _block_inverses(a: np.ndarray) -> np.ndarray:
-    """Inverses (rows, size, size) of the lower-triangular Toeplitz matrices
-    with first columns a (rows, size), each itself lower-triangular
-    Toeplitz: its first column x solves sum_j a_(k-j) x_j = delta_k0, and
-    row i is x_i ... x_0."""
-    rows, size = a.shape
+    """First columns x (rows, size) of the inverses of the lower-triangular
+    Toeplitz matrices with first columns a (rows, size): sum_j a_(k-j) x_j =
+    delta_k0.  The inverse of a leading block is the leading block of the
+    inverse, so x[:, :m] serves blocks of any m <= size.  A row with
+    a_0 = 0 has no inverse and comes out non-finite."""
+    size = a.shape[1]
     x = np.empty_like(a)
-    x[:, 0] = _reciprocal(a[:, 0])
-    for k in range(1, size):  # one batched dot product per k
-        dot = a[:, None, 1 : k + 1] @ x[:, k - 1 :: -1, None]
-        x[:, k] = -x[:, 0] * dot[:, 0, 0]
-    ext = np.zeros((rows, 2 * size - 1), dtype=complex)  # x_(size-1) ... x_0, then zeros
-    ext[:, :size] = x[:, ::-1]
-    return np.ascontiguousarray(sliding_window_view(ext, size, axis=1)[:, ::-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x[:, 0] = 1.0 / a[:, 0]
+        for k in range(1, size):  # one batched dot product per k
+            dot = a[:, None, 1 : k + 1] @ x[:, k - 1 :: -1, None]
+            x[:, k] = -x[:, 0] * dot[:, 0, 0]
+    return x
+
+
+def _toeplitz(x: np.ndarray) -> np.ndarray:
+    """The lower-triangular Toeplitz matrices (rows, size, size) with first
+    columns x (rows, size): row i is x_i ... x_0."""
+    rows, size = x.shape
+    ext = np.zeros((rows, 2 * size - 1), dtype=complex)  # size - 1 zeros, then x
+    ext[:, size - 1 :] = x
+    # entry (i, j) reads ext[size - 1 + i - j]: x_(i-j), or a zero above the diagonal
+    row, col = ext.strides
+    return as_strided(ext[:, size - 1 :], (rows, size, size), (row, col, -col)).copy()
 
 
 class _BlockSystem:
@@ -277,11 +308,15 @@ class _BlockSystem:
     rounding stays that of the differences; long weights reach the
     differences more than one block back through their sum of exponentials
     (`_soe`).  Every term is diagonal in spectral coordinates, so the scheme
-    is one scalar system per spectral component.  From step 2 on, the near
-    part is linear in the block's states with a lower-triangular Toeplitz
-    matrix per component, whose first column `coeffs` (dim, size) is
-    sum_t a_t[j] F_t, a_t the weights of term t convolved with its
-    difference stencil; step 1 has its own diagonal `start` (dim,).  The
+    is one scalar system per spectral component.  The weight and far-field
+    tables are the shared unit tables, read as they are: each term's scale
+    sits on its diagonal `diags`, scale F (dim,), and a term with a single
+    weight has no table at all.  From step 2 on, the near part is linear in
+    the block's states with a lower-triangular Toeplitz matrix per
+    component, whose first column (`column`) is sum_t a_t[j] scale_t F_t,
+    a_t the unit weights of term t convolved with its difference stencil;
+    step 1 has its own diagonal `start` (dim,).  `inverse` holds the first
+    columns of the block inverses once `_share_inverses` has set them.  The
     block length keeps the (dim, size, size) inverse within `_BLOCK_BYTES`.
     """
 
@@ -291,33 +326,45 @@ class _BlockSystem:
         dim = terms[0].op.size
         cap = math.isqrt(_BLOCK_BYTES // (16 * dim))
         self.size = size = max(1, min(_BLOCK, cap, grid.n - 1))
-        # per long term: the exponents, [T | scale K], E, the decay (see
-        # `_soe_tables`) and a (size + P, 2 dim) real buffer holding the
-        # window of differences and H; None for short weights or where no
-        # distance reaches D0
+        self.diags = [t.scale * t.op for t in terms]
+        # per term: its weight table, None for a single weight; per long
+        # term: the exponents, [T | K], E, the decay (see `_soe_tables`) and
+        # a (size + P, 2 dim) real buffer holding the window of differences
+        # and H, None for short weights or where no distance reaches D0
         self.tables = []
         self.soes = []
         for t in terms:
-            soe = None
-            if t.tail is None:
-                table = _weight_table(t.v, size)
-            else:
-                a, scale = t.tail
+            table = soe = None
+            if t.tail is not None:
+                a = t.tail[0]
                 table, mat = _unit_tables(a, t.v.size, size, grid.n)
-                table = scale * table
                 if mat is not None:
                     lam, _, lower, decay = _soe_tables(a, size, grid.n)
-                    buffer = np.zeros((size + lam.size, 2 * dim))
-                    soe = (lam, scale * mat, lower, np.repeat(decay, 2 * dim, axis=1), buffer)
+                    soe = (lam, mat, lower, decay, np.zeros((size + lam.size, 2 * dim)))
+            elif t.v.size > 1:
+                table = _short_table(tuple(t.v), size)
             self.tables.append(table)
             self.soes.append(soe)
         self.cut = None
         self.start = sum(_start_part(t) for t in terms)
-        self.coeffs = np.zeros((dim, size), dtype=complex)
-        for t, table in zip(terms, self.tables):
-            a = np.convolve(table[:, -size], _STENCILS[t.order])[:size]
-            self.coeffs += a[None, :] * t.op[:, None]
         self.orders = {t.order for t in terms if t.order}
+        self.inverse = None
+
+    def column(self, count: int) -> np.ndarray:
+        """First `count` entries (dim, count) of the first column of the
+        block matrix.  Long weights run on past the grid's own v, so that
+        systems of smaller blocks can join a longer recurrence."""
+        col = np.zeros((self.diags[0].size, count), dtype=complex)
+        for t, diag in zip(self.terms, self.diags):
+            v = t.v if t.tail is None or t.v.size >= count else _unit_weights(t.tail[0], count)
+            a = np.convolve(v[:count], _STENCILS[t.order])[:count]
+            col[:, : a.size] += a * diag[:, None]
+        return col
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The first column of the block matrix, (dim, size)."""
+        return self.column(self.size)
 
     @property
     def far_terms(self) -> list:
@@ -344,9 +391,9 @@ class _BlockSystem:
         lo = b0 - 1 - size
         fresh = self.cut != lo
         acc = np.zeros((rows, u.shape[1]), dtype=complex)
-        for t, table, soe in zip(self.terms, self.tables, self.soes):
-            width = table.shape[1] - size
+        for t, table, soe, diag in zip(self.terms, self.tables, self.soes, self.diags):
             if soe is None:
+                width = 0 if table is None else table.shape[1] - size
                 cols = min(b0 - 1, width)
                 if not cols:
                     continue
@@ -366,7 +413,7 @@ class _BlockSystem:
                 v = mat[:rows] @ x
                 hist *= decay
                 hist += lower @ window
-            acc += v.view(complex) * t.op
+            acc += v.view(complex) * diag
         self.cut = b0 - 1
         return acc
 
@@ -374,14 +421,16 @@ class _BlockSystem:
         """Part of steps b0..b1-1 carried by the differences from row b0 - 1 on."""
         rows = b1 - b0
         acc = np.zeros((rows, u.shape[1]), dtype=complex)
-        for t, table in zip(self.terms, self.tables):
+        for t, table, diag in zip(self.terms, self.tables, self.diags):
             part = self._part(t, u, deltas, b0 - 1, b1 - 1)
             if b0 == 1:
                 v = _first(t) * part
+            elif table is None:  # a single weight, 1
+                v = part
             else:
                 width = table.shape[1] - self.size
                 v = table[:rows, width : width + rows] @ part
-            acc += v.view(complex) * t.op
+            acc += v.view(complex) * diag
         return acc
 
     @staticmethod
@@ -402,12 +451,15 @@ def _march(
     """States of one scheme on its system's grid, from u0 or from injected
     start states.
 
-    ``forcing(t)`` gives the right-hand side at the nodes t.  Step 1 takes
-    the scheme's start rule; the later steps go in blocks of
+    ``forcing(t)`` gives the right-hand side at the nodes t, (nodes, dim)
+    or (nodes, 1); it is taken once, at every node the march solves for.
+    Step 1 takes the scheme's start rule; the later steps go in blocks of
     `_BlockSystem.size`.  A block is solved from zero with the inverse of
-    its matrix (``inverse``, or `_block_inverses` of the system's `coeffs`)
-    and refined once against the residual of the scheme itself, which keeps
-    the rounding of a block at that of single steps.
+    its matrix and refined once against the residual of the scheme itself,
+    which keeps the rounding of a block at that of single steps.
+    ``inverse`` holds the first columns of the inverses, (dim, >= size), by
+    default `_block_inverses` of the system's `coeffs`; a singular step
+    matrix raises StepSolveError naming the grid and the step.
     Floating-point warnings are silenced and every block is checked instead,
     so overflow raises StepSolveError naming the first non-finite step.
     """
@@ -425,24 +477,25 @@ def _march(
         u[: done + 1] = injected
         _fill_differences(deltas, u, 0, done, grid.h, phi1)
     system.cut = None  # the far field's history belongs to another march
-    with np.errstate(over="ignore", invalid="ignore"):
+    first = done + 1
+    rhs_at = forcing(t[first:])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         blocks = []
-        try:
-            if done == 0:
-                blocks.append((1, 2, _reciprocal(system.start)[:, None, None]))
-                done = 1
-            if inverse is None:
-                inverse = _block_inverses(system.coeffs)
-        except np.linalg.LinAlgError as exc:
-            raise StepSolveError(
-                f"linear solve failed at step {done + 1}: singular step matrix"
-            ) from exc
+        if done == 0:
+            start = 1.0 / system.start
+            _require_regular(start, 1, grid)
+            blocks.append((1, 2, start[:, None, None]))
+            done = 1
+        if inverse is None:
+            inverse = _block_inverses(system.coeffs)
+        _require_regular(inverse[:, 0], done + 1, grid)
+        inverse = _toeplitz(inverse[:, : system.size])
         blocks += [
             (b0, min(b0 + system.size, n + 1), inverse)
             for b0 in range(done + 1, n + 1, system.size)
         ]
         for b0, b1, inv in blocks:
-            rhs = forcing(t[b0:b1]) - system.far(u, deltas, b0, b1)
+            rhs = rhs_at[b0 - first : b1 - first] - system.far(u, deltas, b0, b1)
             _require_finite(rhs, b0, grid)
             for _ in range(2):
                 _fill_differences(deltas, u, b0 - 1, b1 - 1, grid.h, phi1)
@@ -450,6 +503,17 @@ def _march(
             _require_finite(u[b0:b1], b0, grid)
             _fill_differences(deltas, u, b0 - 1, b1 - 1, grid.h, phi1)
     return u
+
+
+def _share_inverses(systems: list) -> None:
+    """Set the `inverse` of every system from one `_block_inverses`
+    recurrence over their stacked first columns, taken at the largest block
+    size: a system of smaller blocks reads the leading entries of its rows.
+    The systems must share their spectral dimension."""
+    size = max(s.size for s in systems)
+    inverses = _block_inverses(np.concatenate([s.column(size) for s in systems]))
+    for system, inverse in zip(systems, np.split(inverses, len(systems))):
+        system.inverse = inverse
 
 
 def _warm_start(systems: list, half: _BlockSystem, march):
@@ -467,19 +531,15 @@ def _warm_start(systems: list, half: _BlockSystem, march):
     taken where the chains meet: on nodes 0..S/2 of level L - 1, from chain
     A's finest level and from `half`, chain B's first S/2 steps there.  The
     one combined start then runs through levels L - 1..1: (L + 2) S/2 steps
-    in L + 1 marches.  All block inverses come from one recurrence over the
-    stacked `coeffs` rows; `half` has level L - 1's step, so its blocks take
-    the leading block of that level's inverse.
+    in L + 1 marches.  Every level comes with the `inverse` of the solve's
+    one recurrence (`_share_inverses`); `half` has level L - 1's step, so
+    its blocks take the leading block of that level's inverse.
     """
-    try:
-        inverses = _block_inverses(np.concatenate([s.coeffs for s in systems]))
-    except np.linalg.LinAlgError as exc:
-        raise StepSolveError("linear solve failed in the warm start: singular step matrix") from exc
-    inverses = np.split(inverses, len(systems))
-    u = 2.0 * march(systems[0], inverses[0], None)[::2] - march(half, inverses[1], None)
+    u = 2.0 * march(systems[0], systems[0].inverse, None)[::2]
+    u -= march(half, systems[1].inverse, None)
     steps = systems[0].grid.n + half.grid.n
-    for system, inverse in zip(systems[1:], inverses[1:]):
-        u = march(system, inverse, u)[::2]
+    for system in systems[1:]:
+        u = march(system, system.inverse, u)[::2]
         steps += system.grid.n // 2
     return u, steps
 
@@ -505,7 +565,7 @@ def _require_resolved(system: _BlockSystem, terms_on) -> None:
         lead = terms[0]
         with np.errstate(divide="ignore", invalid="ignore"):
             first = sum(_start_part(t) for t in terms) / _start_part(lead)
-            later = sum(t.v[0] * t.op for t in terms) / (lead.v[0] * lead.op)
+            later = sum(t.v[0] * t.scale * t.op for t in terms) / (lead.v[0] * lead.scale * lead.op)
         return np.stack([first, later])
 
     grid = system.grid
@@ -540,22 +600,26 @@ def _run_oracle(
     (`_require_resolved`).  Grids of 32 cells or more start from states at
     nodes 0..2 cells, cells = clip(n / 16, 1, 128), from `_warm_start` on
     L = floor(log2 clip(n / 8, 8, 128)) levels of 4 cells steps each and
-    one grid of 2 cells steps of level L - 1's step.  The diagnostics carry
-    the warm-start size (`warm_cells` nodes, the finest level refining h by
-    `warm_refine` = 2^L, `warm_steps` = (L + 2) 2 cells steps marched), the
-    wall time of the warm start and of the main march, and `far_terms`, the
-    number of exponentials of each term's far field on the main grid (0 for
-    short weights).
+    one grid of 2 cells steps of level L - 1's step.  The main grid and the
+    levels take their block inverses from one recurrence
+    (`_share_inverses`); without a warm start the main march makes its own.
+    The diagnostics carry the warm-start size (`warm_cells` nodes, the
+    finest level refining h by `warm_refine` = 2^L, `warm_steps` =
+    (L + 2) 2 cells steps marched), the wall time of the warm start
+    (`warm_s`, which includes the shared recurrence, the main grid's rows
+    too) and of the main march (`main_s`, its set-up and resolution check
+    included), and `far_terms`, the number of exponentials of each term's
+    far field on the main grid (0 for short weights).
     """
     op = problem.operator
     forcing = problem.forcing_or_zero()
     if forcing is not None:
         direction = op.to_spectral(forcing.direction)
 
-    def forcing_at(t: np.ndarray):
-        """Right-hand side at the nodes t, a block at a time."""
+    def forcing_at(t: np.ndarray) -> np.ndarray:
+        """Right-hand side at the nodes t, (nodes, dim), or (nodes, 1) when zero."""
         if forcing is None:
-            return 0.0
+            return np.zeros((t.size, 1))
         return np.asarray(forcing.profile.eval(t), dtype=complex)[:, None] * direction
 
     def march(system: _BlockSystem, inverse=None, injected=None) -> np.ndarray:
@@ -574,11 +638,11 @@ def _run_oracle(
         refine = 2**levels
         grids = [TimeGrid(size * grid.h / 2**l, size) for l in range(levels, 0, -1)]
         half = TimeGrid(size * grid.h / 2**levels, size // 2)
-        injected, steps = _warm_start(
-            [_BlockSystem(terms_on(g), g) for g in grids], _BlockSystem(terms_on(half), half), march
-        )
+        systems = [_BlockSystem(terms_on(g), g) for g in grids]
+        _share_inverses([system, *systems])
+        injected, steps = _warm_start(systems, _BlockSystem(terms_on(half), half), march)
     warm_end = perf_counter()
-    u = march(system, injected=injected)
+    u = march(system, system.inverse, injected)
     end = perf_counter()
     return SolutionPath(
         grid,

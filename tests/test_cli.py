@@ -471,6 +471,16 @@ def test_ml_bad_argument_exits_2():
     assert main(["ml", "--alpha", "1", "--beta", "1", "--z", "nope"]) == 2
 
 
+@pytest.mark.parametrize("alpha, z", [("1e-4", "-1"), ("1e-3", "-3"), ("0.002", "0,2")])
+def test_ml_below_the_alpha_floor_exits_3(capsys, alpha, z):
+    # the series and the contour return wrong values there (0.24997 for
+    # E_{1e-4,1}(-1) = 0.499986), so they are not evaluated at all
+    assert main(["ml", "--alpha", alpha, "--beta", "1", "--z", z]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numeric error: first parameter below 0.01" in captured.err
+
+
 ML_ARGS = {"--alpha": "0.5", "--beta": "1", "--z": "1"}
 KERNEL_ARGS = {"--mu": "0.5", "--atoms": "0:1", "--beta": "-0.5", "--t": "1", "--z": "1"}
 

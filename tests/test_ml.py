@@ -304,6 +304,52 @@ def test_finite_arguments_whose_x_overflows(alpha, z):
         assert abs(got - ref) <= 1e-14 * abs(ref), (beta, got, ref)
 
 
+@pytest.mark.parametrize(
+    "alpha, z",
+    [(1e-4, -1.0), (2e-4, -1.0), (1e-3, -3.0), (1e-4, 2j), (0.002, -3.0), (0.0099, -1.5)],
+)
+def test_alpha_below_the_floor_raises(alpha, z):
+    # the series stops at its term limit unconverged (E_{1e-4,1}(-1) read
+    # 0.24997 against 0.499986) and the contour's algebraic tail is too
+    # short (E_{1e-3,1}(-3) read 0.25913 against 0.24989): both paths raise
+    with pytest.raises(DomainError, match="below 0.01"):
+        ml_array(alpha, 1.0, np.array([z]))
+
+
+def test_kernel_with_tiny_rho_raises():
+    # one atom at 1 under mu = 1.0001 reaches the Mittag-Leffler function
+    # at alpha = rho = 1e-4
+    from fraccauchy import Atom, OrderMeasure, identity_symbol, kernels
+
+    measure = OrderMeasure(1.0001, (Atom(1.0, 1.0, identity_symbol()),))
+    with pytest.raises(DomainError, match="below 0.01"):
+        kernels.c_beta_path(measure, 1.0, np.array([0.5, 1.0]), -1.0)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, z",
+    [
+        (0.01, 1.0, -1.5),
+        (0.01, 1.0, -3.0),
+        (0.01, 2.5, -100.0),
+        (0.01, -1.0, 2j),
+        (0.01, 1.5, 50 * cmath.exp(1j)),
+        (0.01, 2.5, 1000 * cmath.exp(2j)),
+        (0.2, 2.5, -1e30),
+        (0.5, 2.5, -1e100),
+    ],
+)
+def test_at_the_floor_and_at_large_x(ml_series, alpha, beta, z):
+    # mu = 1.3 / 4^k of a contour window is tiny where x is huge: the
+    # factor mu^(alpha - beta) overflowed there for beta > alpha + 1 and
+    # gave nan with a RuntimeWarning; at the floor, x is huge from |z| = 1.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ml_array(alpha, beta, np.array([z]))[0]
+    ref = _ray_reference(ml_series, alpha, beta, z)
+    assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (got, ref)
+
+
 @pytest.mark.parametrize("theta", [0.0, 0.2 * math.pi, 0.25 * math.pi])
 def test_overflowing_x_on_growth_rays_is_not_finite(theta):
     # |theta| <= alpha pi / 2: the pole term grows or keeps modulus x^(1-beta)

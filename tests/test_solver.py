@@ -1200,6 +1200,109 @@ def test_singular_block_matrix_raises_step_error():
             oracle_caputo(prob)
 
 
+def test_singular_row_of_a_shared_recurrence_names_its_grid():
+    # the solve's one recurrence stacks every grid's block matrix: a
+    # singular one comes out non-finite without warnings, leaves the other
+    # rows as they are, and its march names its own grid and step
+    h = 1.0 / 16
+    lam = -(h**-1.5 * rgamma(1.5))
+    terms = [(1.5, np.array([1.0 + 0j])), (0.0, np.array([lam + 0j]))]
+
+    def system(terms, grid):
+        return oracles._BlockSystem(oracles._caputo_terms(terms, grid), grid)
+
+    singular = system(terms, TimeGrid(1.0, 16))
+    regular = system(terms[:1], TimeGrid(2.0, 64))
+    assert singular.coeffs[0, 0] == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        oracles._share_inverses([singular, regular])
+        alone = oracles._block_inverses(regular.coeffs)
+        assert np.array_equal(regular.inverse[:, : regular.size], alone)
+        assert not np.isfinite(singular.inverse[0, 0])
+
+        def march(s):
+            def zero(t):
+                return np.zeros((t.size, 1))
+
+            return oracles._march(s, np.ones(1), np.zeros(1), zero, None, s.inverse)
+
+        march(regular)
+        with pytest.raises(StepSolveError, match=r"step 2 of 16 \(h = 0.0625\)"):
+            march(singular)
+
+
+_WIDE = FourierMultiplier.from_callable(lambda xi: 1j * xi + xi**2, 128)
+
+
+def _oracle_case(kind, wide, n):
+    """(oracle, problem): the Caputo oracle on an L2 scheme with a
+    fractional and an order-0 atom, or the Riemann-Liouville oracle, on a
+    2x2 matrix or on the 128-mode multiplier."""
+    op = _WIDE if wide else _COMPLEX_PAIR
+    if kind == "rl":
+        return oracle_rl, rl_problem(op, n=n, t_end=1.3, profile=Sine(2.0))
+    measure = _MARCH_CASES["l2_phi1"][1]  # atoms at 0.5 and 0
+    data = [np.ones(op.dimension), np.zeros(op.dimension)]
+    forcing = Forcing(Sine(2.0), np.linspace(1.0, 0.5, op.dimension))
+    return oracle_caputo, CauchyProblem(op, measure, data, forcing, TimeGrid(1.3, n))
+
+
+@pytest.mark.parametrize("n", [16, 256, 512])
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("kind", ["caputo", "rl"])
+def test_one_block_inverse_recurrence_per_solve(monkeypatch, kind, wide, n):
+    # the main grid and every warm-start level take their block inverses
+    # from one recurrence, at the main grid's block size
+    oracle, prob = _oracle_case(kind, wide, n)
+    calls = []
+    recurrence = oracles._block_inverses
+
+    def counted(a):
+        calls.append(a.shape)
+        return recurrence(a)
+
+    monkeypatch.setattr(oracles, "_block_inverses", counted)
+    path = oracle(prob)
+    levels = max(path.diagnostics["warm_refine"].bit_length() - 1, 0)
+    terms = oracles._caputo_terms(oracles._term_operators(prob), prob.grid)
+    main = oracles._BlockSystem(terms, prob.grid)
+    assert calls == [(prob.dim * (1 + levels), main.size)]
+
+
+@pytest.mark.parametrize("case", ["l2_phi1", "bdf2", "d2", "wide"])
+def test_block_systems_read_shared_unit_tables(monkeypatch, case):
+    # every grid of a solve reads the cached unit tables as they are (each
+    # term's scale sits on its diagonal): no table is a per-grid copy, and
+    # the warm-start levels, one block size on grids of different steps,
+    # share every table
+    systems = []
+
+    class Recorded(oracles._BlockSystem):
+        def __init__(self, terms, grid):
+            super().__init__(terms, grid)
+            systems.append(self)
+
+    if case == "wide":
+        op, measure, data = _WIDE, RELAX, [np.ones(_WIDE.dimension)]
+    else:
+        op, measure, data = _MARCH_CASES[case]
+    forcing = Forcing(Sine(2.0), np.ones(op.dimension))
+    prob = CauchyProblem(op, measure, data, forcing, TimeGrid(1.3, 512))
+    monkeypatch.setattr(oracles, "_BlockSystem", Recorded)
+    oracle_caputo(prob)
+    assert len(systems) == 8  # the main grid, 6 levels and `half`
+    for system in systems:
+        for table, soe in zip(system.tables, system.soes):
+            shared = [table, *(soe[:4] if soe is not None else ())]
+            assert all(t is None or not t.flags.writeable for t in shared)
+    levels = [s for s in systems if s.grid.n == systems[1].grid.n]
+    assert len(levels) == 6 and len({s.grid.h for s in levels}) == 6
+    for system in levels[1:]:
+        assert all(a is b for a, b in zip(system.tables, levels[0].tables))
+        assert all(a is b or a[1] is b[1] for a, b in zip(system.soes, levels[0].soes))
+
+
 def test_oracle_memory_on_wide_spectrum():
     # 128-mode advection-diffusion: states, their differences and one block
     # inverse of about 1 MB, not full-length temporaries
