@@ -27,12 +27,12 @@ exponentials, one history per exponential, moved on once per block.  A
 march over n steps thus costs O(n P), P between about 80 and 150 for n up
 to 16384, where a product over the whole history per block cost O(n^2).
 The first 2 c nodes, c = clip(n / 16, 1, 128), come from a warm start: two
-chains of short subgrids, 4 c steps each, whose step halves from level to
+chains of L short subgrids, 4 c steps each, whose step halves from level to
 level toward t = 0, Richardson-extrapolated where the chains meet
-(`_warm_start`).  It marches (L + 2) 2 c steps, 2^L the refinement of its
-finest level: 2,304 at n = 4096.  Before it, a resolution check raises
-StepSolveError where step 1 or the later steps cannot follow a growing
-component.
+(`_warm_start`).  With the main grid, a solve builds L + 1 systems and
+marches (L + 2) 2 c steps, 2^L the refinement of the finest level: 2,304 at
+n = 4096.  A resolution check raises StepSolveError first where a step
+cannot follow a growing component, or where a step weight overflows.
 """
 
 from __future__ import annotations
@@ -142,19 +142,18 @@ class _Term(NamedTuple):
     D u at step k is scale * sum_{j < k} v[k - 1 - j] delta_j, where delta
     holds the states (order 0, delta_j = u_(j+1)), their first differences
     (order 1), or their second differences (order 2) with the ghost start
-    delta_0 = 2 u_1 - 2 u_0 - 2 h phi1.  `first`, when set, replaces v[0] at
-    step 1.  The unit weights v do not depend on h and are shared and
+    delta_0 = 2 u_1 - 2 u_0 - 2 h phi1.  Step 1 weighs delta_0 by 1 in
+    every term.  The unit weights v do not depend on h and are shared and
     read-only.  Long weights keep their first `_HEAD` entries in v and name
-    the rest by `tail`, (a, scale) with v[d] = (d + 1)^a - d^a, the weights
-    of `_soe`; short weights are all in v, and a single one is 1.
+    the rest by `tail`, the exponent a of v[d] = (d + 1)^a - d^a, the
+    weights of `_soe`; short weights are all in v, and a single one is 1.
     """
 
     op: np.ndarray  # the operator's diagonal in spectral coordinates
     scale: float
     v: np.ndarray
     order: int
-    first: float | None = None
-    tail: tuple | None = None
+    tail: float | None = None
 
 
 _ONE = _read_only(np.ones(1))  # order-0 terms and the backward second difference
@@ -167,20 +166,24 @@ def _caputo_term(alpha: float, op: np.ndarray, h: float, n: int) -> _Term:
     Orders in (0, 1) take piecewise-linear (L1) weights on the first
     differences, orders in (1, 2) the analogue on the second differences;
     order 1 is BDF2 after a backward-Euler first step, order 2 the backward
-    second difference.
+    second difference.  A scale h^-alpha / Gamma that overflows or vanishes
+    in double precision raises StepSolveError.
     """
     if alpha == 0:
         return _Term(op, 1.0, _ONE, 0)
-    if alpha == 1:
-        return _Term(op, 1.0 / h, _BDF2, 1, 1.0)
-    if alpha == 2:
-        return _Term(op, 1.0 / h**2, _ONE, 2)
-    if not 0 < alpha < 2:
+    if not 0 < alpha <= 2:
         raise CapabilityError(f"oracle orders must lie in [0, 2], got {alpha}")
     r = math.ceil(alpha)
-    scale = h ** (-alpha) * rgamma(r + 1 - alpha)
-    w = _unit_weights(r - alpha, min(n, _HEAD) + 1)
-    return _Term(op, scale, w, r, tail=(r - alpha, scale))
+    try:
+        scale = 1.0 / h**alpha if alpha == r else h ** (-alpha) * rgamma(r + 1 - alpha)
+    except (OverflowError, ZeroDivisionError):
+        scale = math.inf
+    if not 0 < scale < math.inf:
+        fails = "overflows" if h < 1 else "vanishes"
+        raise StepSolveError(f"the order-{alpha:g} step weight h^-{alpha:g} {fails} at h = {h:.6g}")
+    if alpha == r:
+        return _Term(op, scale, _BDF2 if r == 1 else _ONE, r)
+    return _Term(op, scale, _unit_weights(r - alpha, min(n, _HEAD) + 1), r, r - alpha)
 
 
 def _caputo_terms(terms, grid: TimeGrid) -> list:
@@ -243,14 +246,10 @@ def _fill_differences(deltas: dict, u: np.ndarray, lo: int, hi: int, h: float, p
         s2[lo:hi] = u[lo + 1 : hi + 1] - 2.0 * u[lo:hi] + u[lo - 1 : hi - 1]
 
 
-def _first(t: _Term) -> float:
-    return t.v[0] if t.first is None else t.first
-
-
 def _start_part(t: _Term) -> np.ndarray:
     """Weight of u_1 at step 1 in term t: u_1 enters delta_0 once, or twice
     with the ghost start."""
-    return (2.0 if t.order == 2 else 1.0) * _first(t) * t.scale * t.op
+    return (2.0 if t.order == 2 else 1.0) * t.scale * t.op
 
 
 def _require_finite(values: np.ndarray, first_step: int, grid: TimeGrid) -> None:
@@ -316,8 +315,9 @@ class _BlockSystem:
     component, whose first column (`column`) is sum_t a_t[j] scale_t F_t,
     a_t the unit weights of term t convolved with its difference stencil;
     step 1 has its own diagonal `start` (dim,).  `inverse` holds the first
-    columns of the block inverses once `_share_inverses` has set them.  The
-    block length keeps the (dim, size, size) inverse within `_BLOCK_BYTES`.
+    columns of the block inverses, which `_march` reads, once
+    `_share_inverses` has set them.  The block length keeps the
+    (dim, size, size) inverse within `_BLOCK_BYTES`.
     """
 
     def __init__(self, terms: list, grid: TimeGrid):
@@ -336,10 +336,9 @@ class _BlockSystem:
         for t in terms:
             table = soe = None
             if t.tail is not None:
-                a = t.tail[0]
-                table, mat = _unit_tables(a, t.v.size, size, grid.n)
+                table, mat = _unit_tables(t.tail, t.v.size, size, grid.n)
                 if mat is not None:
-                    lam, _, lower, decay = _soe_tables(a, size, grid.n)
+                    lam, _, lower, decay = _soe_tables(t.tail, size, grid.n)
                     soe = (lam, mat, lower, decay, np.zeros((size + lam.size, 2 * dim)))
             elif t.v.size > 1:
                 table = _short_table(tuple(t.v), size)
@@ -356,20 +355,10 @@ class _BlockSystem:
         systems of smaller blocks can join a longer recurrence."""
         col = np.zeros((self.diags[0].size, count), dtype=complex)
         for t, diag in zip(self.terms, self.diags):
-            v = t.v if t.tail is None or t.v.size >= count else _unit_weights(t.tail[0], count)
+            v = t.v if t.tail is None or t.v.size >= count else _unit_weights(t.tail, count)
             a = np.convolve(v[:count], _STENCILS[t.order])[:count]
             col[:, : a.size] += a * diag[:, None]
         return col
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        """The first column of the block matrix, (dim, size)."""
-        return self.column(self.size)
-
-    @property
-    def far_terms(self) -> list:
-        """Number of exponentials in each term's far field (0: none)."""
-        return [0 if soe is None else soe[0].size for soe in self.soes]
 
     def _part(self, t: _Term, u: np.ndarray, deltas: dict, lo: int, hi: int):
         """Rows lo..hi-1 of the quantity term t convolves, as a real view."""
@@ -423,21 +412,13 @@ class _BlockSystem:
         acc = np.zeros((rows, u.shape[1]), dtype=complex)
         for t, table, diag in zip(self.terms, self.tables, self.diags):
             part = self._part(t, u, deltas, b0 - 1, b1 - 1)
-            if b0 == 1:
-                v = _first(t) * part
-            elif table is None:  # a single weight, 1
+            if b0 == 1 or table is None:  # step 1's weight or a single one: 1
                 v = part
             else:
                 width = table.shape[1] - self.size
                 v = table[:rows, width : width + rows] @ part
             acc += v.view(complex) * diag
         return acc
-
-    @staticmethod
-    def product(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Leading block of mat (dim, m, m) times the states x (rows, dim)."""
-        rows = x.shape[0]
-        return np.matmul(mat[:, :rows, :rows], x.T[..., None])[..., 0].T
 
 
 def _march(
@@ -446,27 +427,25 @@ def _march(
     phi1: np.ndarray,
     forcing,
     injected: np.ndarray | None = None,
-    inverse: np.ndarray | None = None,
+    steps: int | None = None,
 ) -> np.ndarray:
     """States of one scheme on its system's grid, from u0 or from injected
-    start states.
+    start states, at nodes 0..steps (by default every node).
 
     ``forcing(t)`` gives the right-hand side at the nodes t, (nodes, dim)
     or (nodes, 1); it is taken once, at every node the march solves for.
     Step 1 takes the scheme's start rule; the later steps go in blocks of
     `_BlockSystem.size`.  A block is solved from zero with the inverse of
-    its matrix and refined once against the residual of the scheme itself,
-    which keeps the rounding of a block at that of single steps.
-    ``inverse`` holds the first columns of the inverses, (dim, >= size), by
-    default `_block_inverses` of the system's `coeffs`; a singular step
-    matrix raises StepSolveError naming the grid and the step.
+    its matrix, from the system's `inverse` (see `_share_inverses`), and
+    refined once against the residual of the scheme itself, which keeps the
+    rounding of a block at that of single steps.  A singular step matrix
+    raises StepSolveError naming the grid and the step.
     Floating-point warnings are silenced and every block is checked instead,
     so overflow raises StepSolveError naming the first non-finite step.
     """
     grid = system.grid
-    n = grid.n
+    n = grid.n if steps is None else steps
     dim = u0.shape[0]
-    t = grid.nodes
     u = np.zeros((n + 1, dim), dtype=complex)
     deltas = {r: np.empty((n, dim), dtype=complex) for r in system.orders}
     if injected is None:
@@ -478,7 +457,7 @@ def _march(
         _fill_differences(deltas, u, 0, done, grid.h, phi1)
     system.cut = None  # the far field's history belongs to another march
     first = done + 1
-    rhs_at = forcing(t[first:])
+    rhs_at = forcing(grid.nodes[first : n + 1])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         blocks = []
         if done == 0:
@@ -486,10 +465,8 @@ def _march(
             _require_regular(start, 1, grid)
             blocks.append((1, 2, start[:, None, None]))
             done = 1
-        if inverse is None:
-            inverse = _block_inverses(system.coeffs)
-        _require_regular(inverse[:, 0], done + 1, grid)
-        inverse = _toeplitz(inverse[:, : system.size])
+        _require_regular(system.inverse[:, 0], done + 1, grid)
+        inverse = _toeplitz(system.inverse[:, : system.size])
         blocks += [
             (b0, min(b0 + system.size, n + 1), inverse)
             for b0 in range(done + 1, n + 1, system.size)
@@ -499,7 +476,8 @@ def _march(
             _require_finite(rhs, b0, grid)
             for _ in range(2):
                 _fill_differences(deltas, u, b0 - 1, b1 - 1, grid.h, phi1)
-                u[b0:b1] += system.product(inv, rhs - system.near(u, deltas, b0, b1))
+                x = (rhs - system.near(u, deltas, b0, b1)).T[..., None]
+                u[b0:b1] += np.matmul(inv[:, : b1 - b0, : b1 - b0], x)[..., 0].T
             _require_finite(u[b0:b1], b0, grid)
             _fill_differences(deltas, u, b0 - 1, b1 - 1, grid.h, phi1)
     return u
@@ -516,47 +494,45 @@ def _share_inverses(systems: list) -> None:
         system.inverse = inverse
 
 
-def _warm_start(systems: list, half: _BlockSystem, march):
+def _warm_start(systems: list, march):
     """Start states at main-grid nodes 0..S/2 and the number of steps marched.
 
     ``systems`` holds one system per level l = L..1, each S steps of
-    h / 2^l, ``half`` one of S/2 steps of h / 2^(L-1), and
-    ``march(system, inverse, injected)`` marches one of them.  A chain of
-    levels starts from u0 on its finest level, and each coarser level takes
-    every second state of the level below as its nodes 0..S/2, so level 1
-    ends on main-grid nodes.  The chains of L and of L - 1 levels share
-    every level but the finest, and 2A - B cancels the leading error term
-    of the finest step.  The march is affine in its start states and
+    h / 2^l, and ``march(system, injected, steps)`` marches one of them.  A
+    chain of levels starts from u0 on its finest level, and each coarser
+    level takes every second state of the level below as its nodes 0..S/2,
+    so level 1 ends on main-grid nodes.  The chains of L and of L - 1 levels
+    share every level but the finest, and 2A - B cancels the leading error
+    term of the finest step.  The march is affine in its start states and
     forcing, and the weights 2 and -1 sum to 1, so the extrapolation is
     taken where the chains meet: on nodes 0..S/2 of level L - 1, from chain
-    A's finest level and from `half`, chain B's first S/2 steps there.  The
-    one combined start then runs through levels L - 1..1: (L + 2) S/2 steps
-    in L + 1 marches.  Every level comes with the `inverse` of the solve's
-    one recurrence (`_share_inverses`); `half` has level L - 1's step, so
-    its blocks take the leading block of that level's inverse.
+    A's finest level and from chain B's first S/2 steps there, a march of
+    level L - 1 from u0.  The one combined start then runs through levels
+    L - 1..1: (L + 2) S/2 steps in L + 1 marches.
     """
-    u = 2.0 * march(systems[0], systems[0].inverse, None)[::2]
-    u -= march(half, systems[1].inverse, None)
-    steps = systems[0].grid.n + half.grid.n
+    half = systems[0].grid.n // 2
+    u = 2.0 * march(systems[0], None, None)[::2] - march(systems[1], None, half)
+    steps = systems[0].grid.n + half
     for system in systems[1:]:
-        u = march(system, system.inverse, u)[::2]
+        u = march(system, u, None)[::2]
         steps += system.grid.n // 2
     return u, steps
 
 
-def _require_resolved(system: _BlockSystem, terms_on) -> None:
+def _require_resolved(system: _BlockSystem, terms: list) -> None:
     """Raise StepSolveError where the step weights of the system do not
     resolve a spectral component.
 
-    Step 1 weighs u_1 by `_BlockSystem.start`, the sum of every term's part,
-    and every later step weighs its own state by the block diagonal
-    `coeffs[:, 0]`, sum_t v_t[0] F_t.  The two differ only where the ghost
-    start of a term on second differences enters u_1 twice.  Where either
-    sum over the leading term's part alone has real part <= 0, the
-    lower-order terms outweigh the derivative and the implicit step
-    amplifies the growth instead of resolving it.  The message names the
-    first such component, the first step whose weight fails and the first
-    halved step at which both weights resolve it.
+    ``terms`` are the (order, diagonal) pairs of the scheme.  Step 1 weighs
+    u_1 by `_BlockSystem.start`, the sum of every term's part, and every
+    later step weighs its own state by the block diagonal `column(1)`,
+    sum_t v_t[0] F_t.  The two differ only where the ghost start of a term
+    on second differences enters u_1 twice.  Where either sum over the
+    leading term's part alone has real part <= 0, the lower-order terms
+    outweigh the derivative and the implicit step amplifies the growth
+    instead of resolving it.  The message names the first such component,
+    the first step whose weight fails and the first halved step at which
+    both weights resolve it, or the first whose step weights overflow.
     """
 
     def ratios(terms: list) -> np.ndarray:
@@ -578,7 +554,12 @@ def _require_resolved(system: _BlockSystem, terms_on) -> None:
     hint = "no step down to h / 2^63 resolves it"
     for k in range(1, 64):
         finer = TimeGrid(grid.t_end, grid.n << k)
-        if np.all(ratios(terms_on(finer))[:, j].real > 0):
+        try:
+            finer_terms = _caputo_terms(terms, finer)
+        except StepSolveError:
+            hint = f"no finer step resolves it before its step weights overflow at {finer.h:.3g}"
+            break
+        if np.all(ratios(finer_terms)[:, j].real > 0):
             hint = f"it needs a step of at most {finer.h:.3g} (n = {finer.n})"
             break
     raise StepSolveError(
@@ -588,30 +569,36 @@ def _require_resolved(system: _BlockSystem, terms_on) -> None:
     )
 
 
-def _run_oracle(
-    problem: CauchyProblem, method: str, terms_on, u0: np.ndarray, phi1: np.ndarray
-) -> SolutionPath:
-    """Run one oracle: resolution check, forcing samples, warm start, march,
-    back-transform.
+def oracle_caputo(problem: CauchyProblem) -> SolutionPath:
+    """Direct product-integration time stepping, independent of the kernels.
 
-    ``terms_on(grid)`` gives the scheme's terms on a grid, and u0, phi1 the
-    data, all in the operator's spectral coordinates, where the march runs.
-    Step weights that do not resolve a component raise StepSolveError
-    (`_require_resolved`).  Grids of 32 cells or more start from states at
-    nodes 0..2 cells, cells = clip(n / 16, 1, 128), from `_warm_start` on
-    L = floor(log2 clip(n / 8, 8, 128)) levels of 4 cells steps each and
-    one grid of 2 cells steps of level L - 1's step.  The main grid and the
-    levels take their block inverses from one recurrence
-    (`_share_inverses`); without a warm start the main march makes its own.
+    Orders in (0, 1) use piecewise-linear (L1-type) weights on the first
+    derivative, orders in (1, 2) the second-difference analogue with a ghost
+    start; integer orders use BDF2 and backward second differences.  After
+    a resolution check (`_require_resolved`), steps march in blocks (see
+    `_march`).  Grids of 32 cells or more start from states at nodes
+    0..2 c, c = clip(n / 16, 1, 128), from `_warm_start` on
+    L = floor(log2 clip(n / 8, 8, 128)) levels of 4 c steps, refined toward
+    t = 0 down to h / 2^L, which keeps the relative error of the startup
+    nodes decreasing under grid refinement.  The main grid and the levels
+    take their block inverses from one recurrence (`_share_inverses`).
+
     The diagnostics carry the warm-start size (`warm_cells` nodes, the
     finest level refining h by `warm_refine` = 2^L, `warm_steps` =
-    (L + 2) 2 cells steps marched), the wall time of the warm start
-    (`warm_s`, which includes the shared recurrence, the main grid's rows
-    too) and of the main march (`main_s`, its set-up and resolution check
-    included), and `far_terms`, the number of exponentials of each term's
-    far field on the main grid (0 for short weights).
+    (L + 2) 2 c steps marched), the wall time of the warm start (`warm_s`,
+    which includes the shared recurrence, the main grid's rows too) and of
+    the main march (`main_s`, its set-up and resolution check included, and
+    without a warm start the main grid's own recurrence), and `far_terms`,
+    the number of exponentials of each term's far field on the main grid
+    (0 for short weights).
     """
+    _require_caputo(problem, "oracle_caputo")
+    if problem.measure.mu > 2:
+        raise CapabilityError("oracle stepping covers leading orders up to 2")
+    terms = _term_operators(problem)
     op = problem.operator
+    phis = op.to_spectral(np.array(problem.initial, dtype=complex))
+    phi1 = phis[1] if len(phis) > 1 else np.zeros(problem.dim, dtype=complex)
     forcing = problem.forcing_or_zero()
     if forcing is not None:
         direction = op.to_spectral(forcing.direction)
@@ -622,13 +609,13 @@ def _run_oracle(
             return np.zeros((t.size, 1))
         return np.asarray(forcing.profile.eval(t), dtype=complex)[:, None] * direction
 
-    def march(system: _BlockSystem, inverse=None, injected=None) -> np.ndarray:
-        return _march(system, u0, phi1, forcing_at, injected, inverse)
+    def march(system: _BlockSystem, injected=None, steps=None) -> np.ndarray:
+        return _march(system, phis[0], phi1, forcing_at, injected, steps)
 
     grid = problem.grid
     start = perf_counter()
-    system = _BlockSystem(terms_on(grid), grid)
-    _require_resolved(system, terms_on)
+    system = _BlockSystem(_caputo_terms(terms, grid), grid)
+    _require_resolved(system, terms)
     refine = steps = 0
     injected = None
     warm_begin = perf_counter()
@@ -637,48 +624,26 @@ def _run_oracle(
         levels = int(np.clip(grid.n // 8, 8, 128)).bit_length() - 1
         refine = 2**levels
         grids = [TimeGrid(size * grid.h / 2**l, size) for l in range(levels, 0, -1)]
-        half = TimeGrid(size * grid.h / 2**levels, size // 2)
-        systems = [_BlockSystem(terms_on(g), g) for g in grids]
+        systems = [_BlockSystem(_caputo_terms(terms, g), g) for g in grids]
         _share_inverses([system, *systems])
-        injected, steps = _warm_start(systems, _BlockSystem(terms_on(half), half), march)
+        injected, steps = _warm_start(systems, march)
     warm_end = perf_counter()
-    u = march(system, system.inverse, injected)
+    if injected is None:  # no warm start: the main grid's own recurrence
+        _share_inverses([system])
+    u = march(system, injected)
     end = perf_counter()
     return SolutionPath(
         grid,
         op.from_spectral(u),
-        method=method,
+        method="oracle-caputo",
         diagnostics={
             "warm_cells": 0 if injected is None else len(injected) - 1,
             "warm_refine": refine,
             "warm_steps": steps,
             "warm_s": warm_end - warm_begin,
             "main_s": (warm_begin - start) + (end - warm_end),
-            "far_terms": system.far_terms,
+            "far_terms": [0 if soe is None else soe[0].size for soe in system.soes],
         },
-    )
-
-
-def oracle_caputo(problem: CauchyProblem) -> SolutionPath:
-    """Direct product-integration time stepping, independent of the kernels.
-
-    Orders in (0, 1) use piecewise-linear (L1-type) weights on the first
-    derivative, orders in (1, 2) the second-difference analogue with a ghost
-    start; integer orders use BDF2 and backward second differences.  Steps
-    march in blocks (see `_march`).  The first 2 c nodes come from two
-    chains of short subgrids refined geometrically toward t = 0, down to
-    h / 2^L with 2^L growing with n, extrapolated where they meet and
-    marched on as one (see `_warm_start` and `_run_oracle`), which keeps the
-    relative error of the startup nodes decreasing under grid refinement.
-    """
-    _require_caputo(problem, "oracle_caputo")
-    if problem.measure.mu > 2:
-        raise CapabilityError("oracle stepping covers leading orders up to 2")
-    terms = _term_operators(problem)
-    phis = problem.operator.to_spectral(np.array(problem.initial, dtype=complex))
-    phi1 = phis[1] if len(phis) > 1 else np.zeros(problem.dim, dtype=complex)
-    return _run_oracle(
-        problem, "oracle-caputo", lambda g: _caputo_terms(terms, g), phis[0], phi1
     )
 
 

@@ -27,11 +27,6 @@ class Forcing:
     def __post_init__(self):
         self.direction = np.asarray(self.direction, dtype=complex)
 
-    def values(self, t: np.ndarray) -> np.ndarray:
-        """Samples with shape (len(t), dim)."""
-        prof = np.asarray(self.profile.eval(t), dtype=complex)
-        return prof[:, None] * self.direction[None, :]
-
 
 @dataclass
 class CauchyProblem:

@@ -342,17 +342,24 @@ def _forced_convolution(problem: CauchyProblem) -> np.ndarray:
 
 def solve_repr(problem: CauchyProblem) -> SolutionPath:
     """Representation formula: homogeneous sum plus the kernel convolution
-    of the order-(m - mu) derivative of the forcing."""
+    of the order-(m - mu) derivative of the forcing.  A state that is not
+    finite raises BlowupError naming its node."""
     _require_caputo(problem, "solve_repr")
     grid = problem.grid
     hom = CauchyProblem(
         problem.operator, problem.measure, problem.initial, None, grid, CAPUTO
     )
-    path = solve_homogeneous(hom)
-    states = path.states
-    forcing = problem.forcing_or_zero()
-    if forcing is not None:
-        states = states + _forced_convolution(problem)
+    with np.errstate(all="ignore"):  # overflow is caught below
+        states = solve_homogeneous(hom).states
+        if problem.forcing_or_zero() is not None:
+            states = states + _forced_convolution(problem)
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        node = int(np.argmin(finite))
+        raise BlowupError(
+            f"the representation formula is not finite at node {node} of {grid.n} "
+            f"(t = {grid.nodes[node]:.6g})"
+        )
     return SolutionPath(grid, states, method="repr")
 
 

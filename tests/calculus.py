@@ -8,10 +8,10 @@ Duhamel integral with finite differences of any order, and three
 evaluations of f(A) for a symbol f and an operator A, spectral, local Taylor
 series and resolvent contour, which cross-check one another (criterion 9).
 Beside them sit the small probes of profiles, symbols and operators that
-only tests take: node samples of a profile, Taylor coefficients of a symbol,
-an operator's spectrum, frequencies and action on one state, the
-characteristic function Delta(s, z) of a measure, and the discrete residual
-of a path under the stepping oracles' scheme.
+only tests take: node samples of a profile or a forcing, Taylor
+coefficients of a symbol, an operator's spectrum, frequencies and action on
+one state, the characteristic function Delta(s, z) of a measure, and the
+discrete residual of a path under the stepping oracles' scheme.
 """
 
 import numpy as np
@@ -30,7 +30,7 @@ from fraccauchy.kernels import OrderMeasure, symbol_values
 from fraccauchy.operators import FourierMultiplier, MatrixOperator, SpectralOperator
 from fraccauchy.grids import require_same_grid
 from fraccauchy.oracles import _BlockSystem, _caputo_terms, _fill_differences, _term_operators
-from fraccauchy.problems import CauchyProblem, SolutionPath, _require_caputo
+from fraccauchy.problems import CauchyProblem, Forcing, SolutionPath, _require_caputo
 from fraccauchy.profiles import FunctionSpec, Power, Sampled
 from fraccauchy.special import gamma, rgamma
 from fraccauchy.symbols import (
@@ -51,7 +51,7 @@ class ContourError(FracCauchyError):
 
 
 # ---------------------------------------------------------------------------
-# profiles: node samples and finite differences
+# profiles: node samples, forcing samples and finite differences
 
 
 def eval_nodes(f: FunctionSpec, grid: TimeGrid) -> np.ndarray:
@@ -61,6 +61,12 @@ def eval_nodes(f: FunctionSpec, grid: TimeGrid) -> np.ndarray:
         require_same_grid(f.path.grid, grid)
         return f.path.values.copy()
     return np.asarray(f.eval(grid.nodes), dtype=complex)
+
+
+def forcing_values(forcing: Forcing, t: np.ndarray) -> np.ndarray:
+    """Samples profile(t) * direction of a separable forcing, (len(t), dim)."""
+    prof = np.asarray(forcing.profile.eval(t), dtype=complex)
+    return prof[:, None] * forcing.direction[None, :]
 
 
 def fd_derivative(values: np.ndarray, h: float, order: int) -> np.ndarray:
@@ -557,5 +563,5 @@ def operator_residual(problem: CauchyProblem, path: SolutionPath) -> np.ndarray:
             u, deltas, b0, b1
         )
     if problem.forcing_or_zero() is not None:
-        res -= op.to_spectral(problem.forcing.values(grid.nodes[1:]))
+        res -= op.to_spectral(forcing_values(problem.forcing, grid.nodes[1:]))
     return op.from_spectral(res)

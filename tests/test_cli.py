@@ -302,6 +302,35 @@ def test_oracle_growth_spectrum_exits_3(tmp_path, capsys, lam, n):
     assert not out.exists()
 
 
+_EXTREME = Path(__file__).parent / "extreme_problems"
+
+
+@pytest.mark.parametrize(
+    "name, method, message",
+    [
+        ("multiterm_2x2_t1e-300", "oracle", "the order-1.5 step weight h^-1.5 overflows at h = 1.5625e-302"),
+        ("oscillator_t1e-200", "oracle", "the order-2 step weight h^-2 overflows at h = 1.5625e-202"),
+        ("oscillator_t1e-158", "oracle", "the order-2 step weight h^-2 overflows at h = 1.5625e-160"),
+        (
+            "multiterm_2x2_t1e300",
+            "repr",
+            "the representation formula is not finite at node 1 of 64 (t = 1.5625e+298)",
+        ),
+    ],
+    ids=["multiterm-1e-300-oracle", "oscillator-1e-200-oracle", "oscillator-1e-158-oracle",
+         "multiterm-1e300-repr"],
+)
+def test_extreme_horizon_exits_3_with_a_typed_message(tmp_path, capsys, name, method, message):
+    # a step weight that does not fit in double precision, or datum moments
+    # that overflow, end in a typed error naming the step or the node, not
+    # a traceback or a CSV of NaN (RuntimeWarnings are errors under pytest)
+    problem, out = _EXTREME / f"{name}.json", tmp_path / "x.csv"
+    code = main(["solve", "--problem", str(problem), "--method", method, "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.strip() == f"numeric error: {message}"
+    assert not out.exists()
+
+
 def test_eigenvalue_outside_symbol_domain_exits_3(tmp_path, capsys):
     # the square root is cut on (-inf, 0], where the eigenvalue -1 lies
     doc = json.loads(json.dumps(RELAX_DOC))

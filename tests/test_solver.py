@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc, rgamma
 
-from calculus import frac_integral_values, operator_residual
+from calculus import forcing_values, frac_integral_values, operator_residual
 from fraccauchy import kernels, oracles, solver
 from fraccauchy import (
     Atom,
@@ -734,6 +734,23 @@ def test_unresolved_first_step_names_component_and_step():
         oracle_caputo(prob)
 
 
+def test_resolution_hint_stops_where_the_step_weights_overflow():
+    # D^2 u - 1.7e308 u = 0 at h = 1e-150: the steps weigh u_n by about
+    # 1e300 - 1.7e308, and 4^k 1e300 on the halved steps overflows at
+    # k = 14 before it outweighs lambda: the hint names no step of infinite
+    # weights
+    prob = CauchyProblem(
+        MatrixOperator(np.array([[-1.7e308]])),
+        CLASSICAL2,
+        [np.array([1.0]), np.array([0.0])],
+        None,
+        TimeGrid(16e-150, 16),
+    )
+    hint = "no finer step resolves it before its step weights overflow at 6.1e-155"
+    with pytest.raises(StepSolveError, match=rf"step 1 of 16 .* component 0: .*; {hint}$"):
+        oracle_caputo(prob)
+
+
 @pytest.mark.parametrize("n", [64, 256])
 def test_unresolved_later_steps_raise_on_l2(n):
     # mu = 3/2 with lambda = -1.5 c, c = h^-1.5 / Gamma(1.5): step 1 weighs
@@ -999,9 +1016,9 @@ def _check_march_against_loop(case, inject, blocks, start):
     matrix = isinstance(op, MatrixOperator)
 
     def forcing_at(t):
-        return op.to_spectral(prob.forcing.values(t))
+        return op.to_spectral(forcing_values(prob.forcing, t))
 
-    fvals = prob.forcing.values(grid.nodes)
+    fvals = forcing_values(prob.forcing, grid.nodes)
     spec_fvals = op.to_spectral(fvals)
     terms = oracles._term_operators(prob)
     states = np.array(prob.initial, dtype=complex)
@@ -1015,6 +1032,7 @@ def _check_march_against_loop(case, inject, blocks, start):
         dense = [(alpha, _dense(op, vals)) for alpha, vals in terms]
         state_ref = _loop_caputo(dense, True, grid, states, fvals, state_injected)
     system = oracles._BlockSystem(oracles._caputo_terms(terms, grid), grid)
+    oracles._share_inverses([system])
     got = oracles._march(system, phis[0], phi1, forcing_at, injected)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     if matrix:
@@ -1022,18 +1040,15 @@ def _check_march_against_loop(case, inject, blocks, start):
         assert np.max(np.abs(back - state_ref)) <= 1e-12 * np.max(np.abs(state_ref))
 
 
-def _two_chain_start(systems, half, march):
+def _two_chain_start(systems, march):
     """The warm start extrapolated only at the end: the chains of L and of
-    L - 1 levels each march every level they reach (test-only reference;
-    `half` goes unused)."""
-    inverses = oracles._block_inverses(np.concatenate([s.coeffs for s in systems]))
-    inverses = np.split(inverses, len(systems))
+    L - 1 levels each march every level they reach (test-only reference)."""
     chains, steps = [], 0
     for first in (0, 1):
         u = None
-        for system, inverse in zip(systems[first:], inverses[first:]):
+        for system in systems[first:]:
             steps += system.grid.n if u is None else system.grid.n // 2
-            u = march(system, inverse, u)[::2]
+            u = march(system, u, None)[::2]
         chains.append(u)
     return 2.0 * chains[0] - chains[1], steps
 
@@ -1068,14 +1083,16 @@ def test_warm_start_matches_two_chain_start(monkeypatch, case, n):
         prob = CauchyProblem(op, measure, data, forcing, grid)
     warm_start = oracles._warm_start
 
-    def ulp_where_chains_meet(systems, half, march):
-        def noisy(system, inverse, injected):
-            if system is systems[1]:  # the start of level L - 1, one ulp off
+    def ulp_where_chains_meet(systems, march):
+        def noisy(system, injected, steps):
+            # the combined start of level L - 1, one ulp off; chain B's
+            # march of that level from u0 has no injected states
+            if system is systems[1] and injected is not None:
                 rng = np.random.default_rng(0)
                 injected = injected * (1.0 + 2.0**-52 * rng.standard_normal(injected.shape))
-            return march(system, inverse, injected)
+            return march(system, injected, steps)
 
-        return warm_start(systems, half, noisy)
+        return warm_start(systems, noisy)
 
     path = oracle(prob)
     with monkeypatch.context() as mp:
@@ -1113,7 +1130,7 @@ def test_operator_residual_matches_step_loop(case):
     s2 = np.empty_like(d1)
     s2[0] = 2.0 * u[1] - 2.0 * u[0] - 2.0 * grid.h * phi1
     s2[1:] = u[2:] - 2.0 * u[1:-1] + u[:-2]
-    ref = -prob.forcing.values(grid.nodes[1:]).astype(complex)
+    ref = -forcing_values(prob.forcing, grid.nodes[1:]).astype(complex)
     for step in range(1, n + 1):
         for sch, (_, f) in zip(schemes, terms):
             ref[step - 1] += f @ (sch.coef(step) * u[step] + sch.history(step, u, d1, s2, phi1))
@@ -1139,7 +1156,7 @@ def test_sum_of_exponentials_matches_long_weights(scheme, n):
     worst = 0.0
     for alpha in alphas if scheme != "l2" else [1.0 + a for a in alphas]:
         term = oracles._caputo_term(alpha, np.ones(1), 1.0, n)
-        a, scale = term.tail
+        a, scale = term.tail, term.scale
         for d0 in (2, 23, oracles._BLOCK + 1):
             d = np.unique(np.concatenate([np.arange(d0, d0 + 64), np.geomspace(d0, n, 64).round(), [n]]))
             lam, w = oracles._soe(a, d0, n)
@@ -1213,11 +1230,11 @@ def test_singular_row_of_a_shared_recurrence_names_its_grid():
 
     singular = system(terms, TimeGrid(1.0, 16))
     regular = system(terms[:1], TimeGrid(2.0, 64))
-    assert singular.coeffs[0, 0] == 0
+    assert singular.column(singular.size)[0, 0] == 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         oracles._share_inverses([singular, regular])
-        alone = oracles._block_inverses(regular.coeffs)
+        alone = oracles._block_inverses(regular.column(regular.size))
         assert np.array_equal(regular.inverse[:, : regular.size], alone)
         assert not np.isfinite(singular.inverse[0, 0])
 
@@ -1225,7 +1242,7 @@ def test_singular_row_of_a_shared_recurrence_names_its_grid():
             def zero(t):
                 return np.zeros((t.size, 1))
 
-            return oracles._march(s, np.ones(1), np.zeros(1), zero, None, s.inverse)
+            return oracles._march(s, np.ones(1), np.zeros(1), zero)
 
         march(regular)
         with pytest.raises(StepSolveError, match=r"step 2 of 16 \(h = 0.0625\)"):
@@ -1291,7 +1308,7 @@ def test_block_systems_read_shared_unit_tables(monkeypatch, case):
     prob = CauchyProblem(op, measure, data, forcing, TimeGrid(1.3, 512))
     monkeypatch.setattr(oracles, "_BlockSystem", Recorded)
     oracle_caputo(prob)
-    assert len(systems) == 8  # the main grid, 6 levels and `half`
+    assert len(systems) == 7  # the main grid and 6 levels
     for system in systems:
         for table, soe in zip(system.tables, system.soes):
             shared = [table, *(soe[:4] if soe is not None else ())]
