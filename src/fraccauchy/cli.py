@@ -303,17 +303,16 @@ def parse_problem(path) -> CauchyProblem:
 
 
 def write_csv(path, solution: SolutionPath) -> None:
-    """Result table: one row per node, 17 significant digits."""
-    dim = solution.dim
-    header = "t," + ",".join(f"re_u_{j},im_u_{j}" for j in range(dim))
+    """Result table: one row per node, 17 significant digits, written row by row."""
+    header = "t," + ",".join(f"re_u_{j},im_u_{j}" for j in range(solution.dim)) + "\n"
+    row = ",".join(["{:.17g}"] * (2 * solution.dim + 1)) + "\n"
     # each row's cells (re_0, im_0, re_1, ...) as Python floats, one row at
     # a time: they format as numpy's scalars do, at a fraction of the cost
-    cells = np.ascontiguousarray(solution.states).view(float)
-    row = ",".join(["{:.17g}"] * (2 * dim + 1))
-    lines = [header]
-    lines += [row.format(t, *c.tolist()) for t, c in zip(solution.grid.nodes.tolist(), cells)]
+    cells = zip(solution.grid.nodes.tolist(), np.ascontiguousarray(solution.states).view(float))
     try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:  # the mode of Path.write_text
+            out.write(header)
+            out.writelines(row.format(t, *c.tolist()) for t, c in cells)
     except OSError as exc:
         raise SchemaError("/", f"cannot write result file: {exc}") from exc
 

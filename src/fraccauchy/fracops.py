@@ -80,7 +80,7 @@ def rl_derivative_at(f: FunctionSpec, alpha: float, tau: np.ndarray) -> np.ndarr
     out = caputo_derivative_at(f, alpha, tau)
     f0 = np.asarray(f.eval(0.0)).reshape(-1)[0]
     if f0 != 0:
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):  # tau = 0: inf times a zero part
             gap = f0 * rgamma(1.0 - alpha) * tau ** (-alpha)
         out = out + gap
     return out

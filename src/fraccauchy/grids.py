@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -11,7 +12,7 @@ from .errors import GridMismatchError
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid on [0, t_end] with n intervals and n + 1 nodes."""
+    """Uniform grid on [0, t_end] with n intervals and n + 1 read-only nodes."""
 
     t_end: float
     n: int
@@ -27,9 +28,11 @@ class TimeGrid:
     def h(self) -> float:
         return self.t_end / self.n
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_end, self.n + 1)
+        nodes = np.linspace(0.0, self.t_end, self.n + 1)
+        nodes.flags.writeable = False
+        return nodes
 
 
 @dataclass

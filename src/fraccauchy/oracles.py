@@ -26,6 +26,8 @@ the long weights (L1, L2) reach all older differences through a sum of P
 exponentials, one history per exponential, moved on once per block.  A
 march over n steps thus costs O(n P), P between about 80 and 150 for n up
 to 16384, where a product over the whole history per block cost O(n^2).
+Besides its states a march holds one window of differences, taken from the
+states where a block reads them, and one block inverse.
 The first 2 c nodes, c = clip(n / 16, 1, 128), come from a warm start: two
 chains of L short subgrids, 4 c steps each, whose step halves from level to
 level toward t = 0, Richardson-extrapolated where the chains meet
@@ -53,6 +55,7 @@ from .problems import (
     CAPUTO,
     RIEMANN_LIOUVILLE,
     CauchyProblem,
+    Forcing,
     SolutionPath,
     _require_caputo,
     _spectrum,
@@ -234,18 +237,6 @@ def _short_table(weights: tuple, size: int) -> np.ndarray:
     return _read_only(_weight_table(np.array(weights), size))
 
 
-def _fill_differences(deltas: dict, u: np.ndarray, lo: int, hi: int, h: float, phi1):
-    """Rows lo..hi-1 of the first and second differences kept in deltas."""
-    if 1 in deltas:
-        deltas[1][lo:hi] = u[lo + 1 : hi + 1] - u[lo:hi]
-    if 2 in deltas:
-        s2 = deltas[2]
-        if lo == 0 < hi:
-            s2[0] = 2.0 * u[1] - 2.0 * u[0] - 2.0 * h * phi1
-            lo = 1
-        s2[lo:hi] = u[lo + 1 : hi + 1] - 2.0 * u[lo:hi] + u[lo - 1 : hi - 1]
-
-
 def _start_part(t: _Term) -> np.ndarray:
     """Weight of u_1 at step 1 in term t: u_1 enters delta_0 once, or twice
     with the ghost start."""
@@ -317,20 +308,21 @@ class _BlockSystem:
     step 1 has its own diagonal `start` (dim,).  `inverse` holds the first
     columns of the block inverses, which `_march` reads, once
     `_share_inverses` has set them.  The block length keeps the
-    (dim, size, size) inverse within `_BLOCK_BYTES`.
+    (dim, size, size) inverse within `_BLOCK_BYTES`.  The ghost start reads
+    phi1, the spectral first-derivative datum (None for zero).
     """
 
-    def __init__(self, terms: list, grid: TimeGrid):
+    def __init__(self, terms: list, grid: TimeGrid, phi1: np.ndarray | None = None):
         self.terms = terms
         self.grid = grid
+        self.ghost = 0.0 if phi1 is None else 2.0 * grid.h * phi1
         dim = terms[0].op.size
         cap = math.isqrt(_BLOCK_BYTES // (16 * dim))
         self.size = size = max(1, min(_BLOCK, cap, grid.n - 1))
         self.diags = [t.scale * t.op for t in terms]
         # per term: its weight table, None for a single weight; per long
-        # term: the exponents, [T | K], E, the decay (see `_soe_tables`) and
-        # a (size + P, 2 dim) real buffer holding the window of differences
-        # and H, None for short weights or where no distance reaches D0
+        # term: the exponents, [T | K], E and the decay (see `_soe_tables`),
+        # None for short weights or where no distance reaches D0
         self.tables = []
         self.soes = []
         for t in terms:
@@ -339,14 +331,13 @@ class _BlockSystem:
                 table, mat = _unit_tables(t.tail, t.v.size, size, grid.n)
                 if mat is not None:
                     lam, _, lower, decay = _soe_tables(t.tail, size, grid.n)
-                    soe = (lam, mat, lower, decay, np.zeros((size + lam.size, 2 * dim)))
+                    soe = (lam, mat, lower, decay)
             elif t.v.size > 1:
                 table = _short_table(tuple(t.v), size)
             self.tables.append(table)
             self.soes.append(soe)
-        self.cut = None
+        self.cut = self.work = None  # the far field's state within a march
         self.start = sum(_start_part(t) for t in terms)
-        self.orders = {t.order for t in terms if t.order}
         self.inverse = None
 
     def column(self, count: int) -> np.ndarray:
@@ -360,12 +351,18 @@ class _BlockSystem:
             col[:, : a.size] += a * diag[:, None]
         return col
 
-    def _part(self, t: _Term, u: np.ndarray, deltas: dict, lo: int, hi: int):
-        """Rows lo..hi-1 of the quantity term t convolves, as a real view."""
-        rows = u[1:] if t.order == 0 else deltas[t.order]
-        return rows[lo:hi].view(float)
+    def _part(self, t: _Term, u: np.ndarray, lo: int, hi: int):
+        """Rows lo..hi-1 of the states or differences term t convolves, as a real view."""
+        if t.order == 0:
+            return u[lo + 1 : hi + 1].view(float)
+        if t.order == 1:
+            return (u[lo + 1 : hi + 1] - u[lo:hi]).view(float)
+        if lo == 0 < hi:  # the ghost start delta_0, then rows 1..hi-1
+            ghost = 2.0 * u[1] - 2.0 * u[0] - self.ghost
+            return np.vstack([ghost, self._part(t, u, 1, hi).view(complex)]).view(float)
+        return (u[lo + 1 : hi + 1] - 2.0 * u[lo:hi] + u[lo - 1 : hi - 1]).view(float)
 
-    def far(self, u: np.ndarray, deltas: dict, b0: int, b1: int) -> np.ndarray:
+    def far(self, u: np.ndarray, b0: int, b1: int) -> np.ndarray:
         """Part of steps b0..b1-1 carried by the differences before row b0 - 1.
 
         Long weights take the `size` differences before row b0 - 1 from the
@@ -379,26 +376,29 @@ class _BlockSystem:
         size = self.size
         lo = b0 - 1 - size
         fresh = self.cut != lo
+        if fresh:  # per long term a (size + P, 2 dim) buffer: the window, then H
+            self.work = [
+                None if s is None else np.zeros((size + s[0].size, 2 * u.shape[1]))
+                for s in self.soes
+            ]
         acc = np.zeros((rows, u.shape[1]), dtype=complex)
-        for t, table, soe, diag in zip(self.terms, self.tables, self.soes, self.diags):
+        parts = zip(self.terms, self.tables, self.soes, self.diags, self.work)
+        for t, table, soe, diag, x in parts:
             if soe is None:
                 width = 0 if table is None else table.shape[1] - size
                 cols = min(b0 - 1, width)
                 if not cols:
                     continue
-                part = self._part(t, u, deltas, b0 - 1 - cols, b0 - 1)
+                part = self._part(t, u, b0 - 1 - cols, b0 - 1)
                 v = table[:rows, width - cols : width] @ part
             else:
-                lam, mat, lower, decay, x = soe
+                lam, mat, lower, decay = soe
                 window, hist = x[:size], x[size:]
-                if fresh:
-                    hist[:] = 0.0
-                    if lo > 0:
-                        decays = np.exp(-np.outer(lam, np.arange(lo, 0.0, -1.0)))
-                        hist[:] = decays @ self._part(t, u, deltas, 0, lo)
-                if lo < 0:
-                    window[:-lo] = 0.0
-                window[max(0, -lo) :] = self._part(t, u, deltas, max(0, lo), b0 - 1)
+                if fresh:  # H at the cut, an empty sum where lo <= 0
+                    decays = np.exp(-np.outer(lam, np.arange(lo, 0.0, -1.0)))
+                    hist[:] = decays @ self._part(t, u, 0, max(0, lo))
+                # a call with lo < 0 is fresh, so the rows before delta_0 are 0
+                window[max(0, -lo) :] = self._part(t, u, max(0, lo), b0 - 1)
                 v = mat[:rows] @ x
                 hist *= decay
                 hist += lower @ window
@@ -406,12 +406,12 @@ class _BlockSystem:
         self.cut = b0 - 1
         return acc
 
-    def near(self, u: np.ndarray, deltas: dict, b0: int, b1: int) -> np.ndarray:
+    def near(self, u: np.ndarray, b0: int, b1: int) -> np.ndarray:
         """Part of steps b0..b1-1 carried by the differences from row b0 - 1 on."""
         rows = b1 - b0
         acc = np.zeros((rows, u.shape[1]), dtype=complex)
         for t, table, diag in zip(self.terms, self.tables, self.diags):
-            part = self._part(t, u, deltas, b0 - 1, b1 - 1)
+            part = self._part(t, u, b0 - 1, b1 - 1)
             if b0 == 1 or table is None:  # step 1's weight or a single one: 1
                 v = part
             else:
@@ -424,40 +424,36 @@ class _BlockSystem:
 def _march(
     system: _BlockSystem,
     u0: np.ndarray,
-    phi1: np.ndarray,
-    forcing,
+    forcing: Forcing | None,
     injected: np.ndarray | None = None,
     steps: int | None = None,
 ) -> np.ndarray:
     """States of one scheme on its system's grid, from u0 or from injected
     start states, at nodes 0..steps (by default every node).
 
-    ``forcing(t)`` gives the right-hand side at the nodes t, (nodes, dim)
-    or (nodes, 1); it is taken once, at every node the march solves for.
+    ``forcing`` (None for zero) has its direction in spectral coordinates;
+    its profile is evaluated once, at the nodes the march solves for.
     Step 1 takes the scheme's start rule; the later steps go in blocks of
     `_BlockSystem.size`.  A block is solved from zero with the inverse of
     its matrix, from the system's `inverse` (see `_share_inverses`), and
     refined once against the residual of the scheme itself, which keeps the
     rounding of a block at that of single steps.  A singular step matrix
-    raises StepSolveError naming the grid and the step.
+    raises StepSolveError naming the grid and the step.  Besides the states
+    the march holds one window of differences, taken from the states where
+    a block reads them, and one block inverse.
     Floating-point warnings are silenced and every block is checked instead,
     so overflow raises StepSolveError naming the first non-finite step.
     """
     grid = system.grid
     n = grid.n if steps is None else steps
-    dim = u0.shape[0]
-    u = np.zeros((n + 1, dim), dtype=complex)
-    deltas = {r: np.empty((n, dim), dtype=complex) for r in system.orders}
-    if injected is None:
-        u[0] = u0
-        done = 0
-    else:
-        done = injected.shape[0] - 1
-        u[: done + 1] = injected
-        _fill_differences(deltas, u, 0, done, grid.h, phi1)
+    u = np.zeros((n + 1, u0.shape[0]), dtype=complex)
+    known = u0[None] if injected is None else injected
+    done = known.shape[0] - 1
+    u[: done + 1] = known
     system.cut = None  # the far field's history belongs to another march
     first = done + 1
-    rhs_at = forcing(grid.nodes[first : n + 1])
+    if forcing is not None:
+        values = np.asarray(forcing.profile.eval(grid.nodes[first : n + 1]), dtype=complex)[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         blocks = []
         if done == 0:
@@ -472,14 +468,15 @@ def _march(
             for b0 in range(done + 1, n + 1, system.size)
         ]
         for b0, b1, inv in blocks:
-            rhs = rhs_at[b0 - first : b1 - first] - system.far(u, deltas, b0, b1)
+            # a zero forcing subtracts the far part from 0, keeping its signed zeros
+            f = 0.0 if forcing is None else values[b0 - first : b1 - first] * forcing.direction
+            rhs = f - system.far(u, b0, b1)
             _require_finite(rhs, b0, grid)
             for _ in range(2):
-                _fill_differences(deltas, u, b0 - 1, b1 - 1, grid.h, phi1)
-                x = (rhs - system.near(u, deltas, b0, b1)).T[..., None]
+                x = (rhs - system.near(u, b0, b1)).T[..., None]
                 u[b0:b1] += np.matmul(inv[:, : b1 - b0, : b1 - b0], x)[..., 0].T
             _require_finite(u[b0:b1], b0, grid)
-            _fill_differences(deltas, u, b0 - 1, b1 - 1, grid.h, phi1)
+    system.work = None  # the far field's buffers go with the march
     return u
 
 
@@ -601,20 +598,14 @@ def oracle_caputo(problem: CauchyProblem) -> SolutionPath:
     phi1 = phis[1] if len(phis) > 1 else np.zeros(problem.dim, dtype=complex)
     forcing = problem.forcing_or_zero()
     if forcing is not None:
-        direction = op.to_spectral(forcing.direction)
-
-    def forcing_at(t: np.ndarray) -> np.ndarray:
-        """Right-hand side at the nodes t, (nodes, dim), or (nodes, 1) when zero."""
-        if forcing is None:
-            return np.zeros((t.size, 1))
-        return np.asarray(forcing.profile.eval(t), dtype=complex)[:, None] * direction
+        forcing = Forcing(forcing.profile, op.to_spectral(forcing.direction))
 
     def march(system: _BlockSystem, injected=None, steps=None) -> np.ndarray:
-        return _march(system, phis[0], phi1, forcing_at, injected, steps)
+        return _march(system, phis[0], forcing, injected, steps)
 
     grid = problem.grid
     start = perf_counter()
-    system = _BlockSystem(_caputo_terms(terms, grid), grid)
+    system = _BlockSystem(_caputo_terms(terms, grid), grid, phi1)
     _require_resolved(system, terms)
     refine = steps = 0
     injected = None
@@ -623,10 +614,17 @@ def oracle_caputo(problem: CauchyProblem) -> SolutionPath:
         size = 4 * int(np.clip(grid.n // 16, 1, 128))
         levels = int(np.clip(grid.n // 8, 8, 128)).bit_length() - 1
         refine = 2**levels
-        grids = [TimeGrid(size * grid.h / 2**l, size) for l in range(levels, 0, -1)]
-        systems = [_BlockSystem(_caputo_terms(terms, g), g) for g in grids]
+        systems = []
+        for l in range(levels, 0, -1):
+            g = TimeGrid(size * grid.h / 2**l, size)
+            try:
+                systems.append(_BlockSystem(_caputo_terms(terms, g), g, phi1))
+            except StepSolveError as exc:
+                raise StepSolveError(f"{exc}, warm-start level {l} (h / {2**l}) of the problem's "
+                                     f"h = {grid.h:.6g}") from exc
         _share_inverses([system, *systems])
         injected, steps = _warm_start(systems, march)
+        del systems  # the levels go before the main march
     warm_end = perf_counter()
     if injected is None:  # no warm start: the main grid's own recurrence
         _share_inverses([system])

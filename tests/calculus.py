@@ -29,7 +29,7 @@ from fraccauchy.grids import ScalarPath, TimeGrid
 from fraccauchy.kernels import OrderMeasure, symbol_values
 from fraccauchy.operators import FourierMultiplier, MatrixOperator, SpectralOperator
 from fraccauchy.grids import require_same_grid
-from fraccauchy.oracles import _BlockSystem, _caputo_terms, _fill_differences, _term_operators
+from fraccauchy.oracles import _BlockSystem, _caputo_terms, _term_operators
 from fraccauchy.problems import CauchyProblem, Forcing, SolutionPath, _require_caputo
 from fraccauchy.profiles import FunctionSpec, Power, Sampled
 from fraccauchy.special import gamma, rgamma
@@ -553,15 +553,11 @@ def operator_residual(problem: CauchyProblem, path: SolutionPath) -> np.ndarray:
     phi1 = np.zeros(problem.dim, complex)
     if len(problem.initial) > 1:
         phi1 = op.to_spectral(problem.initial[1])
-    system = _BlockSystem(_caputo_terms(terms, grid), grid)
-    deltas = {r: np.empty((n, problem.dim), dtype=complex) for r in system.orders}
-    _fill_differences(deltas, u, 0, n, grid.h, phi1)
+    system = _BlockSystem(_caputo_terms(terms, grid), grid, phi1)
     res = np.empty((n, problem.dim), dtype=complex)
     for b0 in [1, *range(2, n + 1, system.size)]:
         b1 = 2 if b0 == 1 else min(b0 + system.size, n + 1)
-        res[b0 - 1 : b1 - 1] = system.far(u, deltas, b0, b1) + system.near(
-            u, deltas, b0, b1
-        )
+        res[b0 - 1 : b1 - 1] = system.far(u, b0, b1) + system.near(u, b0, b1)
     if problem.forcing_or_zero() is not None:
         res -= op.to_spectral(forcing_values(problem.forcing, grid.nodes[1:]))
     return op.from_spectral(res)

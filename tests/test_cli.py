@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +171,57 @@ def test_csv_cells_match_numpy_scalar_formatting(tmp_path):
     assert b"-0," in out.read_bytes() and b"-inf" in out.read_bytes()
 
 
+def _joined_csv(solution):
+    """The result table formatted whole and joined, as one string (test-only
+    reference for the streamed writer)."""
+    dim = solution.dim
+    header = "t," + ",".join(f"re_u_{j},im_u_{j}" for j in range(dim))
+    cells = np.ascontiguousarray(solution.states).view(float)
+    row = ",".join(["{:.17g}"] * (2 * dim + 1))
+    lines = [header]
+    lines += [row.format(t, *c.tolist()) for t, c in zip(solution.grid.nodes.tolist(), cells)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("n, dim", [(2, 1), (40, 5), (512, 128)])
+def test_streamed_csv_equals_the_joined_table(tmp_path, n, dim):
+    from fraccauchy import SolutionPath, TimeGrid
+
+    rng = np.random.default_rng(n)
+    states = rng.normal(size=(n + 1, dim)) * 10.0 ** rng.integers(-300, 300, size=(n + 1, dim))
+    states = np.asfortranarray(states - 1j * rng.normal(size=(n + 1, dim)))
+    states[0, 0] = complex(-0.0, np.inf)
+    path = SolutionPath(TimeGrid(0.7, n), states)
+    write_csv(tmp_path / "u.csv", path)
+    assert (tmp_path / "u.csv").read_bytes() == _joined_csv(path)
+
+
+def test_csv_writer_holds_no_copy_of_the_table(tmp_path):
+    # 2049 x 256 complex states format to a 21 MB table; the writer holds
+    # one row at a time, where formatting the whole table held about 64 MB
+    from fraccauchy import SolutionPath, TimeGrid
+
+    rng = np.random.default_rng(0)
+    path = SolutionPath(TimeGrid(1.0, 2048), rng.normal(size=(2049, 512)).view(complex))
+    out = tmp_path / "wide.csv"
+    tracemalloc.start()
+    try:
+        write_csv(out, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 20e6
+    assert peak <= 1e6
+
+
+def test_csv_write_error_is_a_schema_error(tmp_path):
+    from fraccauchy import SolutionPath, TimeGrid
+
+    path = SolutionPath(TimeGrid(1.0, 4), np.zeros((5, 1)))
+    with pytest.raises(SchemaError, match="^/: cannot write result file: "):
+        write_csv(tmp_path, path)  # a directory, not a file
+
+
 def test_solve_writes_csv(tmp_path):
     prob = write_doc(tmp_path, RELAX_DOC)
     out = tmp_path / "sol.csv"
@@ -312,18 +364,26 @@ _EXTREME = Path(__file__).parent / "extreme_problems"
         ("oscillator_t1e-200", "oracle", "the order-2 step weight h^-2 overflows at h = 1.5625e-202"),
         ("oscillator_t1e-158", "oracle", "the order-2 step weight h^-2 overflows at h = 1.5625e-160"),
         (
+            "oscillator_t1e-152",
+            "oracle",
+            "the order-2 step weight h^-2 overflows at h = 1.95313e-155, warm-start level 3 "
+            "(h / 8) of the problem's h = 1.5625e-154",
+        ),
+        (
             "multiterm_2x2_t1e300",
             "repr",
             "the representation formula is not finite at node 1 of 64 (t = 1.5625e+298)",
         ),
     ],
     ids=["multiterm-1e-300-oracle", "oscillator-1e-200-oracle", "oscillator-1e-158-oracle",
-         "multiterm-1e300-repr"],
+         "oscillator-1e-152-warm-start", "multiterm-1e300-repr"],
 )
 def test_extreme_horizon_exits_3_with_a_typed_message(tmp_path, capsys, name, method, message):
     # a step weight that does not fit in double precision, or datum moments
     # that overflow, end in a typed error naming the step or the node, not
-    # a traceback or a CSV of NaN (RuntimeWarnings are errors under pytest)
+    # a traceback or a CSV of NaN (RuntimeWarnings are errors under pytest);
+    # a warm-start level whose weight overflows where the problem's fits
+    # names itself and the problem's step
     problem, out = _EXTREME / f"{name}.json", tmp_path / "x.csv"
     code = main(["solve", "--problem", str(problem), "--method", method, "--out", str(out)])
     assert code == 3

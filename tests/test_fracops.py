@@ -143,6 +143,19 @@ def test_rl_half_of_one():
     assert abs(got[0] / 1e4 - 0.5641895835477563) < 1e-12
 
 
+@pytest.mark.parametrize("f0", [1j, -2j, 1.0, 2 - 0.5j])
+def test_rl_derivative_at_zero_warns_nothing(f0):
+    # f(0) tau^-alpha / Gamma(1 - alpha) is infinite at tau = 0; a zero real
+    # or imaginary part of f(0) times inf leaked "invalid value encountered
+    # in multiply" (RuntimeWarnings are errors under pytest)
+    tau = np.array([0.0, 1e-8, 0.3, 2.0])
+    got = rl_derivative_at(Constant(f0), 0.5, tau)
+    assert np.isinf(abs(got[0]))
+    # the points tau > 0 keep the product f(0) Gamma(1 - alpha)^-1 tau^-alpha
+    scale = np.complex128(f0) * fracops.rgamma(0.5)
+    assert np.array_equal(got[1:], np.zeros(3, complex) + scale * tau[1:] ** -0.5)
+
+
 def test_rl_limit_at_zero():
     # D_+^0.5 t has the finite limit 0 at t -> 0+
     assert rl_derivative_at(Polynomial([0.0, 1.0]), 0.5, np.array([0.0]))[0] == 0.0

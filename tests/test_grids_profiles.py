@@ -36,6 +36,17 @@ def test_grid_node_count(t_end, n):
     assert g.h == pytest.approx(t_end / n)
 
 
+def test_grid_nodes_are_built_once_and_read_only():
+    g = TimeGrid(2.0, 100)
+    nodes = g.nodes
+    assert g.nodes is nodes
+    assert not nodes.flags.writeable
+    with pytest.raises(ValueError):
+        nodes[1] = 0.0
+    assert np.array_equal(nodes, np.linspace(0.0, 2.0, 101))
+    assert TimeGrid(2.0, 100).nodes is not nodes  # one array per grid
+
+
 def test_grid_rejects_bad_parameters():
     with pytest.raises(ValueError):
         TimeGrid(-1.0, 10)

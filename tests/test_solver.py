@@ -1015,9 +1015,6 @@ def _check_march_against_loop(case, inject, blocks, start):
         prob = CauchyProblem(op, measure, data, forcing, grid)
     matrix = isinstance(op, MatrixOperator)
 
-    def forcing_at(t):
-        return op.to_spectral(forcing_values(prob.forcing, t))
-
     fvals = forcing_values(prob.forcing, grid.nodes)
     spec_fvals = op.to_spectral(fvals)
     terms = oracles._term_operators(prob)
@@ -1031,9 +1028,10 @@ def _check_march_against_loop(case, inject, blocks, start):
         state_injected = None if injected is None else op.from_spectral(injected)
         dense = [(alpha, _dense(op, vals)) for alpha, vals in terms]
         state_ref = _loop_caputo(dense, True, grid, states, fvals, state_injected)
-    system = oracles._BlockSystem(oracles._caputo_terms(terms, grid), grid)
+    system = oracles._BlockSystem(oracles._caputo_terms(terms, grid), grid, phi1)
     oracles._share_inverses([system])
-    got = oracles._march(system, phis[0], phi1, forcing_at, injected)
+    spectral = Forcing(prob.forcing.profile, op.to_spectral(prob.forcing.direction))
+    got = oracles._march(system, phis[0], spectral, injected)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     if matrix:
         back = op.from_spectral(got)
@@ -1239,10 +1237,7 @@ def test_singular_row_of_a_shared_recurrence_names_its_grid():
         assert not np.isfinite(singular.inverse[0, 0])
 
         def march(s):
-            def zero(t):
-                return np.zeros((t.size, 1))
-
-            return oracles._march(s, np.ones(1), np.zeros(1), zero)
+            return oracles._march(s, np.ones(1), None)
 
         march(regular)
         with pytest.raises(StepSolveError, match=r"step 2 of 16 \(h = 0.0625\)"):
@@ -1296,8 +1291,8 @@ def test_block_systems_read_shared_unit_tables(monkeypatch, case):
     systems = []
 
     class Recorded(oracles._BlockSystem):
-        def __init__(self, terms, grid):
-            super().__init__(terms, grid)
+        def __init__(self, terms, grid, phi1):
+            super().__init__(terms, grid, phi1)
             systems.append(self)
 
     if case == "wide":
@@ -1321,8 +1316,9 @@ def test_block_systems_read_shared_unit_tables(monkeypatch, case):
 
 
 def test_oracle_memory_on_wide_spectrum():
-    # 128-mode advection-diffusion: states, their differences and one block
-    # inverse of about 1 MB, not full-length temporaries
+    # 128-mode advection-diffusion: the states and one block inverse of
+    # about 1 MB each, one window of differences and, at the end, the states
+    # back in state space; no full-length differences or right-hand side
     op = FourierMultiplier.from_callable(lambda xi: 1j * xi + xi**2, 128)
     x = op.grid_points
     prob = CauchyProblem(
@@ -1335,7 +1331,7 @@ def test_oracle_memory_on_wide_spectrum():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12e6
+    assert peak < 4.5e6
 
 
 # ---------------------------------------------------------------------------
