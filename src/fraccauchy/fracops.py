@@ -14,6 +14,8 @@ remainder of their datum at the grid nodes from `caputo_derivative_at`.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import OrderDomainError
@@ -80,8 +82,11 @@ def rl_derivative_at(f: FunctionSpec, alpha: float, tau: np.ndarray) -> np.ndarr
     out = caputo_derivative_at(f, alpha, tau)
     f0 = np.asarray(f.eval(0.0)).reshape(-1)[0]
     if f0 != 0:
+        c = f0 * rgamma(1.0 - alpha)
         with np.errstate(divide="ignore", invalid="ignore"):  # tau = 0: inf times a zero part
-            gap = f0 * rgamma(1.0 - alpha) * tau ** (-alpha)
+            gap = c * tau ** (-alpha)
+        # at tau = 0 the limit from tau > 0, part by part: a zero part of c adds 0
+        gap[tau == 0] = complex(*(p * math.inf if p else 0.0 for p in (c.real, c.imag)))
         out = out + gap
     return out
 

@@ -452,9 +452,10 @@ def _march(
     u[: done + 1] = known
     system.cut = None  # the far field's history belongs to another march
     first = done + 1
-    if forcing is not None:
-        values = np.asarray(forcing.profile.eval(grid.nodes[first : n + 1]), dtype=complex)[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if forcing is not None:
+            nodes = grid.nodes[first : n + 1]
+            values = np.asarray(forcing.profile.eval(nodes), dtype=complex)[:, None]
         blocks = []
         if done == 0:
             start = 1.0 / system.start
@@ -624,6 +625,8 @@ def oracle_caputo(problem: CauchyProblem) -> SolutionPath:
                                      f"h = {grid.h:.6g}") from exc
         _share_inverses([system, *systems])
         injected, steps = _warm_start(systems, march)
+        # rows of its own, so the levels' rows of the stack go with the levels
+        system.inverse = system.inverse.copy()
         del systems  # the levels go before the main march
     warm_end = perf_counter()
     if injected is None:  # no warm start: the main grid's own recurrence

@@ -411,13 +411,15 @@ def _duhamel(
         p = profile.exponent
         terms, r = [(complex(profile.scale) * math.gamma(p + 1.0), p + 1.0 - gamma)], None
     elif gamma == 0:
-        terms, r = [], np.asarray(profile.eval(t), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            terms, r = [], np.asarray(profile.eval(t), dtype=complex)
     else:
         d1 = _profile_at_zero(profile.derivative(1))
         terms = [(_profile_at_zero(profile), 1.0 - gamma)] if rl_datum else []
         terms.append((d1, 2.0 - gamma))
-        r = caputo_derivative_at(profile, gamma, t)
-        r -= d1 * rgamma(2.0 - gamma) * t ** (1.0 - gamma)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            r = caputo_derivative_at(profile, gamma, t)
+            r -= d1 * rgamma(2.0 - gamma) * t ** (1.0 - gamma)
     if r is not None and not np.all(np.isfinite(r)):
         raise BlowupError("the forcing datum is not finite on the grid")
     terms = [(c, b + q) for c, q in terms if c != 0]

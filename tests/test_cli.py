@@ -374,16 +374,27 @@ _EXTREME = Path(__file__).parent / "extreme_problems"
             "repr",
             "the representation formula is not finite at node 1 of 64 (t = 1.5625e+298)",
         ),
+        ("exp_forcing_mu1_t23843", "oracle", "non-finite state at step 33 of 64 (t = 12294)"),
+        (
+            "exp_forcing_mu1_t23843",
+            "duhamel-integer",
+            "the forcing datum is not finite on the grid",
+        ),
+        ("exp_forcing_mu0.5_t23843", "oracle", "non-finite state at step 33 of 64 (t = 12294)"),
+        ("exp_forcing_mu0.5_t23843", "duhamel", "the forcing datum is not finite on the grid"),
     ],
     ids=["multiterm-1e-300-oracle", "oscillator-1e-200-oracle", "oscillator-1e-158-oracle",
-         "oscillator-1e-152-warm-start", "multiterm-1e300-repr"],
+         "oscillator-1e-152-warm-start", "multiterm-1e300-repr", "exp-forcing-mu1-oracle",
+         "exp-forcing-mu1-duhamel-integer", "exp-forcing-mu0.5-oracle",
+         "exp-forcing-mu0.5-duhamel"],
 )
 def test_extreme_horizon_exits_3_with_a_typed_message(tmp_path, capsys, name, method, message):
     # a step weight that does not fit in double precision, or datum moments
     # that overflow, end in a typed error naming the step or the node, not
     # a traceback or a CSV of NaN (RuntimeWarnings are errors under pytest);
     # a warm-start level whose weight overflows where the problem's fits
-    # names itself and the problem's step
+    # names itself and the problem's step; forcing e^(0.058 t) overflows
+    # from t = 12294 on, and the oracle and Duhamel routes check it there
     problem, out = _EXTREME / f"{name}.json", tmp_path / "x.csv"
     code = main(["solve", "--problem", str(problem), "--method", method, "--out", str(out)])
     assert code == 3

@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import erfc, rgamma, wofz
 
-from fraccauchy import DomainError, mittag_leffler, ml_array
+from fraccauchy import DomainError, mittag_leffler, ml, ml_array
 
 
 def half_order_oracle(z: complex) -> complex:
@@ -357,6 +357,66 @@ def test_overflowing_x_on_growth_rays_is_not_finite(theta):
         warnings.simplefilter("error")
         got = ml_array(0.5, 1.0, np.array([1e300 * cmath.exp(1j * theta)]))
     assert not np.isfinite(got[0])
+
+
+# ---------------------------------------------------------------------------
+# the asymptotic series: x >= 40, up to its cap of terms
+
+
+def _boundary_points(alpha: float, beta: float):
+    """z on both sides of x = 40 and of the cap's stop radius, on the
+    growth, Stokes (|arg z| = alpha pi / 2 and alpha pi, mod 2 pi), decaying
+    and two other rays."""
+    radius = ml._asymptotic_table(alpha, beta)[1][-1]
+    sizes = [np.nextafter(40.0, 0.0) ** alpha] + [x**alpha for x in (40.0, 48.0, 60.0, 80.0)]
+    if radius ** (1.0 / alpha) >= 40.0:
+        sizes += [radius * (1.0 - 1e-9), radius, radius * (1.0 + 1e-9)]
+    stokes = math.remainder(alpha * math.pi, 2 * math.pi)
+    rays = (0.0, alpha * math.pi / 2, stokes, math.pi, 2.0, -1.0)
+    return [r * cmath.exp(1j * theta) for r in sizes for theta in rays]
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9, 1.0, 1.5, 1.9, 2.0])
+def test_either_side_of_the_asymptotic_boundary(ml_series, alpha):
+    # the contour below x = 40 and past the cap, the asymptotic series from
+    # x = 40 and the cap's radius on: 1e-12, absolute where |E| <= 1.  Where
+    # a pole term lives, E's relative condition number is about x / alpha,
+    # which at the cap's radius (x up to 1e5 for alpha = 1/4) admits more.
+    # The contour scales its rounding by x^(1 - beta): at beta = -1 it
+    # reads 4.2e-12 and 1.5e-12 at x = 60 (alpha = 1/2 and 0.9) below the
+    # cap's radius, where the asymptotic series does not take the point
+    worst = []
+    for beta in (-1.0, 0.5, 1.0, 1.5, 2.5):
+        radius = ml._asymptotic_table(alpha, beta)[1][-1]
+        z = _boundary_points(alpha, beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ml_array(alpha, beta, np.array(z))
+        for g, v in zip(got, z):
+            ref = _ray_reference(ml_series, alpha, beta, v)
+            if abs(ref) > 1e300:  # growth rays past the cap overflow
+                continue
+            x = abs(v) ** (1.0 / alpha)
+            contour = x < 40.0 or abs(v) < radius
+            tol = 1e-11 if beta < 0 and contour else max(1e-12, 1e-15 * x / alpha)
+            worst.append((abs(g - ref) / max(1.0, abs(ref)) / tol, beta, v))
+    assert max(worst)[0] < 1.0, max(worst)
+
+
+def test_large_arguments_do_not_reach_the_contour(monkeypatch):
+    # every point at x >= 40 whose series stops within the cap takes the
+    # asymptotic series; a point at x >= 40 below the cap's radius, and one
+    # at 4 < x < 40, take the contour
+    sizes = []
+    contour = ml._contour
+    monkeypatch.setattr(ml, "_contour", lambda *args: sizes.append(args[2].size) or contour(*args))
+    z = 1e3 * np.exp(1j * np.linspace(-np.pi, np.pi, 2000))  # x = 1e6, each its own argument
+    ml_array(0.5, 1.0, z)
+    assert sizes == []
+    radius = ml._asymptotic_table(0.5, 1.0)[1][-1]
+    assert (0.99 * radius) ** 2 > 40.0
+    ml_array(0.5, 1.0, np.append(z, [0.99 * radius * np.exp(2j), 5.0 * np.exp(2j)]))
+    assert sizes == [2]
 
 
 # ---------------------------------------------------------------------------
