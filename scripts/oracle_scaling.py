@@ -10,7 +10,9 @@ Two problems from problems/:
 Each line gives the problem, n, the oracle's wall time (median of
 --repeats solves; warm start and main march apart), the steps the warm
 start marched, its largest error relative to the peak of the reference,
-and the number of exponentials per term of the far field on the main grid.
+the number of exponentials per term of the far field on the main grid, and
+the main grid's block condition bound and whether its blocks take a second
+solve.
 
     PYTHONPATH=src python scripts/oracle_scaling.py
     PYTHONPATH=src python scripts/oracle_scaling.py --n 256 512 --diffusion-n 256 --repeats 1
@@ -46,7 +48,8 @@ def report(name: str, n: int, path, seconds: float, ref: np.ndarray) -> None:
     print(
         f"{name:18s} n = {n:6d}  {seconds:8.3f} s  (warm {diag['warm_s']:.3f}, "
         f"main {diag['main_s']:.3f})  warm_steps {diag['warm_steps']:5d}  "
-        f"error {err:.2e}  far_terms {diag['far_terms']}",
+        f"error {err:.2e}  far_terms {diag['far_terms']}  "
+        f"block_kappa {diag['block_kappa']:.3g}  refined {diag['refined']}",
         flush=True,
     )
 

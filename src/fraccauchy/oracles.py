@@ -15,8 +15,15 @@ results pass through `to_spectral` / `from_spectral` only, as on the kernel
 routes.  Every term convolves fixed weights with the states or their
 differences, so per spectral component the steps after the first form a
 lower-triangular Toeplitz system.  It is marched in blocks of up to 64
-steps, each solved with the inverse of its system and refined once against
-the scheme's own residual.  The grids of a solve differ only in h, so their
+steps, each solved once with the inverse of its system.  That one solve
+rounds to about m kappa u of the block's states, kappa the block matrix's
+condition bound and u = 2^-53 (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., 2002, ch. 8); a system where m kappa u exceeds 5e-13
+refines each block once more against the scheme's own residual (ch. 12).
+At m = 64, L1 systems (kappa 10-20) take one solve, and so does the
+128-mode advection system (kappa 11 at m = 22); BDF2 (kappa 140-260), L2
+(870-4200), the backward second difference (6900-8400) and unresolved
+growth are refined.  The grids of a solve differ only in h, so their
 set-up is made once per solve: every grid reads the same cached, read-only
 unit weight tables (`_unit_tables`, `_soe_tables`), each term's scale
 h^-alpha / Gamma sits on its per-component diagonal, and one recurrence
@@ -73,6 +80,9 @@ __all__ = ["oracle_caputo", "oracle_rl"]
 _BLOCK = 64  # steps per block of the march
 _HEAD = 2 * _BLOCK  # weights a weight table reads: distances below two blocks
 _BLOCK_BYTES = 2**20  # largest block inverse; wide diagonal systems take shorter blocks
+# largest rounding m kappa 2^-53 of a one-shot block solve: the error against
+# a long-double march that the refined march keeps
+_REFINE_BOUND = 5e-13
 # stencils turning the states into the convolved quantity, by difference order
 _STENCILS = (np.ones(1), np.array([1.0, -1.0]), np.array([1.0, -2.0, 1.0]))
 # sum-of-exponentials rule of the long weights (see `_soe`): Gauss-Jacobi
@@ -307,7 +317,11 @@ class _BlockSystem:
     a_t the unit weights of term t convolved with its difference stencil;
     step 1 has its own diagonal `start` (dim,).  `inverse` holds the first
     columns of the block inverses, which `_march` reads, once
-    `_share_inverses` has set them.  The block length keeps the
+    `_share_inverses` has set them together with `kappa`, the block
+    matrix's condition bound, and `refine`, whether m kappa 2^-53 exceeds
+    `_REFINE_BOUND` (or kappa is not finite), so that `_march` solves each
+    block twice.  A block's first solve reads `boundary`, the part of `near`
+    left while its states are zero.  The block length keeps the
     (dim, size, size) inverse within `_BLOCK_BYTES`.  The ghost start reads
     phi1, the spectral first-derivative datum (None for zero).
     """
@@ -338,7 +352,7 @@ class _BlockSystem:
             self.soes.append(soe)
         self.cut = self.work = None  # the far field's state within a march
         self.start = sum(_start_part(t) for t in terms)
-        self.inverse = None
+        self.inverse = self.kappa = self.refine = None
 
     def column(self, count: int) -> np.ndarray:
         """First `count` entries (dim, count) of the first column of the
@@ -420,6 +434,27 @@ class _BlockSystem:
             acc += v.view(complex) * diag
         return acc
 
+    def boundary(self, u: np.ndarray, b0: int, b1: int) -> np.ndarray:
+        """`near` while the states of steps b0..b1-1 are still zero.
+
+        Only the differences that reach back before step b0 are then
+        nonzero: row b0 - 1 of the first and second differences, and row
+        b0 of the second; the states themselves (order 0) are all zero.
+        """
+        rows = b1 - b0
+        acc = np.zeros((rows, u.shape[1]), dtype=complex)
+        for t, table, diag in zip(self.terms, self.tables, self.diags):
+            if t.order == 0:
+                continue
+            k = min(t.order, rows)
+            part = self._part(t, u, b0 - 1, b0 - 1 + k)
+            if b0 == 1 or table is None:  # step 1's weight or a single one: 1
+                acc[:k] += part.view(complex) * diag
+            else:
+                width = table.shape[1] - self.size
+                acc += (table[:rows, width : width + k] @ part).view(complex) * diag
+        return acc
+
 
 def _march(
     system: _BlockSystem,
@@ -435,9 +470,14 @@ def _march(
     its profile is evaluated once, at the nodes the march solves for.
     Step 1 takes the scheme's start rule; the later steps go in blocks of
     `_BlockSystem.size`.  A block is solved from zero with the inverse of
-    its matrix, from the system's `inverse` (see `_share_inverses`), and
-    refined once against the residual of the scheme itself, which keeps the
-    rounding of a block at that of single steps.  A singular step matrix
+    its matrix, from the system's `inverse` (see `_share_inverses`), on the
+    right side less the `boundary` differences its zero states leave.  That
+    solve rounds to about m kappa 2^-53 of the block's states; where this
+    exceeds `_REFINE_BOUND` (BDF2, L2, the backward second difference,
+    unresolved growth), the system's `refine` is set and each block is
+    solved once more against the residual of the scheme itself, which keeps
+    its rounding at that of single steps.  L1 systems take one solve.  A
+    singular step matrix
     raises StepSolveError naming the grid and the step.  Besides the states
     the march holds one window of differences, taken from the states where
     a block reads them, and one block inverse.
@@ -473,9 +513,12 @@ def _march(
             f = 0.0 if forcing is None else values[b0 - first : b1 - first] * forcing.direction
             rhs = f - system.far(u, b0, b1)
             _require_finite(rhs, b0, grid)
-            for _ in range(2):
+            inv = inv[:, : b1 - b0, : b1 - b0]
+            x = (rhs - system.boundary(u, b0, b1)).T[..., None]
+            u[b0:b1] = np.matmul(inv, x)[..., 0].T
+            if system.refine:
                 x = (rhs - system.near(u, b0, b1)).T[..., None]
-                u[b0:b1] += np.matmul(inv[:, : b1 - b0, : b1 - b0], x)[..., 0].T
+                u[b0:b1] += np.matmul(inv, x)[..., 0].T
             _require_finite(u[b0:b1], b0, grid)
     system.work = None  # the far field's buffers go with the march
     return u
@@ -485,11 +528,25 @@ def _share_inverses(systems: list) -> None:
     """Set the `inverse` of every system from one `_block_inverses`
     recurrence over their stacked first columns, taken at the largest block
     size: a system of smaller blocks reads the leading entries of its rows.
-    The systems must share their spectral dimension."""
+    The systems must share their spectral dimension.
+
+    Each system's `kappa` is the 1-norm condition number of its block
+    matrices of m = `size` steps, the largest over components of
+    (sum_k<m |a_k|) (sum_k<m |x_k|), a the first column and x that of the
+    inverse; `refine` is set where m kappa 2^-53 exceeds `_REFINE_BOUND`
+    or kappa is not finite (a singular row, which `_march` then reports).
+    """
     size = max(s.size for s in systems)
-    inverses = _block_inverses(np.concatenate([s.column(size) for s in systems]))
-    for system, inverse in zip(systems, np.split(inverses, len(systems))):
-        system.inverse = inverse
+    columns = np.concatenate([s.column(size) for s in systems])
+    inverses = _block_inverses(columns)
+    pairs = zip(np.split(columns, len(systems)), np.split(inverses, len(systems)))
+    for system, (a, x) in zip(systems, pairs):
+        m = system.size
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.abs(a[:, :m]).sum(axis=1) * np.abs(x[:, :m]).sum(axis=1)
+        system.inverse = x
+        system.kappa = float(np.max(norms))
+        system.refine = not m * system.kappa * 2.0**-53 <= _REFINE_BOUND
 
 
 def _warm_start(systems: list, march):
@@ -588,7 +645,9 @@ def oracle_caputo(problem: CauchyProblem) -> SolutionPath:
     the main march (`main_s`, its set-up and resolution check included, and
     without a warm start the main grid's own recurrence), and `far_terms`,
     the number of exponentials of each term's far field on the main grid
-    (0 for short weights).
+    (0 for short weights), and the main grid's block condition bound
+    (`block_kappa`) and whether its blocks take the second solve
+    (`refined`, see `_march`).
     """
     _require_caputo(problem, "oracle_caputo")
     if problem.measure.mu > 2:
@@ -644,6 +703,8 @@ def oracle_caputo(problem: CauchyProblem) -> SolutionPath:
             "warm_s": warm_end - warm_begin,
             "main_s": (warm_begin - start) + (end - warm_end),
             "far_terms": [0 if soe is None else soe[0].size for soe in system.soes],
+            "block_kappa": system.kappa,
+            "refined": system.refine,
         },
     )
 

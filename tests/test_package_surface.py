@@ -9,10 +9,12 @@ unreached code.  A helper that only the tests call belongs in the tests.
 Names in `__all__` lists and imports are strings and aliases, not
 references, so re-exporting a helper does not keep it.
 
-References match by name.  Where classes of different hierarchies share a
-method name, a reference `obj.name` counts for a class only in a module
-that names a class of its hierarchy, and `self.name` only for the class it
-is written in.
+References match by name.  A method is reached only through an attribute
+access of its name (`obj.name`): a bare name, such as a local variable
+that shares it, reaches module-level functions alone.  Where classes of
+different hierarchies share a method name, a reference `obj.name` counts
+for a class only in a module that names a class of its hierarchy, and
+`self.name` only for the class it is written in.
 
 The oracles cross-check the kernel routes only while the two compute
 nothing in common, so `oracles.py` may import from the package only what
@@ -89,13 +91,14 @@ def _definitions(trees):
 
 class _References(ast.NodeVisitor):
     """Names and attributes a module uses, each with the checked definition
-    it sits in (None for module-level code, private and special methods)
-    and, for `self.x` and `Class.x`, the class it is qualified by."""
+    it sits in (None for module-level code, private and special methods),
+    for `self.x` and `Class.x` the class it is qualified by, and whether it
+    is an attribute access."""
 
     def __init__(self, module, defs, classes):
         self.module, self.defs, self.classes = module, defs, classes
         self.context, self.cls = None, None
-        self.found = []  # (name, qualifier class or None, context)
+        self.found = []  # (name, qualifier class or None, context, attribute)
 
     def visit_ClassDef(self, node):
         outer, self.cls = self.cls, node.name
@@ -114,7 +117,7 @@ class _References(ast.NodeVisitor):
 
     def visit_Name(self, node):
         if not isinstance(node.ctx, ast.Store):
-            self.found.append((node.id, None, self.context))
+            self.found.append((node.id, None, self.context, False))
 
     def visit_Attribute(self, node):
         qualifier = None
@@ -123,7 +126,7 @@ class _References(ast.NodeVisitor):
                 qualifier = self.cls
             elif node.value.id in self.classes:
                 qualifier = node.value.id
-        self.found.append((node.attr, qualifier, self.context))
+        self.found.append((node.attr, qualifier, self.context, True))
         self.generic_visit(node)
 
 
@@ -151,7 +154,7 @@ def unreached_definitions():
         if cls is not None:
             owners.setdefault(name, set()).add(families[cls])
 
-    def targets(name, qualifier, mentioned):
+    def targets(name, qualifier, mentioned, attribute):
         out = []
         for key in defs:
             _, cls, def_name = key
@@ -159,6 +162,8 @@ def unreached_definitions():
                 continue
             if cls is None:
                 out.append(key)
+            elif not attribute:
+                continue
             elif qualifier is not None:
                 if qualifier in families and cls in families[qualifier]:
                     out.append(key)
@@ -172,8 +177,8 @@ def unreached_definitions():
             visitor = _References(path.stem if checked else None, defs, families)
             visitor.visit(tree)
             mentioned = _mentioned_classes(tree, families)
-            for name, qualifier, context in visitor.found:
-                for target in targets(name, qualifier, mentioned):
+            for name, qualifier, context, attribute in visitor.found:
+                for target in targets(name, qualifier, mentioned, attribute):
                     if target != context:
                         edges.append((context, target))
     reached = set()

@@ -687,6 +687,9 @@ def test_warm_start_diagnostics_present():
         assert path.diagnostics["warm_s"] > 0.0
         assert path.diagnostics["main_s"] > 0.0
         assert path.method == method
+        # the L2 system is refined, the L1 system of the RL oracle is not
+        assert path.diagnostics["refined"] == (oracle is oracle_caputo)
+        assert path.diagnostics["block_kappa"] > 1.0
         # n = 256 reaches past one block: the long term (the leading order)
         # carries exponentials, the order-0 terms none
         far = path.diagnostics["far_terms"]
@@ -973,10 +976,29 @@ _MARCH_CASES = {
 }
 
 
+# D^mu u - 2 u = f, growth like exp(2^(1/mu) t) that the grids of its test resolve
+_GROWTH_CASES = {
+    "growth_l1": (
+        MatrixOperator(np.array([[-2.0]])),
+        OrderMeasure(0.5, (Atom(0.0, 1.0, identity_symbol()),)),
+        [np.array([1.0])],
+    ),
+    "growth_l2": (
+        MatrixOperator(np.array([[-2.0]])),
+        OrderMeasure(1.5, (Atom(0.0, 1.0, identity_symbol()),)),
+        [np.array([1.0]), np.array([0.5])],
+    ),
+}
+# the cases whose block systems take a second solve per block: m kappa 2^-53
+# above `oracles._REFINE_BOUND`; the others take one
+_REFINED = {"l2_phi1", "bdf2", "d2", "multiplier", "growth_l2"}
+
+
 @pytest.mark.parametrize("inject", [False, True])
 @pytest.mark.parametrize("case", sorted(_MARCH_CASES) + ["gl", "gl_multiplier"])
 def test_blocked_march_matches_step_loop(case, inject):
-    _check_march_against_loop(case, inject, blocks=3, start=13)
+    # the last block is partial
+    _check_march_against_loop(case, inject, n=3 * oracles._BLOCK + 5, start=13)
 
 
 @pytest.mark.parametrize("inject", [False, True])
@@ -986,7 +1008,42 @@ def test_long_blocked_march_matches_step_loop(case, inject):
     # of exponentials, not the weight table; injected start states that
     # reach more than a block back make the first block sum its history
     # afresh
-    _check_march_against_loop(case, inject, blocks=16, start=oracles._BLOCK + 40)
+    _check_march_against_loop(case, inject, n=16 * oracles._BLOCK + 5, start=oracles._BLOCK + 40)
+
+
+@pytest.mark.parametrize("case, n", [("growth_l1", 4096), ("growth_l2", 16 * oracles._BLOCK + 5)])
+def test_resolved_growth_march_matches_step_loop(case, n):
+    # growth raises the block condition bound: D^(1/2) u - 2 u stays below
+    # the gate (kappa about 25) and takes one solve, D^(3/2) u - 2 u (kappa
+    # about 1.4e3) is refined.  The L2 step loop itself drifts 3.9e-12 of
+    # the peak from a long-double run at n = 4096, where the march keeps
+    # 1.1e-13, so that case runs on the shorter grid
+    _check_march_against_loop(case, False, n=n, start=0)
+
+
+@pytest.mark.parametrize("case", sorted(_MARCH_CASES) + ["gl_multiplier"])
+def test_boundary_read_is_near_on_a_zero_block(case):
+    # a block's first solve reads only the differences that reach back
+    # before the block: term by term that is `near` on zero block states,
+    # bit for bit on the states and first differences, to rounding on the
+    # second, whose two nonzero rows `near` sums in one product
+    n = 3 * oracles._BLOCK + 5
+    prob = _march_problem(case, n)
+    grid = prob.grid
+    rng = np.random.default_rng(5)
+    phi1 = rng.standard_normal(prob.dim) + 1j * rng.standard_normal(prob.dim)
+    for term in oracles._caputo_terms(oracles._term_operators(prob), grid):
+        system = oracles._BlockSystem([term], grid, phi1)
+        size = system.size
+        for b0, rows in ((1, 1), (2, 1), (2, size), (size + 2, 2), (2 * size + 2, size)):
+            u = rng.standard_normal((n + 1, prob.dim)) + 1j * rng.standard_normal((n + 1, prob.dim))
+            u[b0:] = 0.0
+            got = system.boundary(u, b0, b0 + rows)
+            want = system.near(u, b0, b0 + rows)
+            if term.order < 2:
+                assert np.array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) <= 4e-16 * np.max(np.abs(want))
 
 
 def _dense(op, vals):
@@ -995,24 +1052,26 @@ def _dense(op, vals):
     return p @ (vals[:, None] * pinv)
 
 
-def _check_march_against_loop(case, inject, blocks, start):
-    # the march runs in spectral coordinates: it must match the diagonal
-    # loop there, and on matrix operators its back-transform must match the
-    # loop in state space on the dense matrices
-    from fraccauchy import solver
-
-    n = blocks * oracles._BLOCK + 5  # the last block is partial
+def _march_problem(case, n):
+    """The forced problem of a march case on [0, 1.3] in n steps."""
     grid = TimeGrid(1.3, n)
     if case.startswith("gl"):
         # the Riemann-Liouville problems: their oracle marches the
         # zero-data Caputo twin
         op = _MODES if case == "gl_multiplier" else _COMPLEX_PAIR
         rl = rl_problem(op, n=n, t_end=1.3, profile=Sine(2.0))
-        prob = dataclasses.replace(rl, flavor=CAPUTO, initial=[np.zeros(op.dimension)])
-    else:
-        op, measure, data = _MARCH_CASES[case]
-        forcing = Forcing(Sine(2.0), np.linspace(1.0, 0.5, op.dimension))
-        prob = CauchyProblem(op, measure, data, forcing, grid)
+        return dataclasses.replace(rl, flavor=CAPUTO, initial=[np.zeros(op.dimension)])
+    op, measure, data = {**_MARCH_CASES, **_GROWTH_CASES}[case]
+    forcing = Forcing(Sine(2.0), np.linspace(1.0, 0.5, op.dimension))
+    return CauchyProblem(op, measure, data, forcing, grid)
+
+
+def _check_march_against_loop(case, inject, n, start):
+    # the march runs in spectral coordinates: it must match the diagonal
+    # loop there, and on matrix operators its back-transform must match the
+    # loop in state space on the dense matrices
+    prob = _march_problem(case, n)
+    grid, op = prob.grid, prob.operator
     matrix = isinstance(op, MatrixOperator)
 
     fvals = forcing_values(prob.forcing, grid.nodes)
@@ -1030,6 +1089,7 @@ def _check_march_against_loop(case, inject, blocks, start):
         state_ref = _loop_caputo(dense, True, grid, states, fvals, state_injected)
     system = oracles._BlockSystem(oracles._caputo_terms(terms, grid), grid, phi1)
     oracles._share_inverses([system])
+    assert system.refine == (case in _REFINED)
     spectral = Forcing(prob.forcing.profile, op.to_spectral(prob.forcing.direction))
     got = oracles._march(system, phis[0], spectral, injected)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -1235,6 +1295,8 @@ def test_singular_row_of_a_shared_recurrence_names_its_grid():
         alone = oracles._block_inverses(regular.column(regular.size))
         assert np.array_equal(regular.inverse[:, : regular.size], alone)
         assert not np.isfinite(singular.inverse[0, 0])
+        # a non-finite condition bound counts as ill-conditioned
+        assert singular.refine and not np.isfinite(singular.kappa)
 
         def march(s):
             return oracles._march(s, np.ones(1), None)
